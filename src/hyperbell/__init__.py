@@ -50,24 +50,22 @@ from .lhv import (
 )
 from .optics import (
     ApparatusSpec,
-    DetectorPattern,
     OpticalElement,
-    ShotRecord,
-    bell_discriminate,
     bell_histogram,
     bell_probabilities,
     build_apparatus,
     element_unitary,
     joint_distribution,
-    measure_pair,
+    pattern_distribution,
+    readout_table,
 )
 from .experiment import (
     DEFAULT_SEED,
     DEFAULT_SHOTS,
     CorrelationEstimate,
-    DensityState,
     NoiseModel,
     estimate_mermin,
+    estimate_pair,
     estimate_rows,
     exact_expectation,
     noisy_state,

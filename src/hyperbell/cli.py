@@ -30,6 +30,9 @@ OUTPUT_DIR_ENV = "HYPERBELL_OUTPUT_DIR"
 
 _TABULAR_COMMANDS = ("simulate", "sweep")
 
+#: Commands that report a standard error, which needs at least two shots.
+_SE_COMMANDS = ("mermin", "simulate", "sweep")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -46,8 +49,11 @@ class RunConfig:
     state: str = "phi+"
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        min_shots = 2 if self.command in _SE_COMMANDS else 1
+        if not min_shots <= self.shots <= experiment.MAX_SHOTS:
+            raise ValueError(
+                f"shots must lie in [{min_shots}, 2**63 - 1] for '{self.command}'"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit nonnegative integer")
         if not 0.0 <= self.visibility <= 1.0:
@@ -60,15 +66,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+class OutputError(Exception):
+    """The --output file could not be written; reported as a usage error."""
+
+
 def _emit(text: str, config: RunConfig) -> None:
-    sys.stdout.write(text)
     if config.output_path is not None:
         path = config.output_path
         base = os.environ.get(OUTPUT_DIR_ENV)
         if base and not os.path.isabs(path):
             path = os.path.join(base, path)
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    sys.stdout.write(text)
 
 
 def _emit_json(payload, config: RunConfig) -> None:
@@ -163,29 +176,14 @@ def cmd_mermin(config: RunConfig) -> int:
 # -- simulate ---------------------------------------------------------------------
 
 
-def _simulate_results(config: RunConfig) -> list[dict]:
-    a1_id, a2_id = config.apparatus_pair
-    a1 = optics.build_apparatus(a1_id)
-    a2 = optics.build_apparatus(a2_id)
-    rng = np.random.default_rng(config.seed)
-    values = experiment.sample_pair_values(
-        a1_id, a2_id, config.visibility, config.shots, rng
-    )
-    results = []
-    for name in (*a1.value_names, *a2.value_names):
-        mean, se = experiment.mean_and_std_error(values[name])
-        results.append({"quantity": name, "mean": mean, "std_error": se})
-    for name1 in a1.value_names:
-        for name2 in a2.value_names:
-            mean, se = experiment.mean_and_std_error(values[name1] * values[name2])
-            results.append(
-                {"quantity": f"{name1}*{name2}", "mean": mean, "std_error": se}
-            )
-    return results
-
-
 def cmd_simulate(config: RunConfig) -> int:
-    results = _simulate_results(config)
+    estimates = experiment.estimate_pair(
+        *config.apparatus_pair, config.visibility, config.shots, config.seed
+    )
+    results = [
+        {"quantity": name, "mean": mean, "std_error": se}
+        for name, mean, se in estimates
+    ]
     if config.format == "json":
         payload = {
             "apparatus_pair": list(config.apparatus_pair),
@@ -403,7 +401,10 @@ def main(argv=None) -> int:
         if bad:
             return _usage_error(f"grid values outside [0, 1]: {bad}")
 
-    return _COMMANDS[config.command](config)
+    try:
+        return _COMMANDS[config.command](config)
+    except OutputError as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,32 +1,34 @@
 """Noise model, Monte Carlo correlation estimates, and the visibility sweep.
 
 Noise is isotropic white noise: with visibility V the prepared state is the
-mixture V |Psi><Psi| + (1-V)/16 * sum of the sixteen basis projectors.  Every
-operator of interest is traceless, so exact expectations scale linearly,
+density matrix rho = V |Psi><Psi| + (1-V) I/16.  Every operator of interest is
+traceless, so exact expectations tr(rho Q) scale linearly,
 <Q>(V) = V * <Q>(1); in particular the Bell-Mermin value is 9V and crosses the
 local-realistic ceiling of 7 exactly at V = 7/9.
 
-The sampler never touches density operators: each shot first picks a pure
-mixture component (|Psi> with probability V, otherwise a uniformly random
-basis ket) and then draws a detector pattern from that component's Born
-distribution.  All randomness flows from one seed.
+Shots are independent and identically distributed, so the 4 x 4 histogram of
+detector patterns is a sufficient statistic for every estimate.  Each setting
+is sampled as one multinomial draw over the Born distribution of rho, and
+means and standard errors are read off the counts; cost and memory do not grow
+with the shot count.  All randomness flows from one seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
 
-from .hilbert import ATOL, Operator, StateVector, basis_ket, expectation
 from .lhv import CONSTRAINTS, LHV_BOUND
 from .observables import (
     CONSTRAINT_ROWS,
     bell_mermin_operator,
     doubly_entangled_state,
 )
-from .optics import ApparatusSpec, build_apparatus, joint_distribution, pattern_values
+from .optics import build_apparatus, pattern_distribution, readout_table
 
 #: Fixed default seed used whenever the caller does not pass one.
 DEFAULT_SEED = 12345
@@ -70,47 +72,29 @@ class NoiseModel:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
 
 
-@dataclass(frozen=True)
-class DensityState:
-    """A pure state or a finite mixture of pure states with unit total weight."""
-
-    components: tuple[tuple[float, StateVector], ...]
-
-    def __post_init__(self):
-        weights = [w for w, _ in self.components]
-        if any(w < 0 for w in weights):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(sum(weights) - 1.0) >= ATOL:
-            raise ValueError(f"mixture weights sum to {sum(weights)!r}")
-        for _, state in self.components:
-            if not state.normalized:
-                raise ValueError("mixture components must be normalized states")
+def noisy_state(visibility: float) -> np.ndarray:
+    """rho = V |Psi><Psi| + (1-V) I/16 as a read-only 16 x 16 density matrix."""
+    v = NoiseModel(visibility).visibility
+    psi = doubly_entangled_state().amps
+    rho = v * np.outer(psi, psi.conj()) + (1.0 - v) / 16.0 * np.eye(16)
+    rho.setflags(write=False)
+    return rho
 
 
-def noisy_state(visibility: float) -> DensityState:
-    """V |Psi><Psi| + (1-V) * (uniform mixture over the 16 basis kets)."""
-    model = NoiseModel(visibility)
-    components: list[tuple[float, StateVector]] = []
-    if model.visibility > 0.0:
-        components.append((model.visibility, doubly_entangled_state()))
-    if model.visibility < 1.0:
-        ket_weight = (1.0 - model.visibility) / 16.0
-        components.extend((ket_weight, basis_ket(16, i)) for i in range(16))
-    return DensityState(tuple(components))
-
-
-def _quantity_operator(quantity: Quantity) -> Operator:
+@lru_cache(maxsize=None, typed=True)
+def _quantity_matrix(quantity: Quantity) -> np.ndarray:
+    """Read-only matrix of a constraint row or of O, built once per quantity."""
     if quantity == "O":
-        return bell_mermin_operator().realization
+        return bell_mermin_operator().realization.matrix
     if isinstance(quantity, int) and 1 <= quantity <= 9:
-        return CONSTRAINT_ROWS[quantity - 1].operator()
+        return CONSTRAINT_ROWS[quantity - 1].operator().matrix
     raise ValueError(f"quantity must be a row id 1..9 or 'O', got {quantity!r}")
 
 
-def exact_expectation(quantity: Quantity, density: DensityState) -> float:
-    """Weighted sum of pure-state expectations; exact to working precision."""
-    op = _quantity_operator(quantity)
-    return sum(w * expectation(op, state) for w, state in density.components)
+def exact_expectation(quantity: Quantity, density: np.ndarray) -> float:
+    """tr(rho Q) of a constraint row or of O; exact to working precision."""
+    # Q is Hermitian, so sum_ij conj(Q_ij) rho_ij = sum_ij rho_ij Q_ji = tr(rho Q).
+    return float(np.vdot(_quantity_matrix(quantity), density).real)
 
 
 @dataclass(frozen=True)
@@ -130,67 +114,52 @@ class CorrelationEstimate:
 
 # -- sampling ---------------------------------------------------------------
 
-_SAMPLE_CHUNK = 1 << 17
+#: Largest shot count of one setting; ``Generator.multinomial`` counts in int64.
+MAX_SHOTS = 2**63 - 1
 
 
-def _component_cdfs(a1: ApparatusSpec, a2: ApparatusSpec) -> np.ndarray:
-    """Pattern CDFs for every mixture component: row 0 = |Psi>, rows 1-16 = kets."""
-    states = [doubly_entangled_state()] + [basis_ket(16, i) for i in range(16)]
-    dists = np.array([joint_distribution(a1, a2, s).ravel() for s in states])
-    cdfs = np.cumsum(dists, axis=1)
-    cdfs[:, -1] = 1.0
-    return cdfs
-
-
-def sample_pair_patterns(
-    a1: ApparatusSpec,
-    a2: ApparatusSpec,
-    visibility: float,
-    shots: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Detector patterns under white noise, one mixture component per shot."""
-    NoiseModel(visibility)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    cdfs = _component_cdfs(a1, a2)
-    d1 = np.empty(shots, dtype=np.int64)
-    d2 = np.empty(shots, dtype=np.int64)
-    done = 0
-    while done < shots:
-        m = min(_SAMPLE_CHUNK, shots - done)
-        pick = rng.random(m)
-        kets = rng.integers(0, 16, size=m)
-        component = np.where(pick < visibility, 0, 1 + kets)
-        u = rng.random(m)
-        flat = (cdfs[component] <= u[:, None]).sum(axis=1)
-        d1[done : done + m] = flat // 4
-        d2[done : done + m] = flat % 4
-        done += m
-    return d1, d2
-
-
-def sample_pair_values(
+def sample_pair_counts(
     a1_id: int,
     a2_id: int,
-    visibility: float,
+    density: np.ndarray,
     shots: int,
     rng: np.random.Generator,
-) -> dict[str, np.ndarray]:
-    """Per-shot values of all six quantities read by an apparatus pair."""
-    a1 = build_apparatus(a1_id)
-    a2 = build_apparatus(a2_id)
-    d1, d2 = sample_pair_patterns(a1, a2, visibility, shots, rng)
-    return {**pattern_values(a1, d1), **pattern_values(a2, d2)}
+) -> np.ndarray:
+    """Counts c[d1, d2] of each detector pattern over ``shots`` iid shots.
+
+    One multinomial draw over the Born distribution, whatever the shot count.
+    """
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, 2**63 - 1], got {shots}")
+    probs = pattern_distribution(build_apparatus(a1_id), build_apparatus(a2_id), density)
+    return rng.multinomial(shots, probs.ravel()).reshape(4, 4)
 
 
-def mean_and_std_error(samples: np.ndarray) -> tuple[float, float]:
-    mean = float(samples.mean())
-    if samples.size > 1:
-        se = float(samples.std(ddof=1) / np.sqrt(samples.size))
-    else:
-        se = 0.0
-    return mean, se
+def counted_mean(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """Mean m of a +-1 quantity over counted patterns, and its SE sqrt((1-m^2)/(n-1)).
+
+    ``values`` gives the quantity on each flat pattern 4*d1 + d2.  With n+ and
+    n- shots at +1 and -1, 1 - m^2 = 4 n+ n- / n^2, so the SE is formed from
+    exact integers and is exactly 0 when every shot agrees.  It equals the
+    sample ``std(ddof=1) / sqrt(n)`` of the per-shot values.
+    """
+    flat = counts.ravel()
+    n = int(flat.sum())
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 shots, got {n}")
+    plus = int(flat[values > 0].sum())
+    minus = n - plus
+    return (plus - minus) / n, 2.0 * math.sqrt(plus * minus / (n - 1)) / n
+
+
+@lru_cache(maxsize=None)
+def _row_values(row_id: int) -> np.ndarray:
+    """Product of a constraint row's variables on the 16 patterns of its pair."""
+    a1_id, a2_id = ROW_APPARATUS_PAIRS[row_id]
+    table = readout_table(build_apparatus(a1_id), build_apparatus(a2_id))
+    values = np.prod([table[name] for name in CONSTRAINTS[row_id - 1].variables], axis=0)
+    values.setflags(write=False)
+    return values
 
 
 def estimate_rows(
@@ -203,15 +172,13 @@ def estimate_rows(
     The nine settings are drawn sequentially from one generator, so a fixed
     seed fixes every estimate.
     """
+    density = noisy_state(visibility)
     rng = np.random.default_rng(seed)
     estimates = []
     for constraint in CONSTRAINTS:
         a1_id, a2_id = ROW_APPARATUS_PAIRS[constraint.id]
-        values = sample_pair_values(a1_id, a2_id, visibility, shots_per_setting, rng)
-        product = np.ones(shots_per_setting, dtype=np.int64)
-        for name in constraint.variables:
-            product = product * values[name]
-        mean, se = mean_and_std_error(product)
+        counts = sample_pair_counts(a1_id, a2_id, density, shots_per_setting, rng)
+        mean, se = counted_mean(counts, _row_values(constraint.id))
         estimates.append(
             CorrelationEstimate(
                 quantity=constraint.id,
@@ -221,6 +188,28 @@ def estimate_rows(
             )
         )
     return estimates
+
+
+def estimate_pair(
+    a1_id: int,
+    a2_id: int,
+    visibility: float,
+    shots: int,
+    seed=DEFAULT_SEED,
+) -> list[tuple[str, float, float]]:
+    """(name, mean, SE) of the fifteen quantities one apparatus pair reads.
+
+    The six local values come first, photon 1 then photon 2, followed by the
+    nine cross products ``name1*name2``; all are read off one count table.
+    """
+    a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
+    rng = np.random.default_rng(seed)
+    counts = sample_pair_counts(a1_id, a2_id, noisy_state(visibility), shots, rng)
+    quantities = readout_table(a1, a2)
+    for name1 in a1.value_names:
+        for name2 in a2.value_names:
+            quantities[f"{name1}*{name2}"] = quantities[name1] * quantities[name2]
+    return [(name, *counted_mean(counts, values)) for name, values in quantities.items()]
 
 
 def estimate_mermin(
@@ -267,11 +256,39 @@ class SweepPoint:
     lhv_bound: float = float(LHV_BOUND)
 
 
+class SweepTable(Sequence[SweepPoint]):
+    """Sweep rows held as one read-only float array; a row is built on access.
+
+    Columns are (visibility, exact, estimate, std_error), with NaN where a
+    point was not sampled; the row reports those as None.  A kept sweep costs
+    32 bytes per point rather than an object and three floats.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: np.ndarray):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, index: int) -> SweepPoint:
+        v, exact, estimate, std_error = self.columns[index].tolist()
+        sampled = not math.isnan(estimate)
+        return SweepPoint(
+            visibility=v,
+            exact=exact,
+            estimate=estimate if sampled else None,
+            std_error=std_error if sampled else None,
+            violated=violation_flag(exact),
+        )
+
+
 def visibility_sweep(
     grid: Sequence[float],
     shots_per_setting: int = 0,
     seed=DEFAULT_SEED,
-) -> list[SweepPoint]:
+) -> SweepTable:
     """Exact and (optionally) sampled Bell-Mermin values across visibilities.
 
     ``shots_per_setting=0`` skips sampling.  Each grid point samples from its
@@ -280,24 +297,14 @@ def visibility_sweep(
     for v in grid:
         NoiseModel(v)
     children = np.random.SeedSequence(seed).spawn(len(grid))
-    points = []
-    for v, child in zip(grid, children):
-        exact = exact_expectation("O", noisy_state(v))
+    columns = np.full((len(grid), 4), np.nan)
+    for row, (v, child) in enumerate(zip(grid, children)):
+        columns[row, :2] = v, exact_expectation("O", noisy_state(v))
         if shots_per_setting > 0:
             sampled = estimate_mermin(shots_per_setting, v, child)
-            estimate, std_error = sampled.estimate, sampled.std_error
-        else:
-            estimate, std_error = None, None
-        points.append(
-            SweepPoint(
-                visibility=float(v),
-                exact=exact,
-                estimate=estimate,
-                std_error=std_error,
-                violated=violation_flag(exact),
-            )
-        )
-    return points
+            columns[row, 2:] = sampled.estimate, sampled.std_error
+    columns.setflags(write=False)
+    return SweepTable(columns)
 
 
 def _fmt(x: float) -> str:

@@ -17,14 +17,16 @@ eigenbasis is exactly the polarization-path Bell basis).
 
 Every detector is mapped to the eigenvalues of the apparatus's three
 quantities, each eigenvalue extracted independently from its own operator and
-asserted against the basis state.
+asserted against the basis state.  A pair of apparatuses, one per photon, has
+16 joint detector patterns; their Born distribution is computed for a pure
+state and for a density matrix, and ``readout_table`` gives every quantity's
+value on each pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,27 +85,6 @@ def element_unitary(element: OpticalElement) -> Operator:
             diag[[path, 2 + path]] = shift
         matrix = np.diag(diag)
     return Operator(matrix, kind="unitary")
-
-
-class DetectorPattern(NamedTuple):
-    """Which detector fired on each side of one shot (ideal detection)."""
-
-    photon1_detector: int
-    photon2_detector: int
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """One sampled run: apparatus pair, click pattern, inferred values.
-
-    ``values`` holds six entries, three per side: both primary observables and
-    their product, keyed by observable name.
-    """
-
-    apparatus_1: int
-    apparatus_2: int
-    pattern: DetectorPattern
-    values: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -258,23 +239,23 @@ def build_apparatus(apparatus_id: int) -> ApparatusSpec:
     )
 
 
-def _check_pair(a1: ApparatusSpec, a2: ApparatusSpec, state: StateVector) -> None:
+def _check_sides(a1: ApparatusSpec, a2: ApparatusSpec) -> None:
     if a1.photon != 1 or a2.photon != 2:
         raise ValueError(
             f"apparatus pair must act on photons (1, 2); got "
             f"({a1.id} on photon {a1.photon}, {a2.id} on photon {a2.photon})"
         )
-    if state.dim != 16:
-        raise ValueError("pair measurement expects the 16-dim two-photon state")
-    if not state.normalized:
-        raise ValueError("pair measurement expects a normalized state")
 
 
 def joint_distribution(
     a1: ApparatusSpec, a2: ApparatusSpec, state: StateVector
 ) -> np.ndarray:
-    """Born probabilities p[d1, d2] over the 4 x 4 detector patterns."""
-    _check_pair(a1, a2, state)
+    """Born probabilities p[d1, d2] of a pure state over the 4 x 4 detector patterns."""
+    _check_sides(a1, a2)
+    if state.dim != 16:
+        raise ValueError("pair measurement expects the 16-dim two-photon state")
+    if not state.normalized:
+        raise ValueError("pair measurement expects a normalized state")
     grid = state.amps.reshape(4, 4)
     amplitudes = a1.basis.conj() @ grid @ a2.basis.conj().T
     probs = np.abs(amplitudes) ** 2
@@ -284,43 +265,39 @@ def joint_distribution(
     return probs / total
 
 
-def sample_patterns(
-    a1: ApparatusSpec,
-    a2: ApparatusSpec,
-    state: StateVector,
-    shots: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw detector patterns from the Born distribution; returns (d1, d2)."""
-    cdf = np.cumsum(joint_distribution(a1, a2, state).ravel())
-    cdf[-1] = 1.0
-    flat = np.searchsorted(cdf, rng.random(shots), side="right")
-    return flat // 4, flat % 4
+def pattern_distribution(
+    a1: ApparatusSpec, a2: ApparatusSpec, density: np.ndarray
+) -> np.ndarray:
+    """Born probabilities p[d1, d2] = diag(K rho K^dagger) of a 16 x 16 density matrix.
+
+    Row 4*d1 + d2 of K = conj(B1) (x) conj(B2) is the bra of detector pattern
+    (d1, d2).  Round-off below zero is clipped, so the result can feed
+    ``Generator.multinomial`` directly.
+    """
+    _check_sides(a1, a2)
+    rho = np.asarray(density)
+    if rho.shape != (16, 16):
+        raise ValueError("pair measurement expects a 16 x 16 density matrix")
+    b1, b2 = a1.basis.conj(), a2.basis.conj()
+    bras = (b1[:, None, :, None] * b2[None, :, None, :]).reshape(16, 16)  # K
+    probs = ((bras @ rho) * bras.conj()).sum(axis=1).real
+    if probs.min() <= -ATOL or abs(probs.sum() - 1.0) >= 1e-9:
+        raise ValueError("density matrix is not a unit-trace positive state")
+    probs = np.clip(probs, 0.0, None)
+    return (probs / probs.sum()).reshape(4, 4)
 
 
-def pattern_values(apparatus: ApparatusSpec, detectors: np.ndarray) -> dict[str, np.ndarray]:
-    """Map detector indices to the three labeled eigenvalues, vectorized."""
-    table = np.asarray(apparatus.detector_map, dtype=np.int64)
-    picked = table[np.asarray(detectors)]
-    names = apparatus.value_names
-    return {names[i]: picked[..., i] for i in range(3)}
+def readout_table(a1: ApparatusSpec, a2: ApparatusSpec) -> dict[str, np.ndarray]:
+    """Value of each of the pair's six quantities on the 16 detector patterns.
 
-
-def measure_pair(
-    a1: ApparatusSpec,
-    a2: ApparatusSpec,
-    state: StateVector,
-    rng: np.random.Generator,
-) -> ShotRecord:
-    """Sample one shot of the apparatus pair and record all six local values."""
-    d1, d2 = sample_patterns(a1, a2, state, 1, rng)
-    pattern = DetectorPattern(int(d1[0]), int(d2[0]))
-    values: dict[str, int] = {}
-    for apparatus, detector in ((a1, pattern[0]), (a2, pattern[1])):
-        triple = apparatus.detector_map[detector]
-        for name, value in zip(apparatus.value_names, triple):
-            values[name] = value
-    return ShotRecord(a1.id, a2.id, pattern, values)
+    Entry 4*d1 + d2 of a photon-1 quantity is its label on detector d1, of a
+    photon-2 quantity its label on detector d2.
+    """
+    side1 = np.asarray(a1.detector_map, dtype=np.int64)
+    side2 = np.asarray(a2.detector_map, dtype=np.int64)
+    table = {name: np.repeat(side1[:, i], 4) for i, name in enumerate(a1.value_names)}
+    table.update({name: np.tile(side2[:, i], 4) for i, name in enumerate(a2.value_names)})
+    return table
 
 
 #: Label order used by the Bell discriminator.
@@ -337,26 +314,16 @@ def bell_probabilities(state: StateVector) -> dict[str, float]:
     return {label: abs(inner(bells[label], state)) ** 2 for label in BELL_LABELS}
 
 
-def bell_discriminate(state: StateVector, rng: np.random.Generator) -> str:
-    """Projective measurement in the polarization-path Bell basis."""
-    probs = bell_probabilities(state)
-    weights = np.array([probs[label] for label in BELL_LABELS])
-    cdf = np.cumsum(weights / weights.sum())
-    cdf[-1] = 1.0
-    index = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return BELL_LABELS[index]
-
-
 def bell_histogram(
     state: StateVector, shots: int, rng: np.random.Generator
 ) -> dict[str, int]:
-    """Label counts over repeated Bell discrimination of the same input."""
+    """Label counts over ``shots`` Bell discriminations of the same input.
+
+    The counts are one multinomial draw over the Bell-basis probabilities.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = bell_probabilities(state)
     weights = np.array([probs[label] for label in BELL_LABELS])
-    cdf = np.cumsum(weights / weights.sum())
-    cdf[-1] = 1.0
-    indices = np.searchsorted(cdf, rng.random(shots), side="right")
-    counts = np.bincount(indices, minlength=len(BELL_LABELS))
+    counts = rng.multinomial(shots, weights / weights.sum())
     return {label: int(counts[i]) for i, label in enumerate(BELL_LABELS)}

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -223,3 +224,98 @@ def test_output_dir_env_var(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "report.txt").read_text() == result.stdout
+
+
+def test_unwritable_output_is_a_usage_error():
+    result = run_cli("verify", "--output", "/nonexistent-dir/x")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("hyperbell: error: cannot write /nonexistent-dir/x")
+    assert len(result.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("mermin",),
+        ("simulate", "--apparatus-pair", "1", "4"),
+        ("sweep", "--grid", "0.5"),
+        ("bell",),
+    ],
+)
+def test_shot_count_beyond_int64_rejected(args):
+    result = run_cli(*args, "--shots", "99999999999999999999")
+    assert result.returncode == 2
+    assert result.stderr.startswith("hyperbell: error: shots must lie in")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("mermin",),
+        ("simulate", "--apparatus-pair", "1", "4"),
+        ("sweep", "--grid", "0.5"),
+    ],
+)
+def test_one_shot_rejected_where_a_standard_error_is_reported(args):
+    result = run_cli(*args, "--shots", "1")
+    assert result.returncode == 2
+    assert result.stderr.strip() == (
+        f"hyperbell: error: shots must lie in [2, 2**63 - 1] for '{args[0]}'"
+    )
+    assert run_cli(*args, "--shots", "2").returncode == 0
+
+
+def test_bell_accepts_one_shot():
+    result = run_cli("bell", "--shots", "1", "--format", "json")
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)
+    validate(payload, "bell")
+    assert payload["counts"]["phi+"] == 1
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (("mermin",), "shots_per_setting"),
+        (("simulate", "--apparatus-pair", "1", "4"), "shots"),
+    ],
+)
+def test_schemas_require_two_shots(args, key):
+    result = run_cli(*args, "--shots", "2", "--format", "json")
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)
+    validate(payload, args[0])
+    payload[key] = 1
+    with pytest.raises(jsonschema.ValidationError):
+        validate(payload, args[0])
+
+
+def run_cli_measured(*args):
+    """Run the CLI in a fresh process; returns (result, wall seconds, own peak RSS in kB)."""
+    code = (
+        "import resource, sys\n"
+        "from hyperbell.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(f'peak_rss_kb={peak}', file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True
+    )
+    elapsed = time.perf_counter() - start
+    peak = int(result.stderr.strip().splitlines()[-1].split("=")[1])
+    return result, elapsed, peak
+
+
+def test_mermin_at_a_trillion_shots_is_fast_and_flat_in_memory():
+    args = ("mermin", "--visibility", "0.9", "--shots")
+    small, _, small_peak = run_cli_measured(*args, "1000")
+    large, elapsed, large_peak = run_cli_measured(*args, "1000000000000")
+    assert small.returncode == large.returncode == 0
+    assert "shots per setting : 1000000000000" in large.stdout
+    assert elapsed < 5.0, f"{elapsed:.1f}s"
+    assert abs(large_peak - small_peak) <= 10 * 1024, (small_peak, large_peak)

@@ -3,20 +3,31 @@ import pytest
 
 from hyperbell.hilbert import ATOL, basis_ket
 from hyperbell.lhv import CONSTRAINTS
-from hyperbell.observables import CONSTRAINT_ROWS, bell_mermin_operator
-from hyperbell.optics import build_apparatus
+from hyperbell.observables import (
+    CONSTRAINT_ROWS,
+    bell_mermin_operator,
+    doubly_entangled_state,
+)
+from hyperbell.optics import (
+    build_apparatus,
+    joint_distribution,
+    pattern_distribution,
+    readout_table,
+)
 from hyperbell.experiment import (
     DEFAULT_GRID,
+    MAX_SHOTS,
     CorrelationEstimate,
-    DensityState,
     NoiseModel,
     ROW_APPARATUS_PAIRS,
     SWEEP_CSV_HEADER,
+    counted_mean,
     estimate_mermin,
+    estimate_pair,
     estimate_rows,
     exact_expectation,
     noisy_state,
-    sample_pair_values,
+    sample_pair_counts,
     sweep_csv,
     sweep_table,
     violation_flag,
@@ -36,24 +47,47 @@ def test_noise_model_range():
 
 
 def test_density_state_validation():
+    rho = noisy_state(0.5)
+    a1, a4 = build_apparatus(1), build_apparatus(4)
     with pytest.raises(ValueError):
-        DensityState(((0.5, basis_ket(16, 0)),))  # weights must sum to 1
+        pattern_distribution(a1, a4, np.eye(4) / 4)  # not a two-photon state
     with pytest.raises(ValueError):
-        DensityState(((-0.5, basis_ket(16, 0)), (1.5, basis_ket(16, 1))))
+        pattern_distribution(a1, a4, 2 * rho)  # trace 2
+    with pytest.raises(ValueError):
+        # unit trace, but negative on the patterns where |Psi> is found
+        pattern_distribution(a1, a4, 3 * noisy_state(0.0) - 2 * noisy_state(1.0))
+    with pytest.raises(ValueError):
+        rho[0, 0] = 1.0  # read-only
 
 
 def test_noisy_state_structure():
-    pure = noisy_state(1.0)
-    assert len(pure.components) == 1
-    assert pure.components[0][0] == 1.0
+    # rho = V |Psi><Psi| + (1-V)/16: Hermitian, unit trace, eigenvalue
+    # V + (1-V)/16 once (on |Psi>) and (1-V)/16 fifteen times
+    for visibility in (0.0, 0.3, 0.6, 7 / 9, 1.0):
+        rho = noisy_state(visibility)
+        assert rho.shape == (16, 16)
+        assert np.abs(rho - rho.conj().T).max() < ATOL
+        assert abs(np.trace(rho) - 1.0) < ATOL
+        noise = (1.0 - visibility) / 16.0
+        expected = [noise] * 15 + [visibility + noise]
+        np.testing.assert_allclose(np.linalg.eigvalsh(rho), expected, atol=ATOL)
 
-    uniform = noisy_state(0.0)
-    assert len(uniform.components) == 16
-    assert all(w == pytest.approx(1 / 16) for w, _ in uniform.components)
 
-    mixed = noisy_state(0.6)
-    assert len(mixed.components) == 17
-    assert sum(w for w, _ in mixed.components) == pytest.approx(1.0, abs=ATOL)
+@pytest.mark.parametrize("visibility", [0.0, 0.3, 7 / 9, 1.0])
+def test_density_distribution_matches_pure_mixture(visibility):
+    # two paths to the noisy Born distribution: diag(K rho K^dagger) from the
+    # density matrix, against V p_Psi + (1-V)/16 sum_i p_i from the pure-state
+    # distributions of |Psi> and the sixteen basis kets
+    rho = noisy_state(visibility)
+    kets = [basis_ket(16, i) for i in range(16)]
+    for a1_id, a2_id in ROW_APPARATUS_PAIRS.values():
+        a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
+        reference = visibility * joint_distribution(a1, a2, doubly_entangled_state())
+        reference = reference + (1.0 - visibility) / 16.0 * sum(
+            joint_distribution(a1, a2, ket) for ket in kets
+        )
+        probs = pattern_distribution(a1, a2, rho)
+        assert np.abs(probs - reference).max() <= 1e-12
 
 
 def test_every_operator_in_scope_is_traceless():
@@ -127,15 +161,52 @@ def test_estimate_at_zero_visibility():
     assert abs(est.estimate) < 0.04  # ~4 sigma at SE 9.5e-3
 
 
-def test_per_shot_bookkeeping_under_noise():
+def test_pair_counts_under_noise():
     rng = np.random.default_rng(31)
+    rho = noisy_state(0.3)
     for a1_id, a2_id in {(1, 4), (5, 6), (3, 2)}:
-        values = sample_pair_values(a1_id, a2_id, 0.3, 5000, rng)
-        a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
-        for spec in (a1, a2):
-            a, b, ab = spec.value_names
-            assert (values[a] * values[b] == values[ab]).all()
-            assert set(np.unique(values[a])) <= {-1, 1}
+        counts = sample_pair_counts(a1_id, a2_id, rho, 5000, rng)
+        assert counts.shape == (4, 4)
+        assert counts.sum() == 5000
+        assert (counts >= 0).all()
+        table = readout_table(build_apparatus(a1_id), build_apparatus(a2_id))
+        for values in table.values():
+            assert set(np.unique(values)) <= {-1, 1}
+    with pytest.raises(ValueError):
+        sample_pair_counts(1, 4, rho, 0, rng)
+    with pytest.raises(ValueError):
+        sample_pair_counts(1, 4, rho, MAX_SHOTS + 1, rng)
+
+
+def test_counted_mean_matches_per_shot_statistics():
+    # the counts-path SE equals std(ddof=1)/sqrt(n) of the expanded shots
+    rng = np.random.default_rng(8)
+    values = np.array([1, -1] * 8)
+    for _ in range(20):
+        counts = rng.multinomial(int(rng.integers(2, 60)), np.full(16, 1 / 16))
+        shots = np.repeat(values, counts)
+        mean, se = counted_mean(counts, values)
+        assert mean == pytest.approx(shots.mean(), abs=1e-15)
+        assert se == pytest.approx(shots.std(ddof=1) / np.sqrt(shots.size), abs=1e-15)
+    with pytest.raises(ValueError):
+        counted_mean(np.eye(1, 16, dtype=np.int64), values)
+
+
+def test_estimates_flat_in_shot_count():
+    est = estimate_mermin(10**12, 0.9, seed=4)
+    assert abs(est.estimate - 8.1) < 1e-4
+    assert est.std_error == pytest.approx(np.sqrt(9 * (1 - 0.81) / 10**12), rel=1e-3)
+    assert estimate_mermin(MAX_SHOTS, 1.0).estimate == pytest.approx(9.0, abs=ATOL)
+
+
+def test_estimate_pair_quantities():
+    results = estimate_pair(1, 4, 1.0, 2000, seed=3)
+    names = [name for name, _, _ in results]
+    assert names[:6] == ["z1", "x1'", "z1*x1'", "z2", "z2'", "z2*z2'"]
+    assert len(names) == 15 and names[6] == "z1*z2"
+    by_name = {name: (mean, se) for name, mean, se in results}
+    assert by_name["z1*z2"] == (-1.0, 0.0)
+    assert results == estimate_pair(1, 4, 1.0, 2000, seed=3)
 
 
 def test_correlation_estimate_validation():
@@ -201,7 +272,6 @@ def test_sweep_rejects_bad_grid():
         visibility_sweep([0.5, 1.5], shots_per_setting=0)
 
 
-@pytest.mark.slow
 def test_estimator_consistency_over_seeds():
     # |estimate - exact| <= 4 * reported SE in at least 99 of 100 repetitions
     # (equality matters at V=1 where both sides are exactly zero)

@@ -21,18 +21,17 @@ from hyperbell.optics import (
     BELL_LABELS,
     COMMUTATOR_ATOL,
     OpticalElement,
-    bell_discriminate,
     bell_histogram,
     bell_probabilities,
     build_apparatus,
     element_unitary,
     joint_distribution,
-    measure_pair,
-    pattern_values,
-    sample_patterns,
+    pattern_distribution,
+    readout_table,
 )
 
 PSI = doubly_entangled_state()
+PSI_RHO = np.outer(PSI.amps, PSI.amps.conj())
 INV = 1 / np.sqrt(2)
 
 
@@ -210,43 +209,43 @@ def test_pair_side_validation():
         joint_distribution(build_apparatus(4), build_apparatus(4), PSI)
     with pytest.raises(ValueError):
         joint_distribution(build_apparatus(1), build_apparatus(3), PSI)
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        measure_pair(build_apparatus(2), build_apparatus(4), PSI, rng)
+        pattern_distribution(build_apparatus(2), build_apparatus(4), PSI_RHO)
     with pytest.raises(ValueError):
-        measure_pair(
-            build_apparatus(1), build_apparatus(4), basis_ket(4, 0), rng
-        )
+        pattern_distribution(build_apparatus(1), build_apparatus(4), np.eye(4) / 4)
+    with pytest.raises(ValueError):
+        pattern_distribution(build_apparatus(1), build_apparatus(4), 2 * PSI_RHO)
 
 
 def test_perfect_anticorrelation_every_shot():
-    # z1 * z2 = -1 on every shot of the matched pair, not just on average
+    # z1 * z2 = -1 on every counted shot of the matched pair, not just on average
     a1, a4 = build_apparatus(1), build_apparatus(4)
-    rng = np.random.default_rng(21)
-    for _ in range(300):
-        record = measure_pair(a1, a4, PSI, rng)
-        assert record.values["z1"] * record.values["z2"] == -1
-        assert record.values["z1"] * record.values["x1'"] == record.values["z1*x1'"]
-        assert record.values["z2"] * record.values["z2'"] == record.values["z2*z2'"]
+    counts = np.random.default_rng(21).multinomial(
+        300, pattern_distribution(a1, a4, PSI_RHO).ravel()
+    )
+    table = readout_table(a1, a4)
+    fired = counts > 0
+    assert counts.sum() == 300
+    assert (table["z1"][fired] * table["z2"][fired] == -1).all()
+    assert (table["z1"] * table["x1'"] == table["z1*x1'"]).all()
+    assert (table["z2"] * table["z2'"] == table["z2*z2'"]).all()
 
 
 def test_product_state_statistics_with_apparatus_1():
     # |H,u;H,u>: z1 is +1 with certainty, x1' is uniform
     state = basis_ket(16, 0)
     a1, a4 = build_apparatus(1), build_apparatus(4)
-    probs = joint_distribution(a1, a4, state)
-    values = pattern_values(a1, np.arange(4))
-    marginal = probs.sum(axis=1)
-    p_z1_plus = marginal[values["z1"] == 1].sum()
-    p_x1p_plus = marginal[values["x1'"] == 1].sum()
-    assert p_z1_plus == pytest.approx(1.0, abs=ATOL)
-    assert p_x1p_plus == pytest.approx(0.5, abs=ATOL)
+    probs = joint_distribution(a1, a4, state).ravel()
+    table = readout_table(a1, a4)
+    assert probs[table["z1"] == 1].sum() == pytest.approx(1.0, abs=ATOL)
+    assert probs[table["x1'"] == 1].sum() == pytest.approx(0.5, abs=ATOL)
 
-    rng = np.random.default_rng(5)
-    d1, _ = sample_patterns(a1, a4, state, 4000, rng)
-    sampled = pattern_values(a1, d1)
-    assert (sampled["z1"] == 1).all()
-    assert abs(sampled["x1'"].mean()) < 0.05  # ~3 sigma is 0.047
+    rho = np.outer(state.amps, state.amps.conj())
+    counts = np.random.default_rng(5).multinomial(
+        4000, pattern_distribution(a1, a4, rho).ravel()
+    )
+    assert counts[table["z1"] == -1].sum() == 0
+    assert abs(counts @ table["x1'"]) / 4000 < 0.05  # ~3 sigma is 0.047
 
 
 def test_sampled_rows_match_eigenvalues_on_psi():
@@ -261,20 +260,26 @@ def test_sampled_rows_match_eigenvalues_on_psi():
     rng = np.random.default_rng(9)
     for row_id, (i, j) in pairs.items():
         a1, a2 = build_apparatus(i), build_apparatus(j)
-        d1, d2 = sample_patterns(a1, a2, PSI, 2000, rng)
-        merged = {**pattern_values(a1, d1), **pattern_values(a2, d2)}
-        product = np.ones(2000, dtype=int)
-        for name in variables[row_id]:
-            product *= merged[name]
-        assert (product == expected[row_id]).all()
+        counts = rng.multinomial(2000, pattern_distribution(a1, a2, PSI_RHO).ravel())
+        table = readout_table(a1, a2)
+        product = np.prod([table[name] for name in variables[row_id]], axis=0)
+        assert counts[product == expected[row_id]].sum() == 2000
 
 
-def test_pattern_values_consistency_vectorized():
-    for apparatus_id in range(1, 7):
-        spec = build_apparatus(apparatus_id)
-        values = pattern_values(spec, np.arange(4))
-        a, b, ab = spec.value_names
-        assert (values[a] * values[b] == values[ab]).all()
+def test_readout_table_consistency():
+    for a1_id in (1, 3, 5):
+        for a2_id in (2, 4, 6):
+            a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
+            table = readout_table(a1, a2)
+            assert list(table) == [*a1.value_names, *a2.value_names]
+            for spec in (a1, a2):
+                a, b, ab = spec.value_names
+                assert (table[a] * table[b] == table[ab]).all()
+            # entry 4*d1 + d2 carries detector d1's and detector d2's labels
+            for d1 in range(4):
+                for d2 in range(4):
+                    assert table[a1.observable_a][4 * d1 + d2] == a1.detector_map[d1][0]
+                    assert table[a2.observable_b][4 * d1 + d2] == a2.detector_map[d2][1]
 
 
 def test_bell_probabilities_of_named_states():
@@ -294,14 +299,6 @@ def test_bell_probabilities_of_product_ket():
     assert probs["psi-"] == pytest.approx(0.0, abs=ATOL)
 
 
-def test_bell_discrimination_deterministic_on_eigenstates():
-    states = build_bell_states("pol-path")
-    rng = np.random.default_rng(13)
-    for label in BELL_LABELS:
-        for _ in range(50):
-            assert bell_discriminate(states[label], rng) == label
-
-
 def test_bell_histogram_counts():
     states = build_bell_states("pol-path")
     rng = np.random.default_rng(17)
@@ -317,7 +314,7 @@ def test_bell_input_validation():
     with pytest.raises(ValueError):
         bell_probabilities(basis_ket(16, 0))
     with pytest.raises(ValueError):
-        bell_discriminate(StateVector(2 * basis_ket(4, 0).amps, normalized=False), rng)
+        bell_histogram(StateVector(2 * basis_ket(4, 0).amps, normalized=False), 10, rng)
     with pytest.raises(ValueError):
         bell_histogram(basis_ket(4, 0), 0, rng)
 
