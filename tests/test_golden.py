@@ -1,0 +1,64 @@
+"""Seeded stdout bytes of every command and format, against stored golden files.
+
+The files in ``tests/golden/`` were written by the CLI itself; any change to
+the sampler, the estimators or a renderer that alters a single byte of a
+seeded run fails here.  A deliberate output change rewrites the affected
+files and is logged in CHANGES.md.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from hyperbell import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+#: File name -> argv.  Every command in every format at the default seed,
+#: plus runs that sample non-deterministic outcomes (V < 1, a random input).
+CASES = {
+    "verify.txt": ["verify"],
+    "verify.json": ["verify", "--format", "json"],
+    "lhv.txt": ["lhv"],
+    "lhv.json": ["lhv", "--format", "json"],
+    "mermin.txt": ["mermin"],
+    "mermin.json": ["mermin", "--format", "json"],
+    "mermin_v0.9.txt": ["mermin", "--visibility", "0.9"],
+    "mermin_v0.9.json": ["mermin", "--visibility", "0.9", "--format", "json"],
+    "mermin_v0.8_1e12_seed5.txt": [
+        "mermin", "--visibility", "0.8", "--shots", "1000000000000", "--seed", "5",
+    ],
+    "simulate_1_4.txt": ["simulate", "--apparatus-pair", "1", "4"],
+    "simulate_1_4.json": ["simulate", "--apparatus-pair", "1", "4", "--format", "json"],
+    "simulate_1_4.csv": ["simulate", "--apparatus-pair", "1", "4", "--format", "csv"],
+    "simulate_1_4_v0.9.txt": [
+        "simulate", "--apparatus-pair", "1", "4", "--visibility", "0.9",
+    ],
+    "sweep.csv": ["sweep"],
+    "sweep.txt": ["sweep", "--format", "text"],
+    "sweep.json": ["sweep", "--format", "json"],
+    "sweep_shots1000.csv": ["sweep", "--shots", "1000"],
+    "bell.txt": ["bell"],
+    "bell.json": ["bell", "--format", "json"],
+    "bell_random.txt": ["bell", "--state", "random"],
+}
+
+
+def run_in_process(argv: list[str]) -> tuple[int, bytes]:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = cli.main(argv)
+    return code, buffer.getvalue().encode("utf-8")
+
+
+def test_every_case_has_a_golden_file():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_bytes_match_golden(name):
+    code, stdout = run_in_process(CASES[name])
+    assert code == 0
+    assert stdout == (GOLDEN / name).read_bytes()
