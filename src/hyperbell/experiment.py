@@ -7,15 +7,17 @@ traceless, so exact expectations tr(rho Q) scale linearly,
 local-realistic ceiling of 7 exactly at V = 7/9.
 
 Shots are independent and identically distributed, so the 4 x 4 histogram of
-detector patterns is a sufficient statistic for every estimate.  Each setting
-is sampled as one multinomial draw over the Born distribution of rho, and
-means and standard errors are read off the counts; cost and memory do not grow
-with the shot count.  All randomness flows from one seed.
+detector patterns is a sufficient statistic for every estimate.  All nine
+settings of a visibility share one Born computation over a stack of their
+pattern bras and one multinomial draw of a 9 x 16 count table; means and
+standard errors are read off the counts, so cost and memory do not grow with
+the shot count.  All randomness flows from one seed.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
@@ -28,7 +30,13 @@ from .observables import (
     bell_mermin_operator,
     doubly_entangled_state,
 )
-from .optics import build_apparatus, pattern_distribution, readout_table
+from .optics import (
+    born_distribution,
+    build_apparatus,
+    pattern_bras,
+    pattern_distribution,
+    readout_table,
+)
 
 #: Fixed default seed used whenever the caller does not pass one.
 DEFAULT_SEED = 12345
@@ -72,29 +80,60 @@ class NoiseModel:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
 
 
+@lru_cache(maxsize=None)
+def _noise_terms() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only |Psi><Psi| and I, built on first use."""
+    psi = doubly_entangled_state().amps
+    terms = np.outer(psi, psi.conj()), np.eye(16)
+    for term in terms:
+        term.setflags(write=False)
+    return terms
+
+
 def noisy_state(visibility: float) -> np.ndarray:
     """rho = V |Psi><Psi| + (1-V) I/16 as a read-only 16 x 16 density matrix."""
     v = NoiseModel(visibility).visibility
-    psi = doubly_entangled_state().amps
-    rho = v * np.outer(psi, psi.conj()) + (1.0 - v) / 16.0 * np.eye(16)
+    projector, identity = _noise_terms()
+    rho = v * projector + (1.0 - v) / 16.0 * identity
     rho.setflags(write=False)
     return rho
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def _quantity_matrix(quantity: Quantity) -> np.ndarray:
     """Read-only matrix of a constraint row or of O, built once per quantity."""
     if quantity == "O":
         return bell_mermin_operator().realization.matrix
-    if isinstance(quantity, int) and 1 <= quantity <= 9:
-        return CONSTRAINT_ROWS[quantity - 1].operator().matrix
+    return CONSTRAINT_ROWS[quantity - 1].operator().matrix
+
+
+def _quantity_key(quantity) -> Quantity:
+    """'O', or a row id 1..9 as a plain int; bools and other types are rejected."""
+    if isinstance(quantity, str):
+        if quantity == "O":
+            return quantity
+    elif not isinstance(quantity, bool):
+        try:
+            row_id = operator.index(quantity)
+        except TypeError:
+            row_id = 0
+        if 1 <= row_id <= 9:
+            return row_id
     raise ValueError(f"quantity must be a row id 1..9 or 'O', got {quantity!r}")
 
 
 def exact_expectation(quantity: Quantity, density: np.ndarray) -> float:
-    """tr(rho Q) of a constraint row or of O; exact to working precision."""
+    """tr(rho Q) of a constraint row or of O; exact to working precision.
+
+    ``quantity`` is "O" or a row id 1..9 of any integer type except bool;
+    ``density`` must be 16 x 16.  Anything else raises ``ValueError``.
+    """
+    matrix = _quantity_matrix(_quantity_key(quantity))
+    rho = np.asarray(density)
+    if rho.shape != (16, 16):
+        raise ValueError(f"density must be a 16 x 16 matrix, got shape {rho.shape}")
     # Q is Hermitian, so sum_ij conj(Q_ij) rho_ij = sum_ij rho_ij Q_ji = tr(rho Q).
-    return float(np.vdot(_quantity_matrix(quantity), density).real)
+    return float(np.vdot(matrix, rho).real)
 
 
 @dataclass(frozen=True)
@@ -118,6 +157,11 @@ class CorrelationEstimate:
 MAX_SHOTS = 2**63 - 1
 
 
+def _check_shots(shots: int) -> None:
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, 2**63 - 1], got {shots}")
+
+
 def sample_pair_counts(
     a1_id: int,
     a2_id: int,
@@ -129,8 +173,7 @@ def sample_pair_counts(
 
     One multinomial draw over the Born distribution, whatever the shot count.
     """
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must lie in [1, 2**63 - 1], got {shots}")
+    _check_shots(shots)
     probs = pattern_distribution(build_apparatus(a1_id), build_apparatus(a2_id), density)
     return rng.multinomial(shots, probs.ravel()).reshape(4, 4)
 
@@ -144,22 +187,36 @@ def counted_mean(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     sample ``std(ddof=1) / sqrt(n)`` of the per-shot values.
     """
     flat = counts.ravel()
-    n = int(flat.sum())
+    return _plus_minus_mean(int(flat[values > 0].sum()), int(flat.sum()))
+
+
+def _plus_minus_mean(plus: int, n: int) -> tuple[float, float]:
+    """Mean and SE of n shots of a +-1 quantity, ``plus`` of them at +1."""
     if n < 2:
         raise ValueError(f"a standard error needs at least 2 shots, got {n}")
-    plus = int(flat[values > 0].sum())
     minus = n - plus
     return (plus - minus) / n, 2.0 * math.sqrt(plus * minus / (n - 1)) / n
 
 
 @lru_cache(maxsize=None)
-def _row_values(row_id: int) -> np.ndarray:
-    """Product of a constraint row's variables on the 16 patterns of its pair."""
-    a1_id, a2_id = ROW_APPARATUS_PAIRS[row_id]
-    table = readout_table(build_apparatus(a1_id), build_apparatus(a2_id))
-    values = np.prod([table[name] for name in CONSTRAINTS[row_id - 1].variables], axis=0)
-    values.setflags(write=False)
-    return values
+def _row_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Pattern bras (9, 16, 16) and +-1 values (9, 16) of the rows at their pairs.
+
+    Row i holds constraint i+1: the bras K of its matched apparatus pair, and
+    the product of its variables on each flat pattern 4*d1 + d2.  The rows and
+    pairs are fixed, so the tables are built once, on first use.
+    """
+    bras, values = [], []
+    for constraint in CONSTRAINTS:
+        a1_id, a2_id = ROW_APPARATUS_PAIRS[constraint.id]
+        a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
+        table = readout_table(a1, a2)
+        bras.append(pattern_bras(a1, a2))
+        values.append(np.prod([table[name] for name in constraint.variables], axis=0))
+    tables = np.array(bras), np.array(values)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def estimate_rows(
@@ -169,25 +226,22 @@ def estimate_rows(
 ) -> list[CorrelationEstimate]:
     """Sampled correlation of every constraint row at its matched pair.
 
-    The nine settings are drawn sequentially from one generator, so a fixed
-    seed fixes every estimate.
+    One Born computation gives the nine distributions and one multinomial
+    draw their 9 x 16 count table.  The generator fills the rows in order, so
+    the counts equal nine sequential ``sample_pair_counts`` draws from one
+    generator, and a fixed seed fixes every estimate.
     """
     density = noisy_state(visibility)
-    rng = np.random.default_rng(seed)
-    estimates = []
-    for constraint in CONSTRAINTS:
-        a1_id, a2_id = ROW_APPARATUS_PAIRS[constraint.id]
-        counts = sample_pair_counts(a1_id, a2_id, density, shots_per_setting, rng)
-        mean, se = counted_mean(counts, _row_values(constraint.id))
-        estimates.append(
-            CorrelationEstimate(
-                quantity=constraint.id,
-                shots=shots_per_setting,
-                estimate=mean,
-                std_error=se,
-            )
-        )
-    return estimates
+    _check_shots(shots_per_setting)
+    bras, values = _row_tables()
+    probs = born_distribution(bras, density)
+    counts = np.random.default_rng(seed).multinomial(shots_per_setting, probs)
+    plus = np.sum(counts, axis=1, where=values > 0).tolist()
+    n = int(shots_per_setting)
+    return [
+        CorrelationEstimate(constraint.id, shots_per_setting, *_plus_minus_mean(p, n))
+        for constraint, p in zip(CONSTRAINTS, plus)
+    ]
 
 
 def estimate_pair(

@@ -20,7 +20,8 @@ quantities, each eigenvalue extracted independently from its own operator and
 asserted against the basis state.  A pair of apparatuses, one per photon, has
 16 joint detector patterns; their Born distribution is computed for a pure
 state and for a density matrix, and ``readout_table`` gives every quantity's
-value on each pattern.
+value on each pattern.  The density-matrix Born rule takes a stack of pattern
+bras, so the nine settings of a visibility share one computation.
 """
 
 from __future__ import annotations
@@ -265,26 +266,36 @@ def joint_distribution(
     return probs / total
 
 
-def pattern_distribution(
-    a1: ApparatusSpec, a2: ApparatusSpec, density: np.ndarray
-) -> np.ndarray:
-    """Born probabilities p[d1, d2] = diag(K rho K^dagger) of a 16 x 16 density matrix.
-
-    Row 4*d1 + d2 of K = conj(B1) (x) conj(B2) is the bra of detector pattern
-    (d1, d2).  Round-off below zero is clipped, so the result can feed
-    ``Generator.multinomial`` directly.
-    """
+def pattern_bras(a1: ApparatusSpec, a2: ApparatusSpec) -> np.ndarray:
+    """K = conj(B1) (x) conj(B2): row 4*d1 + d2 is the bra of detector pattern (d1, d2)."""
     _check_sides(a1, a2)
+    b1, b2 = a1.basis.conj(), a2.basis.conj()
+    return (b1[:, None, :, None] * b2[None, :, None, :]).reshape(16, 16)
+
+
+def born_distribution(bras: np.ndarray, density: np.ndarray) -> np.ndarray:
+    """Born probabilities diag(K rho K^dagger) of a 16 x 16 density matrix.
+
+    ``bras`` is one pattern-bra matrix K or a stack of them, shape
+    (..., 16, 16); the result has shape (..., 16), one distribution per K.
+    Round-off below zero is clipped and each distribution renormalized, so the
+    result can feed ``Generator.multinomial`` directly.
+    """
     rho = np.asarray(density)
     if rho.shape != (16, 16):
         raise ValueError("pair measurement expects a 16 x 16 density matrix")
-    b1, b2 = a1.basis.conj(), a2.basis.conj()
-    bras = (b1[:, None, :, None] * b2[None, :, None, :]).reshape(16, 16)  # K
-    probs = ((bras @ rho) * bras.conj()).sum(axis=1).real
-    if probs.min() <= -ATOL or abs(probs.sum() - 1.0) >= 1e-9:
+    probs = ((bras @ rho) * bras.conj()).sum(axis=-1).real
+    if probs.min() <= -ATOL or np.abs(probs.sum(axis=-1) - 1.0).max() >= 1e-9:
         raise ValueError("density matrix is not a unit-trace positive state")
     probs = np.clip(probs, 0.0, None)
-    return (probs / probs.sum()).reshape(4, 4)
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def pattern_distribution(
+    a1: ApparatusSpec, a2: ApparatusSpec, density: np.ndarray
+) -> np.ndarray:
+    """Born probabilities p[d1, d2] = diag(K rho K^dagger) of a 16 x 16 density matrix."""
+    return born_distribution(pattern_bras(a1, a2), density).reshape(4, 4)
 
 
 def readout_table(a1: ApparatusSpec, a2: ApparatusSpec) -> dict[str, np.ndarray]:

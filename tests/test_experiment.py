@@ -128,6 +128,55 @@ def test_row_apparatus_pairs_cover_their_variables():
         assert set(constraint.variables) <= readable
 
 
+RHO_09 = noisy_state(0.9)
+
+
+@pytest.mark.parametrize(
+    "quantity, density, expected",
+    [
+        (True, RHO_09, ValueError),  # not row 1
+        (False, RHO_09, ValueError),
+        (np.int64(3), RHO_09, exact_expectation(3, RHO_09)),
+        (np.uint8(9), RHO_09, exact_expectation(9, RHO_09)),
+        (3.0, RHO_09, ValueError),
+        ("1", RHO_09, ValueError),
+        ([1], RHO_09, ValueError),
+        (1, np.eye(4) / 4, ValueError),  # a one-photon density matrix
+        ("O", RHO_09.ravel(), ValueError),
+    ],
+)
+def test_exact_expectation_validates_its_inputs(quantity, density, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="quantity must be|16 x 16"):
+            exact_expectation(quantity, density)
+    else:
+        assert exact_expectation(quantity, density) == expected
+
+
+@pytest.mark.parametrize("shots", [2, 100, MAX_SHOTS])
+@pytest.mark.parametrize("seed, visibility", [(0, 0.0), (7, 0.5), (12345, 0.9), (99, 1.0)])
+def test_estimate_rows_equals_sequential_pair_draws(shots, seed, visibility):
+    # reference: the nine settings drawn one by one from one generator, each
+    # row's values multiplied out from the readout table of its pair
+    rng = np.random.default_rng(seed)
+    density = noisy_state(visibility)
+    reference = []
+    for constraint in CONSTRAINTS:
+        a1_id, a2_id = ROW_APPARATUS_PAIRS[constraint.id]
+        counts = sample_pair_counts(a1_id, a2_id, density, shots, rng)
+        table = readout_table(build_apparatus(a1_id), build_apparatus(a2_id))
+        values = np.prod([table[name] for name in constraint.variables], axis=0)
+        mean, se = counted_mean(counts, values)
+        reference.append(CorrelationEstimate(constraint.id, shots, mean, se))
+    assert estimate_rows(shots, visibility, seed) == reference
+
+
+def test_estimate_rows_validates_shots():
+    for shots in (0, 1, MAX_SHOTS + 1):
+        with pytest.raises(ValueError):
+            estimate_rows(shots, 0.5)
+
+
 def test_estimates_deterministic_for_fixed_seed():
     first = estimate_mermin(2000, 0.7, seed=999)
     second = estimate_mermin(2000, 0.7, seed=999)
