@@ -40,6 +40,11 @@ CASES = {
     "sweep.txt": ["sweep", "--format", "text"],
     "sweep.json": ["sweep", "--format", "json"],
     "sweep_shots1000.csv": ["sweep", "--shots", "1000"],
+    # The shape of a benchmark scan: 21 points across 7/9 at 100 shots.
+    "sweep_scan_shots100_seed7.json": [
+        "sweep", "--grid", *(f"{0.70 + k / 100:.2f}" for k in range(21)),
+        "--shots", "100", "--seed", "7", "--format", "json",
+    ],
     "bell.txt": ["bell"],
     "bell.json": ["bell", "--format", "json"],
     "bell_random.txt": ["bell", "--state", "random"],
