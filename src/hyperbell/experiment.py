@@ -7,11 +7,17 @@ traceless, so exact expectations tr(rho Q) scale linearly,
 local-realistic ceiling of 7 exactly at V = 7/9.
 
 Shots are independent and identically distributed, so the 4 x 4 histogram of
-detector patterns is a sufficient statistic for every estimate.  All nine
-settings of a visibility share one Born computation over a stack of their
-pattern bras and one multinomial draw of a 9 x 16 count table; means and
-standard errors are read off the counts, so cost and memory do not grow with
-the shot count.  All randomness flows from one seed.
+detector patterns is a sufficient statistic for every estimate.  One sampler
+serves every caller: a stack of density matrices, one per visibility, goes
+through one Born pass over the stacked pattern bras of the settings (one
+(m*16, 16) @ rho product per density, one check of all distributions), then
+one multinomial draw per density of its m x 16 count table, each from that
+density's own generator.  ``estimate_rows`` runs it on one visibility and the
+nine rows, ``sample_pair_counts`` on one visibility and one pair, and
+``visibility_sweep`` on its whole grid at once, building each point's rho
+once for both its exact and its sampled value.  Means and standard errors are
+read off the counts, so cost and memory do not grow with the shot count.  All
+randomness flows from one seed.
 """
 
 from __future__ import annotations
@@ -30,13 +36,7 @@ from .observables import (
     bell_mermin_operator,
     doubly_entangled_state,
 )
-from .optics import (
-    born_distribution,
-    build_apparatus,
-    pattern_bras,
-    pattern_distribution,
-    readout_table,
-)
+from .optics import born_distributions, build_apparatus, pattern_bras, readout_table
 
 #: Fixed default seed used whenever the caller does not pass one.
 DEFAULT_SEED = 12345
@@ -90,13 +90,27 @@ def _noise_terms() -> tuple[np.ndarray, np.ndarray]:
     return terms
 
 
-def noisy_state(visibility: float) -> np.ndarray:
-    """rho = V |Psi><Psi| + (1-V) I/16 as a read-only 16 x 16 density matrix."""
-    v = NoiseModel(visibility).visibility
+def _mixed(v) -> np.ndarray:
+    """Read-only V |Psi><Psi| + (1-V) I/16 for a scalar V, or a stack for V of shape (n, 1, 1).
+
+    A scalar and a stack go through the same two products and one sum per
+    element, so a point's rho is the same bits whichever way it is built.
+    """
     projector, identity = _noise_terms()
     rho = v * projector + (1.0 - v) / 16.0 * identity
     rho.setflags(write=False)
     return rho
+
+
+def noisy_state(visibility: float) -> np.ndarray:
+    """rho = V |Psi><Psi| + (1-V) I/16 as a read-only 16 x 16 density matrix."""
+    return _mixed(NoiseModel(visibility).visibility)
+
+
+def _densities(visibilities: Sequence[float]) -> np.ndarray:
+    """Read-only (n, 16, 16) stack of ``noisy_state(V)`` over a grid, in one broadcast."""
+    v = np.array([NoiseModel(x).visibility for x in visibilities], dtype=np.float64)
+    return _mixed(v.reshape(-1, 1, 1))
 
 
 @lru_cache(maxsize=None)
@@ -157,9 +171,38 @@ class CorrelationEstimate:
 MAX_SHOTS = 2**63 - 1
 
 
-def _check_shots(shots: int) -> None:
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must lie in [1, 2**63 - 1], got {shots}")
+def _shot_count(shots, minimum: int = 1) -> int:
+    """``shots`` as a plain int in [minimum, 2**63 - 1]; bools and non-integers are rejected."""
+    if not isinstance(shots, bool):
+        try:
+            count = operator.index(shots)
+        except TypeError:
+            pass
+        else:
+            if minimum <= count <= MAX_SHOTS:
+                return count
+    raise ValueError(f"shots must be an integer in [{minimum}, 2**63 - 1], got {shots!r}")
+
+
+def _draw_counts(
+    bras: np.ndarray,
+    bras_conj: np.ndarray,
+    densities: np.ndarray,
+    shots: int,
+    rngs,
+) -> np.ndarray:
+    """Counts (n, m, 16) of m settings at n densities: one Born pass, one draw per density.
+
+    ``bras`` and ``bras_conj`` are the settings' stacked (m*16, 16) pattern
+    bras and their conjugate; ``rngs`` gives one generator per density.  A
+    draw fills its m settings in order, so it equals m sequential one-setting
+    draws from the same generator.
+    """
+    probs = born_distributions(bras, bras_conj, densities)
+    counts = np.empty(probs.shape, dtype=np.int64)
+    for out, p, rng in zip(counts, probs, rngs):
+        out[...] = rng.multinomial(shots, p)
+    return counts
 
 
 def sample_pair_counts(
@@ -171,11 +214,13 @@ def sample_pair_counts(
 ) -> np.ndarray:
     """Counts c[d1, d2] of each detector pattern over ``shots`` iid shots.
 
-    One multinomial draw over the Born distribution, whatever the shot count.
+    One multinomial draw over the Born distribution, whatever the shot count;
+    the pair's K is a one-setting stack for the sampler the rows use.
     """
-    _check_shots(shots)
-    probs = pattern_distribution(build_apparatus(a1_id), build_apparatus(a2_id), density)
-    return rng.multinomial(shots, probs.ravel()).reshape(4, 4)
+    count = _shot_count(shots)
+    bras = pattern_bras(build_apparatus(a1_id), build_apparatus(a2_id))
+    rho = np.asarray(density)[None]
+    return _draw_counts(bras, bras.conj(), rho, count, (rng,)).reshape(4, 4)
 
 
 def counted_mean(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -219,6 +264,36 @@ def _row_tables() -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+@lru_cache(maxsize=None)
+def _row_bras() -> tuple[np.ndarray, np.ndarray]:
+    """The nine rows' pattern bras as one read-only (144, 16) stack, and its conjugate."""
+    flat = _row_tables()[0].reshape(144, 16)
+    conj = flat.conj()
+    conj.setflags(write=False)
+    return flat, conj
+
+
+def _sample_rows(densities: np.ndarray, shots: int, seeds) -> list[list[tuple[float, float]]]:
+    """(mean, SE) of the nine rows at each density, one generator per density.
+
+    The one row sampler: ``estimate_rows`` calls it with one density,
+    ``visibility_sweep`` with its whole grid.  ``seeds`` gives each density's
+    generator seed; n+ of every row comes from one int64 reduction.
+    """
+    values = _row_tables()[1]
+    rngs = map(np.random.default_rng, seeds)
+    counts = _draw_counts(*_row_bras(), densities, shots, rngs)
+    plus = np.sum(counts, axis=-1, where=values > 0).tolist()
+    return [[_plus_minus_mean(p, shots) for p in row] for row in plus]
+
+
+def _mermin_value(rows: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """O from the nine rows' (mean, SE): signed means summed, SEs in quadrature."""
+    total = sum(c.required_product * mean for c, (mean, _) in zip(CONSTRAINTS, rows))
+    variance = sum(se**2 for _, se in rows)
+    return float(total), math.sqrt(variance)
+
+
 def estimate_rows(
     shots_per_setting: int,
     visibility: float,
@@ -231,16 +306,11 @@ def estimate_rows(
     the counts equal nine sequential ``sample_pair_counts`` draws from one
     generator, and a fixed seed fixes every estimate.
     """
-    density = noisy_state(visibility)
-    _check_shots(shots_per_setting)
-    bras, values = _row_tables()
-    probs = born_distribution(bras, density)
-    counts = np.random.default_rng(seed).multinomial(shots_per_setting, probs)
-    plus = np.sum(counts, axis=1, where=values > 0).tolist()
-    n = int(shots_per_setting)
+    shots = _shot_count(shots_per_setting)
+    (rows,) = _sample_rows(noisy_state(visibility)[None], shots, (seed,))
     return [
-        CorrelationEstimate(constraint.id, shots_per_setting, *_plus_minus_mean(p, n))
-        for constraint, p in zip(CONSTRAINTS, plus)
+        CorrelationEstimate(constraint.id, shots, mean, std_error)
+        for constraint, (mean, std_error) in zip(CONSTRAINTS, rows)
     ]
 
 
@@ -278,16 +348,8 @@ def estimate_mermin(
     quadrature.
     """
     rows = estimate_rows(shots_per_setting, visibility, seed)
-    total = sum(
-        c.required_product * est.estimate for c, est in zip(CONSTRAINTS, rows)
-    )
-    variance = sum(est.std_error**2 for est in rows)
-    return CorrelationEstimate(
-        quantity="O",
-        shots=shots_per_setting,
-        estimate=float(total),
-        std_error=float(np.sqrt(variance)),
-    )
+    estimate, std_error = _mermin_value([(r.estimate, r.std_error) for r in rows])
+    return CorrelationEstimate("O", rows[0].shots, estimate, std_error)
 
 
 # -- visibility sweep --------------------------------------------------------
@@ -315,7 +377,9 @@ class SweepTable(Sequence[SweepPoint]):
 
     Columns are (visibility, exact, estimate, std_error), with NaN where a
     point was not sampled; the row reports those as None.  A kept sweep costs
-    32 bytes per point rather than an object and three floats.
+    32 bytes per point rather than an object and three floats.  A slice is a
+    table over the same array, and two tables are equal when their columns
+    are, NaN matching NaN.
     """
 
     __slots__ = ("columns",)
@@ -326,8 +390,10 @@ class SweepTable(Sequence[SweepPoint]):
     def __len__(self) -> int:
         return len(self.columns)
 
-    def __getitem__(self, index: int) -> SweepPoint:
-        v, exact, estimate, std_error = self.columns[index].tolist()
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepTable(self.columns[index])
+        v, exact, estimate, std_error = self.columns[operator.index(index)].tolist()
         sampled = not math.isnan(estimate)
         return SweepPoint(
             visibility=v,
@@ -336,6 +402,14 @@ class SweepTable(Sequence[SweepPoint]):
             std_error=std_error if sampled else None,
             violated=violation_flag(exact),
         )
+
+    def __eq__(self, other):
+        if not isinstance(other, SweepTable):
+            return NotImplemented
+        return np.array_equal(self.columns, other.columns, equal_nan=True)
+
+    def __repr__(self) -> str:
+        return f"SweepTable({list(self)!r})"
 
 
 def visibility_sweep(
@@ -346,17 +420,21 @@ def visibility_sweep(
     """Exact and (optionally) sampled Bell-Mermin values across visibilities.
 
     ``shots_per_setting=0`` skips sampling.  Each grid point samples from its
-    own child seed, so points are independent and the table is reproducible.
+    own child seed, ``SeedSequence(seed).spawn(len(grid))`` in grid order, so
+    points are independent, the table is reproducible, and a row equals
+    ``estimate_mermin(shots_per_setting, v, child)``.  The grid's density
+    matrices are built once, as one stack that the exact column and the row
+    sampler both read.
     """
-    for v in grid:
-        NoiseModel(v)
-    children = np.random.SeedSequence(seed).spawn(len(grid))
-    columns = np.full((len(grid), 4), np.nan)
-    for row, (v, child) in enumerate(zip(grid, children)):
-        columns[row, :2] = v, exact_expectation("O", noisy_state(v))
-        if shots_per_setting > 0:
-            sampled = estimate_mermin(shots_per_setting, v, child)
-            columns[row, 2:] = sampled.estimate, sampled.std_error
+    shots = _shot_count(shots_per_setting, minimum=0)
+    densities = _densities(grid)
+    columns = np.full((len(densities), 4), np.nan)
+    columns[:, 0] = grid
+    columns[:, 1] = [exact_expectation("O", rho) for rho in densities]
+    if shots:
+        children = np.random.SeedSequence(seed).spawn(len(densities))
+        for row, stats in zip(columns, _sample_rows(densities, shots, children)):
+            row[2:] = _mermin_value(stats)
     columns.setflags(write=False)
     return SweepTable(columns)
 

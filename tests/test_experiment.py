@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from hyperbell.experiment import (
     NoiseModel,
     ROW_APPARATUS_PAIRS,
     SWEEP_CSV_HEADER,
+    SweepTable,
     counted_mean,
     estimate_mermin,
     estimate_pair,
@@ -177,6 +180,34 @@ def test_estimate_rows_validates_shots():
             estimate_rows(shots, 0.5)
 
 
+SAMPLERS = {
+    "estimate_rows": lambda shots: estimate_rows(shots, 0.9, 1),
+    "estimate_mermin": lambda shots: estimate_mermin(shots, 0.9, 1),
+    "estimate_pair": lambda shots: estimate_pair(1, 4, 0.9, shots, 1),
+    "sample_pair_counts": lambda shots: sample_pair_counts(
+        1, 4, noisy_state(0.9), shots, np.random.default_rng(1)
+    ),
+    "visibility_sweep": lambda shots: visibility_sweep([0.5, 0.9], shots, 1),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 100.0, True, False, "5", None, -1, MAX_SHOTS + 1])
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_samplers_reject_bad_shot_counts(sampler, bad):
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+        SAMPLERS[sampler](bad)
+
+
+def test_samplers_take_integral_shot_counts():
+    # any integer type is a shot count, reported back as a plain int
+    rows = estimate_rows(np.int64(100), 0.9, 1)
+    assert rows == estimate_rows(100, 0.9, 1)
+    assert all(type(row.shots) is int for row in rows)
+    assert estimate_mermin(np.uint16(100), 0.9, 1) == estimate_mermin(100, 0.9, 1)
+    assert visibility_sweep([0.9], np.int32(100), 1) == visibility_sweep([0.9], 100, 1)
+    assert visibility_sweep([0.9], np.int64(0)) == visibility_sweep([0.9], 0)
+
+
 def test_estimates_deterministic_for_fixed_seed():
     first = estimate_mermin(2000, 0.7, seed=999)
     second = estimate_mermin(2000, 0.7, seed=999)
@@ -314,6 +345,44 @@ def test_sweep_csv_exact_only_leaves_columns_empty():
     csv_text = sweep_csv(visibility_sweep([0.5], shots_per_setting=0))
     line = csv_text.strip().split("\n")[1]
     assert line == "0.5,4.5,,,7,no"
+
+
+def test_sweep_of_an_empty_grid_is_an_empty_table():
+    for shots in (0, 100):
+        table = visibility_sweep((), shots)
+        assert len(table) == 0 and list(table) == []
+        assert table.columns.shape == (0, 4)
+        assert sweep_csv(table) == SWEEP_CSV_HEADER + "\n"
+
+
+def test_sweep_table_slices_to_a_table():
+    table = visibility_sweep([0.1, 0.5, 0.8, 1.0], shots_per_setting=100, seed=2)
+    head = table[0:2]
+    assert isinstance(head, SweepTable)
+    assert list(head) == list(table)[:2]
+    assert list(table[::-1]) == list(table)[::-1]
+    assert table[1:1] == visibility_sweep((), 0)
+    assert table[-1] == table[3] and table[np.int64(2)] == table[2]
+    with pytest.raises(IndexError):
+        table[4]
+
+
+def test_sweep_table_compares_by_value():
+    grid = [0.2, 7 / 9, 0.9]
+    assert visibility_sweep(grid, 100, seed=4) == visibility_sweep(grid, 100, seed=4)
+    assert visibility_sweep(grid, 100, seed=4) != visibility_sweep(grid, 100, seed=5)
+    # NaN columns of unsampled points compare equal
+    assert visibility_sweep(grid, 0) == visibility_sweep(grid, 0)
+    assert visibility_sweep(grid, 0) != visibility_sweep(grid, 100, seed=4)
+    assert visibility_sweep(grid, 0) != visibility_sweep(grid[:2], 0)
+    assert visibility_sweep(grid, 0) != list(visibility_sweep(grid, 0))
+
+
+def test_sweep_table_repr_lists_its_rows():
+    table = visibility_sweep([0.5, 1.0], shots_per_setting=0)
+    assert repr(table) == f"SweepTable({list(table)!r})"
+    assert "SweepPoint(visibility=0.5, exact=4.5, estimate=None" in repr(table)
+    assert not hasattr(table, "__dict__")
 
 
 def test_sweep_rejects_bad_grid():

@@ -4,15 +4,24 @@ rho = A A^dagger / tr(A A^dagger) with A a complex 16 x k matrix, k in 1..16;
 k = 1 gives pure states.  The batched Born computation of the nine rows is
 checked against the per-pair one, the detector marginals against no
 signalling, and the correlations read off the detector maps against
-tr(rho Q) from the operators.
+tr(rho Q) from the operators.  The batched visibility sweep is checked bit
+for bit against its points computed one at a time.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from hyperbell.experiment import ROW_APPARATUS_PAIRS, _row_tables, exact_expectation
+from hyperbell.experiment import (
+    MAX_SHOTS,
+    ROW_APPARATUS_PAIRS,
+    _row_tables,
+    estimate_mermin,
+    exact_expectation,
+    noisy_state,
+    visibility_sweep,
+)
 from hyperbell.lhv import CONSTRAINTS
-from hyperbell.optics import born_distribution, build_apparatus, pattern_distribution
+from hyperbell.optics import born_distributions, build_apparatus, pattern_distribution
 
 PHOTON1_APPARATUSES = (1, 3, 5)
 PHOTON2_APPARATUSES = (2, 4, 6)
@@ -29,7 +38,8 @@ def density_matrices(draw):
 
 def row_distributions(rho):
     bras, values = _row_tables()
-    return born_distribution(bras, rho), values
+    flat = bras.reshape(144, 16)
+    return born_distributions(flat, flat.conj(), rho[None])[0], values
 
 
 @settings(deadline=None)
@@ -71,3 +81,38 @@ def test_row_correlations_match_operator_traces(rho):
         assert abs(correlation - exact_expectation(constraint.id, rho)) <= 1e-12
     signs = np.array([c.required_product for c in CONSTRAINTS])
     assert abs(signs @ correlations - exact_expectation("O", rho)) <= 1e-12
+
+
+#: Grid points: the ends, the threshold 7/9, and arbitrary values in between.
+visibilities = st.one_of(
+    st.sampled_from([0.0, 7.0 / 9.0, 1.0]),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
+
+
+@st.composite
+def grids(draw):
+    """A grid with repeated points: some drawn values appear more than once."""
+    grid = draw(st.lists(visibilities, min_size=1, max_size=8))
+    repeats = draw(st.lists(st.sampled_from(grid), max_size=3))
+    return draw(st.permutations(grid + repeats))
+
+
+@settings(deadline=None, max_examples=60)
+@given(grids(), st.sampled_from([2, 100, MAX_SHOTS]), st.integers(0, 2**64 - 1))
+def test_batched_sweep_equals_points_one_at_a_time(grid, shots, seed):
+    table = visibility_sweep(grid, shots, seed)
+    children = np.random.SeedSequence(seed).spawn(len(grid))
+    assert len(table) == len(grid)
+    for point, v, child in zip(table, grid, children):
+        single = estimate_mermin(shots, v, child)
+        assert point.visibility == v
+        assert point.exact == exact_expectation("O", noisy_state(v))
+        assert (point.estimate, point.std_error) == (single.estimate, single.std_error)
+
+
+def test_batched_born_rule_takes_an_empty_stack():
+    bras = _row_tables()[0].reshape(144, 16)
+    probs = born_distributions(bras, bras.conj(), np.empty((0, 16, 16), complex))
+    assert probs.shape == (0, 9, 16)
+    assert len(visibility_sweep((), 100)) == 0
