@@ -56,8 +56,7 @@ class RunConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit nonnegative integer")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError("visibility must lie in [0, 1]")
+        experiment.NoiseModel(self.visibility)  # the one visibility check
         if self.format == "csv" and self.command not in _TABULAR_COMMANDS:
             raise ValueError(f"csv format is not available for '{self.command}'")
 

@@ -7,22 +7,23 @@ traceless, so exact expectations tr(rho Q) scale linearly,
 local-realistic ceiling of 7 exactly at V = 7/9.
 
 Shots are independent and identically distributed, so the 4 x 4 histogram of
-detector patterns is a sufficient statistic for every estimate.  One sampler
-serves every caller: a stack of density matrices, one per visibility, goes
-through one Born pass over the stacked pattern bras of the settings (one
-(m*16, 16) @ rho product per density, one check of all distributions), then
-one multinomial draw per density of its m x 16 count table, each from that
-density's own generator.  ``estimate_rows`` runs it on one visibility and the
-nine rows, ``sample_pair_counts`` on one visibility and one pair, and
-``visibility_sweep`` on its whole grid at once, building each point's rho
-once for both its exact and its sampled value.  Means and standard errors are
-read off the counts, so cost and memory do not grow with the shot count.  All
-randomness flows from one seed.
+detector patterns is a sufficient statistic for every estimate.  A setting's
+Born distribution is diag(K rho K^dagger), K = conj(B1) (x) conj(B2).  K is
+unitary, so K I K^dagger = I and white noise adds exactly (1-V)/16 to every
+pattern: p(V) = V p_Psi + (1-V)/16 with p_Psi = diag(K |Psi><Psi| K^dagger).
+The nine rows' p_Psi are one (9, 16) table, built once by the general Born
+rule; a visibility, or a whole grid, costs one broadcast of the mixture and
+one check, and then one multinomial draw per visibility of its 9 x 16 count
+table from its own generator.  ``sample_pair_counts`` (``simulate``) draws
+from the Born distribution of any density matrix.  Means and standard errors
+are read off the counts, so cost and memory do not grow with the shot count.
+All randomness flows from one seed.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,7 +37,8 @@ from .observables import (
     bell_mermin_operator,
     doubly_entangled_state,
 )
-from .optics import born_distributions, build_apparatus, pattern_bras, readout_table
+from .optics import born_distributions, build_apparatus, check_distributions
+from .optics import pattern_bras, pattern_distribution, readout_table
 
 #: Fixed default seed used whenever the caller does not pass one.
 DEFAULT_SEED = 12345
@@ -71,13 +73,15 @@ Quantity = Union[int, str]  # constraint-row id 1..9 or "O"
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """White-noise admixture with the given visibility of the ideal state."""
+    """White-noise admixture; the visibility is a real number in [0, 1], not a bool."""
 
     visibility: float
 
     def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
+        value = self.visibility
+        if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 <= value <= 1:
+            raise ValueError(f"visibility must be a number in [0, 1], got {value!r}")
+        object.__setattr__(self, "visibility", float(value))
 
 
 @lru_cache(maxsize=None)
@@ -107,10 +111,10 @@ def noisy_state(visibility: float) -> np.ndarray:
     return _mixed(NoiseModel(visibility).visibility)
 
 
-def _densities(visibilities: Sequence[float]) -> np.ndarray:
-    """Read-only (n, 16, 16) stack of ``noisy_state(V)`` over a grid, in one broadcast."""
-    v = np.array([NoiseModel(x).visibility for x in visibilities], dtype=np.float64)
-    return _mixed(v.reshape(-1, 1, 1))
+def _visibilities(values: Sequence[float]) -> np.ndarray:
+    """Visibilities checked by ``NoiseModel``, as a float array of shape (n, 1, 1)."""
+    v = np.array([NoiseModel(x).visibility for x in values], dtype=np.float64)
+    return v.reshape(-1, 1, 1)
 
 
 @lru_cache(maxsize=None)
@@ -184,21 +188,13 @@ def _shot_count(shots, minimum: int = 1) -> int:
     raise ValueError(f"shots must be an integer in [{minimum}, 2**63 - 1], got {shots!r}")
 
 
-def _draw_counts(
-    bras: np.ndarray,
-    bras_conj: np.ndarray,
-    densities: np.ndarray,
-    shots: int,
-    rngs,
-) -> np.ndarray:
-    """Counts (n, m, 16) of m settings at n densities: one Born pass, one draw per density.
+def _draw_counts(probs: np.ndarray, shots: int, rngs) -> np.ndarray:
+    """Counts (n, m, 16) of ``shots`` draws from each of m distributions at n points.
 
-    ``bras`` and ``bras_conj`` are the settings' stacked (m*16, 16) pattern
-    bras and their conjugate; ``rngs`` gives one generator per density.  A
-    draw fills its m settings in order, so it equals m sequential one-setting
-    draws from the same generator.
+    ``probs`` has shape (n, m, 16) and ``rngs`` gives one generator per
+    point.  A point's draw fills its m settings in order, so it equals m
+    sequential one-setting draws from the same generator.
     """
-    probs = born_distributions(bras, bras_conj, densities)
     counts = np.empty(probs.shape, dtype=np.int64)
     for out, p, rng in zip(counts, probs, rngs):
         out[...] = rng.multinomial(shots, p)
@@ -214,13 +210,12 @@ def sample_pair_counts(
 ) -> np.ndarray:
     """Counts c[d1, d2] of each detector pattern over ``shots`` iid shots.
 
-    One multinomial draw over the Born distribution, whatever the shot count;
-    the pair's K is a one-setting stack for the sampler the rows use.
+    One multinomial draw over the pair's Born distribution of ``density``,
+    whatever the shot count.
     """
     count = _shot_count(shots)
-    bras = pattern_bras(build_apparatus(a1_id), build_apparatus(a2_id))
-    rho = np.asarray(density)[None]
-    return _draw_counts(bras, bras.conj(), rho, count, (rng,)).reshape(4, 4)
+    probs = pattern_distribution(build_apparatus(a1_id), build_apparatus(a2_id), density)
+    return _draw_counts(probs.reshape(1, 1, 16), count, (rng,)).reshape(4, 4)
 
 
 def counted_mean(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -245,11 +240,11 @@ def _plus_minus_mean(plus: int, n: int) -> tuple[float, float]:
 
 @lru_cache(maxsize=None)
 def _row_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Pattern bras (9, 16, 16) and +-1 values (9, 16) of the rows at their pairs.
+    """|Psi> distributions p_Psi (9, 16) and +-1 values (9, 16) of the rows at their pairs.
 
-    Row i holds constraint i+1: the bras K of its matched apparatus pair, and
-    the product of its variables on each flat pattern 4*d1 + d2.  The rows and
-    pairs are fixed, so the tables are built once, on first use.
+    Row i holds constraint i+1: its pair's Born distribution of |Psi> and the
+    product of its variables, over the flat patterns 4*d1 + d2.  Neither
+    depends on the visibility, so both are built once, on first use.
     """
     bras, values = [], []
     for constraint in CONSTRAINTS:
@@ -258,31 +253,32 @@ def _row_tables() -> tuple[np.ndarray, np.ndarray]:
         table = readout_table(a1, a2)
         bras.append(pattern_bras(a1, a2))
         values.append(np.prod([table[name] for name in constraint.variables], axis=0))
-    tables = np.array(bras), np.array(values)
+    tables = born_distributions(np.concatenate(bras), _noise_terms()[0]), np.array(values)
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-@lru_cache(maxsize=None)
-def _row_bras() -> tuple[np.ndarray, np.ndarray]:
-    """The nine rows' pattern bras as one read-only (144, 16) stack, and its conjugate."""
-    flat = _row_tables()[0].reshape(144, 16)
-    conj = flat.conj()
-    conj.setflags(write=False)
-    return flat, conj
+def _row_distributions(visibilities: np.ndarray) -> np.ndarray:
+    """Born distributions (n, 9, 16) of the nine rows at visibilities of shape (n, 1, 1).
+
+    K is unitary, so white noise puts exactly (1-V)/16 on every pattern and
+    p(V) = V p_Psi + (1-V)/16: one broadcast, checked once with the bounds of
+    the Born rule.
+    """
+    return check_distributions(visibilities * _row_tables()[0] + (1.0 - visibilities) / 16.0)
 
 
-def _sample_rows(densities: np.ndarray, shots: int, seeds) -> list[list[tuple[float, float]]]:
-    """(mean, SE) of the nine rows at each density, one generator per density.
+def _sample_rows(visibilities: np.ndarray, shots: int, seeds) -> list[list[tuple[float, float]]]:
+    """(mean, SE) of the nine rows at each visibility, one generator per visibility.
 
-    The one row sampler: ``estimate_rows`` calls it with one density,
-    ``visibility_sweep`` with its whole grid.  ``seeds`` gives each density's
-    generator seed; n+ of every row comes from one int64 reduction.
+    The one row sampler: ``estimate_rows`` and ``estimate_mermin`` call it
+    with one visibility, ``visibility_sweep`` with its grid.  ``seeds`` gives
+    each generator's seed; n+ of every row comes from one int64 reduction.
     """
     values = _row_tables()[1]
     rngs = map(np.random.default_rng, seeds)
-    counts = _draw_counts(*_row_bras(), densities, shots, rngs)
+    counts = _draw_counts(_row_distributions(visibilities), shots, rngs)
     plus = np.sum(counts, axis=-1, where=values > 0).tolist()
     return [[_plus_minus_mean(p, shots) for p in row] for row in plus]
 
@@ -301,13 +297,13 @@ def estimate_rows(
 ) -> list[CorrelationEstimate]:
     """Sampled correlation of every constraint row at its matched pair.
 
-    One Born computation gives the nine distributions and one multinomial
-    draw their 9 x 16 count table.  The generator fills the rows in order, so
-    the counts equal nine sequential ``sample_pair_counts`` draws from one
-    generator, and a fixed seed fixes every estimate.
+    One multinomial draw gives the 9 x 16 count table of the nine rows'
+    distributions V p_Psi + (1-V)/16.  The generator fills the rows in order,
+    so the counts equal nine sequential draws from one generator, and a fixed
+    seed fixes every estimate.
     """
     shots = _shot_count(shots_per_setting)
-    (rows,) = _sample_rows(noisy_state(visibility)[None], shots, (seed,))
+    (rows,) = _sample_rows(_visibilities((visibility,)), shots, (seed,))
     return [
         CorrelationEstimate(constraint.id, shots, mean, std_error)
         for constraint, (mean, std_error) in zip(CONSTRAINTS, rows)
@@ -343,13 +339,13 @@ def estimate_mermin(
 ) -> CorrelationEstimate:
     """Monte Carlo estimate of the Bell-Mermin value under white noise.
 
-    Each of the nine terms is sampled at its matched apparatus pair; the
-    signed term means are summed and the standard errors combined in
-    quadrature.
+    Each of the nine terms is sampled at its matched apparatus pair, as in
+    ``estimate_rows``; the signed term means are summed and the standard
+    errors combined in quadrature.
     """
-    rows = estimate_rows(shots_per_setting, visibility, seed)
-    estimate, std_error = _mermin_value([(r.estimate, r.std_error) for r in rows])
-    return CorrelationEstimate("O", rows[0].shots, estimate, std_error)
+    shots = _shot_count(shots_per_setting)
+    (rows,) = _sample_rows(_visibilities((visibility,)), shots, (seed,))
+    return CorrelationEstimate("O", shots, *_mermin_value(rows))
 
 
 # -- visibility sweep --------------------------------------------------------
@@ -423,17 +419,17 @@ def visibility_sweep(
     own child seed, ``SeedSequence(seed).spawn(len(grid))`` in grid order, so
     points are independent, the table is reproducible, and a row equals
     ``estimate_mermin(shots_per_setting, v, child)``.  The grid's density
-    matrices are built once, as one stack that the exact column and the row
-    sampler both read.
+    matrices, one broadcast, serve only the exact column; the sampler mixes
+    the rows' |Psi> distributions with the uniform noise term instead.
     """
     shots = _shot_count(shots_per_setting, minimum=0)
-    densities = _densities(grid)
-    columns = np.full((len(densities), 4), np.nan)
-    columns[:, 0] = grid
-    columns[:, 1] = [exact_expectation("O", rho) for rho in densities]
+    visibilities = _visibilities(grid)
+    columns = np.full((len(visibilities), 4), np.nan)
+    columns[:, 0] = visibilities.ravel()
+    columns[:, 1] = [exact_expectation("O", rho) for rho in _mixed(visibilities)]
     if shots:
-        children = np.random.SeedSequence(seed).spawn(len(densities))
-        for row, stats in zip(columns, _sample_rows(densities, shots, children)):
+        children = np.random.SeedSequence(seed).spawn(len(visibilities))
+        for row, stats in zip(columns, _sample_rows(visibilities, shots, children)):
             row[2:] = _mermin_value(stats)
     columns.setflags(write=False)
     return SweepTable(columns)

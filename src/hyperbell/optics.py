@@ -21,8 +21,9 @@ asserted against the basis state.  A pair of apparatuses, one per photon, has
 16 joint detector patterns; their Born distribution is computed for a pure
 state and for a density matrix, and ``readout_table`` gives every quantity's
 value on each pattern.  The density-matrix Born rule takes a stack of pattern
-bras and a stack of density matrices, so the nine settings of every point of
-a visibility sweep share one computation and one check.
+bras, so several settings share one computation and one check; the sampler
+builds the nine rows' |Psi> distributions this way, once, and mixes in white
+noise without it.
 """
 
 from __future__ import annotations
@@ -274,38 +275,40 @@ def pattern_bras(a1: ApparatusSpec, a2: ApparatusSpec) -> np.ndarray:
     return (b1[:, None, :, None] * b2[None, :, None, :]).reshape(16, 16)
 
 
-def born_distributions(
-    bras: np.ndarray, bras_conj: np.ndarray, densities: np.ndarray
-) -> np.ndarray:
-    """Born probabilities diag(K rho K^dagger) of m settings at n density matrices.
+def born_distributions(bras: np.ndarray, density: np.ndarray) -> np.ndarray:
+    """Born probabilities diag(K rho K^dagger) of m settings at one density matrix.
 
     ``bras`` stacks the settings' pattern-bra matrices K row-wise, shape
-    (m*16, 16), and ``bras_conj`` is its complex conjugate; ``densities`` has
-    shape (n, 16, 16).  Each density takes one (m*16, 16) @ rho product, so
-    the temporaries stay one density's size, and the result has shape
-    (n, m, 16), one distribution per setting and density.  The whole stack is
-    checked at once (nonnegative within ``ATOL``, each distribution summing
-    to 1 within 1e-9); round-off below zero is clipped and each distribution
-    renormalized, so the result can feed ``Generator.multinomial`` directly.
+    (m*16, 16); the result has shape (m, 16), one distribution per setting.
+    It passes ``check_distributions``, then round-off below zero is clipped
+    and each distribution renormalized, so it can feed
+    ``Generator.multinomial`` directly.
     """
-    if densities.shape[1:] != (16, 16):
-        raise ValueError("pair measurement expects 16 x 16 density matrices")
-    raw = np.empty((len(densities), len(bras)))
-    for out, rho in zip(raw, densities):
-        out[:] = ((bras @ rho) * bras_conj).sum(axis=-1).real
-    raw = raw.reshape(len(densities), len(bras) // 16, 16)
-    if raw.size and (raw.min() <= -ATOL or np.abs(raw.sum(axis=-1) - 1.0).max() >= 1e-9):
-        raise ValueError("density matrix is not a unit-trace positive state")
-    probs = np.clip(raw, 0.0, None)
+    rho = np.asarray(density)
+    if rho.shape != (16, 16):
+        raise ValueError("pair measurement expects a 16 x 16 density matrix")
+    raw = ((bras @ rho) * bras.conj()).sum(axis=-1).real
+    probs = np.clip(check_distributions(raw.reshape(-1, 16)), 0.0, None)
     return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def check_distributions(probs: np.ndarray) -> np.ndarray:
+    """``probs`` itself, if each distribution on its last axis is one; else ``ValueError``.
+
+    Entries may fall below zero by less than ``ATOL`` and each distribution
+    must sum to 1 within 1e-9, or the state behind them is not a unit-trace
+    positive one.  An empty stack passes.
+    """
+    if probs.size and (probs.min() <= -ATOL or np.abs(probs.sum(axis=-1) - 1.0).max() >= 1e-9):
+        raise ValueError("density matrix is not a unit-trace positive state")
+    return probs
 
 
 def pattern_distribution(
     a1: ApparatusSpec, a2: ApparatusSpec, density: np.ndarray
 ) -> np.ndarray:
     """Born probabilities p[d1, d2] = diag(K rho K^dagger) of a 16 x 16 density matrix."""
-    bras = pattern_bras(a1, a2)
-    return born_distributions(bras, bras.conj(), np.asarray(density)[None]).reshape(4, 4)
+    return born_distributions(pattern_bras(a1, a2), density).reshape(4, 4)
 
 
 def readout_table(a1: ApparatusSpec, a2: ApparatusSpec) -> dict[str, np.ndarray]:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,9 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from hyperbell import cli
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
@@ -319,3 +324,60 @@ def test_mermin_at_a_trillion_shots_is_fast_and_flat_in_memory():
     assert "shots per setting : 1000000000000" in large.stdout
     assert elapsed < 5.0, f"{elapsed:.1f}s"
     assert abs(large_peak - small_peak) <= 10 * 1024, (small_peak, large_peak)
+
+
+#: Flag values: in-range numbers, small, negative and huge integers, NaN and
+#: infinities, and junk strings.
+_numbers = st.one_of(
+    st.integers(0, 1000),
+    st.floats(0.0, 1.0),
+    st.sampled_from([-1, 2**63 - 1, 2**63, 2**64, 10**12, -(2**64), 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["nan", "-inf", "inf", "1e400", "-0.0", "7/9", "0x10", "1_0"]),
+)
+_junk = st.text(max_size=6)
+_values = st.one_of(_numbers.map(str), _junk)
+
+
+@st.composite
+def _argvs(draw, outputs):
+    """A command (now and then junk) followed by flags of any command, with mixed values."""
+    command = draw(st.sampled_from([*sorted(cli._COMMANDS), "junk"]))
+    argv = [draw(_junk) if command == "junk" else command]
+    pairs = st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda t: [str(i) for i in t])
+    flags = {
+        "--format": st.sampled_from(["text", "json", "csv", "xml", ""]).map(lambda f: [f]),
+        "--output": st.sampled_from(outputs).map(lambda path: [path]),
+        "--shots": _values.map(lambda v: [v]),
+        "--seed": _values.map(lambda v: [v]),
+        "--visibility": _values.map(lambda v: [v]),
+        "--apparatus-pair": st.one_of(pairs, st.lists(_values, max_size=3)),
+        "--grid": st.lists(_values, max_size=4),
+        "--state": st.sampled_from(["phi+", "psi-", "random", "chi"]).map(lambda s: [s]),
+        "--help": st.just([]),
+        "--bogus": st.just([]),
+    }
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4)):
+        argv += [flag, *draw(flags[flag])]
+    return argv
+
+
+@settings(
+    deadline=None,
+    max_examples=200,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_fuzzed_argv_never_crashes(tmp_path, data):
+    # --output only ever names tmp_path itself, a file in it, or a file in a
+    # directory under it that does not exist
+    outputs = [str(tmp_path), str(tmp_path / "out.txt"), str(tmp_path / "missing" / "x")]
+    argv = data.draw(_argvs(outputs), label="argv")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in stderr.getvalue()

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -160,14 +161,17 @@ def test_exact_expectation_validates_its_inputs(quantity, density, expected):
 @pytest.mark.parametrize("seed, visibility", [(0, 0.0), (7, 0.5), (12345, 0.9), (99, 1.0)])
 def test_estimate_rows_equals_sequential_pair_draws(shots, seed, visibility):
     # reference: the nine settings drawn one by one from one generator, each
-    # row's values multiplied out from the readout table of its pair
+    # from its pair's |Psi> distribution mixed with the uniform noise term,
+    # and each row's values multiplied out from the readout table of its pair
     rng = np.random.default_rng(seed)
-    density = noisy_state(visibility)
+    pure = noisy_state(1.0)
     reference = []
     for constraint in CONSTRAINTS:
         a1_id, a2_id = ROW_APPARATUS_PAIRS[constraint.id]
-        counts = sample_pair_counts(a1_id, a2_id, density, shots, rng)
-        table = readout_table(build_apparatus(a1_id), build_apparatus(a2_id))
+        a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
+        probs = visibility * pattern_distribution(a1, a2, pure) + (1 - visibility) / 16
+        counts = rng.multinomial(shots, probs.ravel())
+        table = readout_table(a1, a2)
         values = np.prod([table[name] for name in constraint.variables], axis=0)
         mean, se = counted_mean(counts, values)
         reference.append(CorrelationEstimate(constraint.id, shots, mean, se))
@@ -206,6 +210,33 @@ def test_samplers_take_integral_shot_counts():
     assert estimate_mermin(np.uint16(100), 0.9, 1) == estimate_mermin(100, 0.9, 1)
     assert visibility_sweep([0.9], np.int32(100), 1) == visibility_sweep([0.9], 100, 1)
     assert visibility_sweep([0.9], np.int64(0)) == visibility_sweep([0.9], 0)
+
+
+VISIBILITY_USERS = {
+    "NoiseModel": lambda v: NoiseModel(v),
+    "noisy_state": lambda v: noisy_state(v),
+    "estimate_rows": lambda v: estimate_rows(100, v, 1),
+    "estimate_mermin": lambda v: estimate_mermin(100, v, 1),
+    "estimate_pair": lambda v: estimate_pair(1, 4, v, 100, 1),
+    "visibility_sweep": lambda v: visibility_sweep([0.5, v], 100, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [True, False, np.bool_(True), "0.5", b"1", None, [0.5], 0.5j, float("nan"), -0.1, np.inf],
+)
+@pytest.mark.parametrize("user", sorted(VISIBILITY_USERS))
+def test_visibility_rejects_bools_and_non_numbers(user, bad):
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+        VISIBILITY_USERS[user](bad)
+
+
+def test_visibility_takes_any_real_number_as_a_float():
+    assert type(NoiseModel(1).visibility) is float
+    assert np.array_equal(noisy_state(np.float32(0.5)), noisy_state(0.5))
+    assert estimate_mermin(100, Fraction(9, 10), 1) == estimate_mermin(100, 0.9, 1)
+    assert visibility_sweep([np.int64(1)], 100, 1) == visibility_sweep([1.0], 100, 1)
 
 
 def test_estimates_deterministic_for_fixed_seed():

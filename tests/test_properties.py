@@ -4,24 +4,34 @@ rho = A A^dagger / tr(A A^dagger) with A a complex 16 x k matrix, k in 1..16;
 k = 1 gives pure states.  The batched Born computation of the nine rows is
 checked against the per-pair one, the detector marginals against no
 signalling, and the correlations read off the detector maps against
-tr(rho Q) from the operators.  The batched visibility sweep is checked bit
-for bit against its points computed one at a time.
+tr(rho Q) from the operators.  The sampler's white-noise mixture
+V p_Psi + (1-V)/16 is checked against the Born rule and tr(rho Q) on
+noisy_state(V), and the batched visibility sweep bit for bit against its
+points computed one at a time.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperbell.experiment import (
     MAX_SHOTS,
     ROW_APPARATUS_PAIRS,
+    _row_distributions,
     _row_tables,
+    _visibilities,
     estimate_mermin,
     exact_expectation,
     noisy_state,
     visibility_sweep,
 )
 from hyperbell.lhv import CONSTRAINTS
-from hyperbell.optics import born_distributions, build_apparatus, pattern_distribution
+from hyperbell.optics import (
+    born_distributions,
+    build_apparatus,
+    pattern_bras,
+    pattern_distribution,
+)
 
 PHOTON1_APPARATUSES = (1, 3, 5)
 PHOTON2_APPARATUSES = (2, 4, 6)
@@ -36,10 +46,16 @@ def density_matrices(draw):
     return rho / np.trace(rho).real
 
 
+def row_bras():
+    """The nine rows' pattern bras K at their pairs, stacked as (144, 16)."""
+    pairs = [ROW_APPARATUS_PAIRS[constraint.id] for constraint in CONSTRAINTS]
+    return np.concatenate(
+        [pattern_bras(build_apparatus(a1), build_apparatus(a2)) for a1, a2 in pairs]
+    )
+
+
 def row_distributions(rho):
-    bras, values = _row_tables()
-    flat = bras.reshape(144, 16)
-    return born_distributions(flat, flat.conj(), rho[None])[0], values
+    return born_distributions(row_bras(), rho), _row_tables()[1]
 
 
 @settings(deadline=None)
@@ -83,6 +99,31 @@ def test_row_correlations_match_operator_traces(rho):
     assert abs(signs @ correlations - exact_expectation("O", rho)) <= 1e-12
 
 
+@settings(deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=6))
+def test_sampled_mixture_is_the_born_rule_of_the_noisy_state(drawn):
+    # the sampler never builds rho; its rows must still be diag(K rho K^dagger)
+    # of rho = noisy_state(V), with correlations tr(rho Q_row)
+    grid = [0.0, 7.0 / 9.0, 1.0, *drawn]
+    probs = _row_distributions(_visibilities(grid))
+    values = _row_tables()[1]
+    assert probs.shape == (len(grid), 9, 16)
+    for v, rows in zip(grid, probs):
+        rho = noisy_state(v)
+        for constraint, row, row_values in zip(CONSTRAINTS, rows, values):
+            a1_id, a2_id = ROW_APPARATUS_PAIRS[constraint.id]
+            pair = pattern_distribution(build_apparatus(a1_id), build_apparatus(a2_id), rho)
+            assert np.abs(row - pair.ravel()).max() <= 1e-12
+            assert abs(row @ row_values - exact_expectation(constraint.id, rho)) <= 1e-12
+
+
+def test_sampled_mixture_is_checked():
+    # the Born-rule bounds apply to the mixture: V = 1.5 puts -1/32 on the
+    # patterns |Psi> never reaches
+    with pytest.raises(ValueError, match="not a unit-trace positive state"):
+        _row_distributions(np.full((1, 1, 1), 1.5))
+
+
 #: Grid points: the ends, the threshold 7/9, and arbitrary values in between.
 visibilities = st.one_of(
     st.sampled_from([0.0, 7.0 / 9.0, 1.0]),
@@ -112,7 +153,9 @@ def test_batched_sweep_equals_points_one_at_a_time(grid, shots, seed):
 
 
 def test_batched_born_rule_takes_an_empty_stack():
-    bras = _row_tables()[0].reshape(144, 16)
-    probs = born_distributions(bras, bras.conj(), np.empty((0, 16, 16), complex))
-    assert probs.shape == (0, 9, 16)
+    # zero settings, and a grid of zero visibilities: the checks never call
+    # min() on an empty array
+    probs = born_distributions(np.empty((0, 16), complex), noisy_state(0.5))
+    assert probs.shape == (0, 16)
+    assert _row_distributions(_visibilities(())).shape == (0, 9, 16)
     assert len(visibility_sweep((), 100)) == 0
