@@ -13,24 +13,19 @@ from .hilbert import (
     BasisIndex,
     Operator,
     StateVector,
-    adjoint,
     apply,
     basis_ket,
     commutator_norm,
     expectation,
-    identity,
     inner,
     matmul,
-    tensor,
 )
 from .observables import (
     CONSTRAINT_ROWS,
     ConstraintRow,
-    LocalObservable,
     MerminOperator,
     bell_mermin_operator,
     build_bell_states,
-    build_observable,
     doubly_entangled_state,
     qudit_relabel,
     verify_eigenequations,

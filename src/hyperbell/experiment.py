@@ -31,14 +31,15 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .lhv import CONSTRAINTS, LHV_BOUND
+from .lhv import CONSTRAINTS, LHV_BOUND, ROW_APPARATUS_PAIRS
 from .observables import (
     CONSTRAINT_ROWS,
     bell_mermin_operator,
     doubly_entangled_state,
 )
-from .optics import born_distributions, build_apparatus, check_distributions
-from .optics import pattern_bras, pattern_distribution, readout_table
+# MAX_SHOTS is defined in optics and read here as experiment.MAX_SHOTS by the CLI.
+from .optics import MAX_SHOTS, _integer, _shot_count, born_distributions, build_apparatus
+from .optics import check_distributions, pattern_bras, pattern_distribution, readout_table
 
 #: Fixed default seed used whenever the caller does not pass one.
 DEFAULT_SEED = 12345
@@ -54,19 +55,6 @@ DEFAULT_GRID: tuple[float, ...] = (
 
 #: Width of the "boundary" band around the LHV bound in the violation flag.
 BOUNDARY_ATOL = 1e-9
-
-#: Which (photon-1, photon-2) apparatus pair reads each constraint row.
-ROW_APPARATUS_PAIRS: dict[int, tuple[int, int]] = {
-    1: (1, 4),
-    2: (3, 4),
-    3: (3, 2),
-    4: (1, 2),
-    5: (5, 4),
-    6: (5, 2),
-    7: (1, 6),
-    8: (3, 6),
-    9: (5, 6),
-}
 
 Quantity = Union[int, str]  # constraint-row id 1..9 or "O"
 
@@ -127,17 +115,9 @@ def _quantity_matrix(quantity: Quantity) -> np.ndarray:
 
 def _quantity_key(quantity) -> Quantity:
     """'O', or a row id 1..9 as a plain int; bools and other types are rejected."""
-    if isinstance(quantity, str):
-        if quantity == "O":
-            return quantity
-    elif not isinstance(quantity, bool):
-        try:
-            row_id = operator.index(quantity)
-        except TypeError:
-            row_id = 0
-        if 1 <= row_id <= 9:
-            return row_id
-    raise ValueError(f"quantity must be a row id 1..9 or 'O', got {quantity!r}")
+    if isinstance(quantity, str) and quantity == "O":
+        return quantity
+    return _integer(quantity, 1, 9, "quantity must be a row id 1..9 or 'O'")
 
 
 def exact_expectation(quantity: Quantity, density: np.ndarray) -> float:
@@ -170,23 +150,6 @@ class CorrelationEstimate:
 
 
 # -- sampling ---------------------------------------------------------------
-
-#: Largest shot count of one setting; ``Generator.multinomial`` counts in int64.
-MAX_SHOTS = 2**63 - 1
-
-
-def _shot_count(shots, minimum: int = 1) -> int:
-    """``shots`` as a plain int in [minimum, 2**63 - 1]; bools and non-integers are rejected."""
-    if not isinstance(shots, bool):
-        try:
-            count = operator.index(shots)
-        except TypeError:
-            pass
-        else:
-            if minimum <= count <= MAX_SHOTS:
-                return count
-    raise ValueError(f"shots must be an integer in [{minimum}, 2**63 - 1], got {shots!r}")
-
 
 def _draw_counts(probs: np.ndarray, shots: int, rngs) -> np.ndarray:
     """Counts (n, m, 16) of ``shots`` draws from each of m distributions at n points.

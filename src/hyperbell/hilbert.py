@@ -13,7 +13,7 @@ operators are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ import numpy as np
 ATOL = 1e-12
 
 # Dimension 8 never appears in a finished object but is reachable as an
-# intermediate of a three-factor tensor product.
+# intermediate of a three-factor Kronecker product.
 VALID_DIMS = (2, 4, 8, 16)
 
 _POL_LABELS = ("H", "V")
@@ -132,40 +132,12 @@ class Operator:
         return self.matrix.shape[0]
 
 
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim), kind="hermitian")
-
-
 def basis_ket(dim: int, index: int) -> StateVector:
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dim {dim}")
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(amps)
-
-
-def _tensor_kind(a: Operator, b: Operator) -> str:
-    # Kronecker products preserve Hermiticity and unitarity separately.
-    if a.kind == b.kind and a.kind in ("hermitian", "unitary"):
-        return a.kind
-    return "general"
-
-
-def tensor(
-    a: Union[Operator, StateVector], b: Union[Operator, StateVector]
-) -> Union[Operator, StateVector]:
-    """Kronecker product; the first argument is the more significant factor."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        if a.dim * b.dim > 16:
-            raise ValueError(f"tensor dimension overflow: {a.dim}x{b.dim} > 16")
-        return StateVector(
-            np.kron(a.amps, b.amps), normalized=a.normalized and b.normalized
-        )
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        if a.dim * b.dim > 16:
-            raise ValueError(f"tensor dimension overflow: {a.dim}x{b.dim} > 16")
-        return Operator(np.kron(a.matrix, b.matrix), kind=_tensor_kind(a, b))
-    raise TypeError("tensor arguments must be two states or two operators")
 
 
 def apply(op: Operator, s: StateVector) -> StateVector:
@@ -194,10 +166,6 @@ def expectation(op: Operator, s: StateVector) -> float:
     if abs(value.imag) >= ATOL:
         raise ValueError(f"expectation has imaginary residue {value.imag!r}")
     return value.real
-
-
-def adjoint(op: Operator) -> Operator:
-    return Operator(op.matrix.conj().T, kind=op.kind)
 
 
 def matmul(a: Operator, b: Operator) -> Operator:

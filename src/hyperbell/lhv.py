@@ -1,4 +1,10 @@
-"""Exhaustive local-hidden-variable analysis of the nine predictions.
+"""The two-photon all-versus-nothing table and its local-hidden-variable analysis.
+
+The argument is one table, written once below: twelve elements of reality
+as Pauli strings on (pol1, path1, pol2, path2), nine relations as element
+names and required product, and six apparatuses as the two elements each
+reads and its optical chain.  Operators, apparatuses and the pair that reads
+each row (``ROW_APPARATUS_PAIRS``) are all derived from it.
 
 A local-realistic model assigns a predetermined value +-1 to each of twelve
 elements of reality: per photon the four single-qubit quantities and the two
@@ -6,37 +12,38 @@ jointly measured products.  The product-valued elements are independent
 variables, never computed from the singles; forcing them equal to products of
 singles would assume exactly the noncontextuality the argument avoids.
 
-The nine predicted product constraints cannot all hold: multiplying the first
-eight forces the four compound values to multiply to +1 (every single value
-appears twice and squares away), while the ninth demands -1.  The full scan
-over all 2^12 = 4096 assignments confirms at most 8 of 9 constraints are
-satisfiable, capping the local-realistic Bell-Mermin value at 7 against the
-quantum value 9.
+The nine predicted product constraints cannot all hold.  Mermin's parity
+proof finds, by Gaussian elimination over GF(2), a set y of rows in which
+every element appears an even number of times, so that their products
+multiply to +1 under any assignment, while their required products multiply
+to -1; for this table y is all nine rows.  The full scan over all 2^12 = 4096
+assignments confirms at most 8 of 9 constraints are satisfiable, capping the
+local-realistic Bell-Mermin value at 7 against the quantum value 9.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
-#: Canonical element order: photon-1 singles, photon-1 compounds, then photon 2.
-ELEMENTS: tuple[str, ...] = (
-    "z1",
-    "z1'",
-    "x1",
-    "x1'",
-    "z1z1'",
-    "x1x1'",
-    "z2",
-    "z2'",
-    "x2",
-    "x2'",
-    "z2x2'",
-    "x2z2'",
-)
-
-_ELEMENT_INDEX = {name: i for i, name in enumerate(ELEMENTS)}
+#: The twelve elements of reality as Pauli strings on (pol1, path1, pol2, path2),
+#: in canonical order: photon-1 singles, photon-1 compounds, then photon 2.
+ELEMENT_PAULI: dict[str, str] = {
+    "z1": "ZIII",
+    "z1'": "IZII",
+    "x1": "XIII",
+    "x1'": "IXII",
+    "z1z1'": "ZZII",
+    "x1x1'": "XXII",
+    "z2": "IIZI",
+    "z2'": "IIIZ",
+    "x2": "IIXI",
+    "x2'": "IIIX",
+    "z2x2'": "IIZX",
+    "x2z2'": "IIXZ",
+}
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,7 @@ class LhvConstraint:
     required_product: int
 
 
-#: Transcription of the nine local-realistic predictions.
+#: The nine predictions; the required product is each row's eigenvalue on |Psi>.
 CONSTRAINTS: tuple[LhvConstraint, ...] = (
     LhvConstraint(1, ("z1", "z2"), -1),
     LhvConstraint(2, ("z1'", "z2'"), -1),
@@ -60,6 +67,42 @@ CONSTRAINTS: tuple[LhvConstraint, ...] = (
     LhvConstraint(8, ("x1", "z1'", "x2z2'"), +1),
     LhvConstraint(9, ("z1z1'", "x1x1'", "z2x2'", "x2z2'"), -1),
 )
+
+#: The six apparatuses: id -> (the two elements it reads, element chain or
+#: None for a projective measurement in their joint eigenbasis).
+APPARATUSES: dict[int, tuple[tuple[str, str], tuple[str, ...] | None]] = {
+    1: (("z1", "x1'"), ("BS", "PBS")),
+    2: (("x2", "x2'"), ("HWP45", "BS", "PBS")),
+    3: (("x1", "z1'"), ("HWP45", "PBS")),
+    4: (("z2", "z2'"), ("PBS",)),
+    5: (("z1z1'", "x1x1'"), None),
+    6: (("z2x2'", "x2z2'"), None),
+}
+
+#: Canonical element order.
+ELEMENTS: tuple[str, ...] = tuple(ELEMENT_PAULI)
+
+_ELEMENT_INDEX = {name: i for i, name in enumerate(ELEMENTS)}
+
+
+def element_photon(name: str) -> int:
+    """Photon (1 or 2) a named element acts on, read off its Pauli string."""
+    return 1 if ELEMENT_PAULI[name].endswith("II") else 2
+
+
+def _reading_apparatus(constraint: LhvConstraint, photon: int) -> int:
+    """The one apparatus whose two elements include all of a row's elements on ``photon``."""
+    group = {name for name in constraint.variables if element_photon(name) == photon}
+    ids = [i for i, (names, _) in APPARATUSES.items() if group <= set(names)]
+    if len(ids) != 1:
+        raise AssertionError(f"row {constraint.id}, photon {photon}: read by apparatuses {ids}")
+    return ids[0]
+
+
+#: Which (photon-1, photon-2) apparatus pair reads each constraint row.
+ROW_APPARATUS_PAIRS: dict[int, tuple[int, int]] = {
+    c.id: (_reading_apparatus(c, 1), _reading_apparatus(c, 2)) for c in CONSTRAINTS
+}
 
 #: Brute-force maximum of the Bell-Mermin value over all assignments,
 #: re-derived by contradiction_certificate() and asserted in the tests.
@@ -129,56 +172,56 @@ def mermin_value(assignment: LhvAssignment) -> int:
     )
 
 
-@dataclass(frozen=True)
-class ParityArgument:
-    """Structural inconsistency proof, independent of any enumeration.
+def parity_vector(constraints: Sequence[LhvConstraint]) -> tuple[int, ...] | None:
+    """Mermin's parity proof over GF(2): y with yA = 0 and y.b = 1, one bit per row; or None.
 
-    Multiplying constraints 1-8 symbolically leaves exactly the variables of
-    odd multiplicity; every single-qubit value appears twice and drops out, so
-    the four compound values are forced to multiply to ``forced_product``
-    while constraint 9 requires ``row9_required``.
+    A is the rows' incidence matrix over their elements, b their sign bits
+    (1 for a required -1).  Under any assignment the rows of such a y
+    multiply to +1, as each element appears in an even number of them, yet
+    they require -1.  Rows that reduce to zero against the earlier pivots
+    span every y with yA = 0, so one has y.b = 1 exactly when some y does.
     """
-
-    odd_multiplicity: tuple[str, ...]
-    forced_product: int
-    row9_variables: tuple[str, ...]
-    row9_required: int
-
-    @property
-    def contradiction(self) -> bool:
-        return (
-            set(self.odd_multiplicity) == set(self.row9_variables)
-            and self.forced_product != self.row9_required
-        )
-
-
-def parity_argument() -> ParityArgument:
-    """Multiply constraints 1-8 symbolically and compare against constraint 9."""
-    counts: dict[str, int] = {}
-    forced = 1
-    for constraint in CONSTRAINTS[:8]:
-        forced *= constraint.required_product
+    columns: dict[str, int] = {}
+    pivots: dict[int, tuple[int, int, int]] = {}  # leading bit -> (bits, sign, rows)
+    for i, constraint in enumerate(constraints):
+        bits, sign, rows = 0, int(constraint.required_product == -1), 1 << i
         for name in constraint.variables:
-            counts[name] = counts.get(name, 0) + 1
-    odd = tuple(name for name in ELEMENTS if counts.get(name, 0) % 2 == 1)
-    row9 = CONSTRAINTS[8]
-    return ParityArgument(
-        odd_multiplicity=odd,
-        forced_product=forced,
-        row9_variables=row9.variables,
-        row9_required=row9.required_product,
-    )
+            bits ^= 1 << columns.setdefault(name, len(columns))
+        while bits:
+            lead = bits.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = bits, sign, rows
+                break
+            pivot_bits, pivot_sign, pivot_rows = pivots[lead]
+            bits, sign, rows = bits ^ pivot_bits, sign ^ pivot_sign, rows ^ pivot_rows
+        else:
+            if sign:
+                return tuple(rows >> j & 1 for j in range(len(constraints)))
+    return None
+
+
+def parity_argument() -> tuple[int, ...] | None:
+    """y of the nine rows (all nine): their products are +1, their requirements -1."""
+    return parity_vector(CONSTRAINTS)
 
 
 @dataclass(frozen=True)
 class ContradictionCertificate:
-    """Outcome of the exhaustive scan plus the structural parity argument."""
+    """Outcome of the exhaustive scan plus the structural parity argument.
+
+    ``parity_rows`` are the ids of the rows y selects, in row order.
+    """
 
     satisfied_max: int
     witness: LhvAssignment
-    parity_product: int
+    parity_rows: tuple[int, ...]
     mermin_max: int
     mermin_min: int
+
+    @property
+    def parity_product(self) -> int:
+        """What the other rows of y force on the last row's product; it requires the opposite."""
+        return math.prod(CONSTRAINTS[i - 1].required_product for i in self.parity_rows[:-1])
 
     def to_dict(self) -> dict:
         flags, count = check(self.witness)
@@ -205,6 +248,7 @@ class ContradictionCertificate:
 
     def to_text(self) -> str:
         flags, _ = check(self.witness)
+        closing = CONSTRAINTS[self.parity_rows[-1] - 1]
         lines = [
             "local-hidden-variable certificate",
             f"  assignments scanned : {2 ** len(ELEMENTS)}",
@@ -212,8 +256,8 @@ class ContradictionCertificate:
             f"  max LHV value       : {self.mermin_max}",
             f"  min LHV value       : {self.mermin_min}",
             f"  quantum value       : {QUANTUM_VALUE}",
-            f"  parity product      : {self.parity_product:+d} (constraint 9 requires "
-            f"{CONSTRAINTS[8].required_product:+d})",
+            f"  parity product      : {self.parity_product:+d} (constraint {closing.id} "
+            f"requires {closing.required_product:+d})",
             "  witness assignment:",
         ]
         for name in ELEMENTS:
@@ -250,10 +294,11 @@ def contradiction_certificate() -> ContradictionCertificate:
         if worst_value is None or value < worst_value:
             worst_value = value
     assert best_witness is not None
+    y = parity_argument()
     return ContradictionCertificate(
         satisfied_max=best_count,
         witness=best_witness,
-        parity_product=parity_argument().forced_product,
+        parity_rows=tuple(c.id for c, bit in zip(CONSTRAINTS, y) if bit),
         mermin_max=best_value,
         mermin_min=worst_value,
     )

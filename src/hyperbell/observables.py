@@ -7,14 +7,16 @@ The state is maximally entangled in polarization and in path simultaneously:
 Each photon carries two qubits worth of observables: sigma_x/sigma_z on the
 polarization factor (written x_i, z_i) and on the path factor (written x_i',
 z_i').  Products measured jointly by a single apparatus, such as z1z1' or
-z2x2', are treated as observables in their own right.  Nine products of these
-quantities have |Psi> as an exact eigenvector; their signed sum is a
+z2x2', are treated as observables in their own right; each is the Kronecker
+product of its Pauli string in ``lhv.ELEMENT_PAULI``.  The nine products of
+``lhv.CONSTRAINTS`` have |Psi> as an exact eigenvector; their signed sum is a
 Bell-Mermin style operator whose quantum value is 9 against a local-realistic
 ceiling of 7.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,127 +27,29 @@ from .hilbert import (
     StateVector,
     BasisIndex,
     apply,
-    basis_ket,
 )
+from .lhv import CONSTRAINTS, ELEMENT_PAULI, element_photon
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-_SIGMA = {"x": SIGMA_X, "z": SIGMA_Z}
-_EYE2 = np.eye(2, dtype=np.complex128)
-
-KET_H = basis_ket(2, 0)
-KET_V = basis_ket(2, 1)
-KET_U = basis_ket(2, 0)
-KET_D = basis_ket(2, 1)
+_PAULI = {"I": np.eye(2, dtype=np.complex128), "X": SIGMA_X, "Z": SIGMA_Z}
 
 
-@dataclass(frozen=True)
-class LocalObservable:
-    """One single-qubit observable: photon 1 or 2, pol or path, axis x or z."""
-
-    photon: int
-    dof: str  # "pol" | "path"
-    axis: str  # "x" | "z"
-
-    def __post_init__(self):
-        if self.photon not in (1, 2):
-            raise ValueError(f"photon must be 1 or 2, got {self.photon}")
-        if self.dof not in ("pol", "path"):
-            raise ValueError(f"dof must be 'pol' or 'path', got {self.dof!r}")
-        if self.axis not in ("x", "z"):
-            raise ValueError(f"axis must be 'x' or 'z', got {self.axis!r}")
-
-    @property
-    def name(self) -> str:
-        prime = "'" if self.dof == "path" else ""
-        return f"{self.axis}{self.photon}{prime}"
-
-
-#: The eight single-qubit observables, keyed by name (z1, x1, z1', x1', ...).
-LOCAL_OBSERVABLES: dict[str, LocalObservable] = {
-    obs.name: obs
-    for obs in (
-        LocalObservable(photon, dof, axis)
-        for photon in (1, 2)
-        for dof in ("pol", "path")
-        for axis in ("z", "x")
-    )
-}
-
-# Each named element of reality, as (pol axis, path axis) on its photon; None
-# means that factor is untouched.  The four compound names are single
-# apparatus readouts, not algebraic shorthands.
-ELEMENT_AXES: dict[str, tuple[str | None, str | None]] = {
-    "z1": ("z", None),
-    "z1'": (None, "z"),
-    "x1": ("x", None),
-    "x1'": (None, "x"),
-    "z1z1'": ("z", "z"),
-    "x1x1'": ("x", "x"),
-    "z2": ("z", None),
-    "z2'": (None, "z"),
-    "x2": ("x", None),
-    "x2'": (None, "x"),
-    "z2x2'": ("z", "x"),
-    "x2z2'": ("x", "z"),
-}
-
-
-def element_photon(name: str) -> int:
-    """Photon (1 or 2) addressed by a named element of reality."""
-    if name not in ELEMENT_AXES:
-        raise KeyError(f"unknown element of reality {name!r}")
-    return 1 if "1" in name else 2
-
-
-def element_factors(name: str) -> tuple[LocalObservable, ...]:
-    """Single-qubit factors of a named element, polarization factor first."""
-    pol_axis, path_axis = ELEMENT_AXES[name]
-    photon = element_photon(name)
-    factors = []
-    if pol_axis is not None:
-        factors.append(LocalObservable(photon, "pol", pol_axis))
-    if path_axis is not None:
-        factors.append(LocalObservable(photon, "path", path_axis))
-    return tuple(factors)
+def _pauli_matrix(letters: str) -> np.ndarray:
+    """Kronecker product of Pauli letters, the first letter the most significant factor."""
+    return functools.reduce(np.kron, [_PAULI[letter] for letter in letters])
 
 
 def element_operator(name: str) -> Operator:
     """4-dim realization of a named element on its photon's pol (x) path space."""
-    pol_axis, path_axis = ELEMENT_AXES[name]
-    pol = _SIGMA[pol_axis] if pol_axis is not None else _EYE2
-    path = _SIGMA[path_axis] if path_axis is not None else _EYE2
-    return Operator(np.kron(pol, path), kind="hermitian")
-
-
-def embed_on_photon(matrix4: np.ndarray, photon: int) -> np.ndarray:
-    eye4 = np.eye(4, dtype=np.complex128)
-    if photon == 1:
-        return np.kron(matrix4, eye4)
-    return np.kron(eye4, matrix4)
+    photon = element_photon(name)
+    letters = ELEMENT_PAULI[name][2 * photon - 2 : 2 * photon]
+    return Operator(_pauli_matrix(letters), kind="hermitian")
 
 
 def element_operator_16(name: str) -> Operator:
     """16-dim realization of a named element, identity on the other photon."""
-    return Operator(
-        embed_on_photon(element_operator(name).matrix, element_photon(name)),
-        kind="hermitian",
-    )
-
-
-def build_observable(obs: LocalObservable) -> Operator:
-    """16-dim realization of one single-qubit observable.
-
-    Acts as sigma_{axis} on the addressed (photon, dof) factor and as the
-    identity on the other three factors.  Hermitian involution by construction.
-    """
-    factors = [_EYE2] * 4
-    slot = (obs.photon - 1) * 2 + (0 if obs.dof == "pol" else 1)
-    factors[slot] = _SIGMA[obs.axis]
-    matrix = factors[0]
-    for factor in factors[1:]:
-        matrix = np.kron(matrix, factor)
-    return Operator(matrix, kind="hermitian")
+    return Operator(_pauli_matrix(ELEMENT_PAULI[name]), kind="hermitian")
 
 
 def doubly_entangled_state() -> StateVector:
@@ -191,16 +95,8 @@ class ConstraintRow:
 
 
 #: The nine constraint rows; eigenvalue pattern (-,-,-,-,+,+,+,+,-).
-CONSTRAINT_ROWS: tuple[ConstraintRow, ...] = (
-    ConstraintRow(1, ("z1", "z2"), -1),
-    ConstraintRow(2, ("z1'", "z2'"), -1),
-    ConstraintRow(3, ("x1", "x2"), -1),
-    ConstraintRow(4, ("x1'", "x2'"), -1),
-    ConstraintRow(5, ("z1z1'", "z2", "z2'"), +1),
-    ConstraintRow(6, ("x1x1'", "x2", "x2'"), +1),
-    ConstraintRow(7, ("z1", "x1'", "z2x2'"), +1),
-    ConstraintRow(8, ("x1", "z1'", "x2z2'"), +1),
-    ConstraintRow(9, ("z1z1'", "x1x1'", "z2x2'", "x2z2'"), -1),
+CONSTRAINT_ROWS: tuple[ConstraintRow, ...] = tuple(
+    ConstraintRow(c.id, c.variables, c.required_product) for c in CONSTRAINTS
 )
 
 ROW_EIGENVALUES: tuple[int, ...] = tuple(row.eigenvalue for row in CONSTRAINT_ROWS)

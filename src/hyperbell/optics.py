@@ -8,12 +8,14 @@ Element conventions on one photon's 4-dim pol (x) path space:
          with no extra reflection phase (port convention pinned here)
   PHASE  e^{i phi} on one chosen basis ray (H, V, u or d)
 
-Apparatuses 1-4 are ordered element chains followed by detectors on the four
-computational output ports; their measurement basis is the chain's unitary
-pulled back onto the input space.  Apparatuses 5 and 6 read the two jointly
-measured products per photon, so they are modeled directly as projective
-measurements in the joint eigenbasis of their two observables (for 5 that
-eigenbasis is exactly the polarization-path Bell basis).
+The two elements each apparatus reads and its chain come from
+``lhv.APPARATUSES``.  Apparatuses 1-4 are ordered element chains followed by
+detectors on the four computational output ports; their measurement basis is
+the chain's unitary pulled back onto the input space.  Apparatuses 5 and 6
+read the two jointly measured products per photon, so they are modeled
+directly as projective measurements in the joint eigenbasis of their two
+observables (for 5 that eigenbasis is exactly the polarization-path Bell
+basis).
 
 Every detector is mapped to the eigenvalues of the apparatus's three
 quantities, each eigenvalue extracted independently from its own operator and
@@ -28,12 +30,14 @@ noise without it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .hilbert import ATOL, Operator, StateVector, commutator_norm, inner, matmul
+from .lhv import APPARATUSES, element_photon
 from .observables import build_bell_states, element_operator
 
 #: Commutation tolerance for the two primary observables of one apparatus.
@@ -49,6 +53,29 @@ PORT_LABELS = ("(H,u)", "(H,d)", "(V,u)", "(V,d)")
 
 #: Apparatus-5 detector order; these are the polarization-path Bell states.
 APPARATUS5_LABELS = ("phi+", "phi-", "psi+", "psi-")
+
+
+#: Largest shot count of one setting; ``Generator.multinomial`` counts in int64.
+MAX_SHOTS = 2**63 - 1
+
+
+def _integer(value, low: int, high: int, rule: str) -> int:
+    """Any integer but a bool in [low, high] as a plain int; else ``ValueError`` naming it."""
+    if not isinstance(value, bool):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if low <= number <= high:
+                return number
+    raise ValueError(f"{rule}, got {value!r}")
+
+
+def _shot_count(shots, minimum: int = 1) -> int:
+    """``shots`` as a plain int in [minimum, 2**63 - 1]; bools and non-integers are rejected."""
+    rule = f"shots must be an integer in [{minimum}, 2**63 - 1]"
+    return _integer(shots, minimum, MAX_SHOTS, rule)
 
 
 @dataclass(frozen=True)
@@ -139,17 +166,6 @@ class ApparatusSpec:
         return "\n".join(lines)
 
 
-# id -> (photon, (observable A, observable B), element chain or None)
-_APPARATUS_TABLE: dict[int, tuple[int, tuple[str, str], tuple[str, ...] | None]] = {
-    1: (1, ("z1", "x1'"), ("BS", "PBS")),
-    2: (2, ("x2", "x2'"), ("HWP45", "BS", "PBS")),
-    3: (1, ("x1", "z1'"), ("HWP45", "PBS")),
-    4: (2, ("z2", "z2'"), ("PBS",)),
-    5: (1, ("z1z1'", "x1x1'"), None),
-    6: (2, ("z2x2'", "x2z2'"), None),
-}
-
-
 def _eigenvalue_on(matrix: np.ndarray, vec: np.ndarray, name: str) -> int:
     """Round <v|M|v> to +-1 and assert v is the corresponding eigenvector."""
     raw = complex(np.vdot(vec, matrix @ vec)).real
@@ -188,12 +204,16 @@ def _joint_eigenbasis_6() -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_apparatus(apparatus_id: int) -> ApparatusSpec:
-    """Construct and validate one of the six apparatuses."""
-    if apparatus_id not in _APPARATUS_TABLE:
-        raise ValueError(f"apparatus id must be 1..6, got {apparatus_id}")
-    photon, (name_a, name_b), chain = _APPARATUS_TABLE[apparatus_id]
+    """Construct and validate one of the six apparatuses of ``lhv.APPARATUSES``.
+
+    The id is any integer 1..6 but not a bool; the spec stores it as a plain
+    int.  The cache is typed, so ``True`` or ``1.0`` never reaches id 1's entry.
+    """
+    apparatus_id = _integer(apparatus_id, 1, 6, "apparatus id must be an integer 1..6")
+    (name_a, name_b), chain = APPARATUSES[apparatus_id]
+    photon = element_photon(name_a)
 
     op_a = element_operator(name_a)
     op_b = element_operator(name_b)
@@ -343,11 +363,11 @@ def bell_histogram(
 ) -> dict[str, int]:
     """Label counts over ``shots`` Bell discriminations of the same input.
 
-    The counts are one multinomial draw over the Bell-basis probabilities.
+    The counts are one multinomial draw over the Bell-basis probabilities;
+    ``shots`` is checked by ``_shot_count``.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    count = _shot_count(shots)
     probs = bell_probabilities(state)
     weights = np.array([probs[label] for label in BELL_LABELS])
-    counts = rng.multinomial(shots, weights / weights.sum())
+    counts = rng.multinomial(count, weights / weights.sum())
     return {label: int(counts[i]) for i, label in enumerate(BELL_LABELS)}

@@ -12,6 +12,7 @@ import numpy as np
 from hyperbell.hilbert import apply, basis_ket, expectation
 from hyperbell.lhv import (
     CONSTRAINTS,
+    ELEMENTS,
     check,
     contradiction_certificate,
     enumerate_assignments,
@@ -113,12 +114,22 @@ def test_criterion_3_lhv_brute_force():
 
 
 def test_criterion_4_parity_certificate():
-    with criterion(4, "structural parity contradiction (+1 forced vs -1 required)"):
-        argument = parity_argument()
-        assert argument.forced_product == +1
-        assert argument.row9_required == -1
-        assert set(argument.odd_multiplicity) == set(CONSTRAINTS[8].variables)
-        assert argument.contradiction
+    with criterion(4, "GF(2) parity proof: y with yA = 0 and y.b = 1 (+1 forced vs -1 required)"):
+        y = parity_argument()
+        assert y == (1,) * 9
+        chosen = [c for c, bit in zip(CONSTRAINTS, y) if bit]
+        # yA = 0: every element appears in an even number of y's rows
+        for name in ELEMENTS:
+            assert sum(name in c.variables for c in chosen) % 2 == 0
+        # y.b = 1: an odd number of y's rows require -1
+        assert sum(c.required_product == -1 for c in chosen) % 2 == 1
+        # rows 1-8 of y force +1 on the compounds that row 9 requires to be -1
+        assert set(CONSTRAINTS[8].variables) == {
+            name for name in ELEMENTS
+            if sum(name in c.variables for c in chosen[:-1]) % 2 == 1
+        }
+        assert contradiction_certificate().parity_product == +1
+        assert chosen[-1].required_product == -1
 
 
 def test_criterion_5_visibility_threshold():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -6,17 +8,21 @@ from hyperbell.hilbert import (
     BasisIndex,
     Operator,
     StateVector,
-    adjoint,
     apply,
     basis_ket,
     commutator_norm,
     expectation,
-    identity,
     inner,
     matmul,
-    tensor,
 )
-from hyperbell.observables import SIGMA_X, SIGMA_Z
+from hyperbell.lhv import ELEMENTS, element_photon
+from hyperbell.observables import SIGMA_X, SIGMA_Z, element_operator, element_operator_16
+
+EYE2 = np.eye(2)
+
+
+def identity(dim):
+    return Operator(np.eye(dim), kind="hermitian")
 
 
 def test_basis_index_bijective():
@@ -63,42 +69,39 @@ def test_operator_kind_validation():
 
 
 def test_tensor_basis_kets():
-    # |H> (x) |u> is the first 4-dim basis ket
-    product = tensor(basis_ket(2, 0), basis_ket(2, 0))
+    # |H> (x) |u> is the first 4-dim basis ket, and the flat index of every
+    # 16-dim ket is the Kronecker order (pol1, path1, pol2, path2)
+    product = StateVector(np.kron(basis_ket(2, 0).amps, basis_ket(2, 0).amps))
     assert product.dim == 4
     np.testing.assert_allclose(product.amps, [1, 0, 0, 0])
+    for i in range(16):
+        bits = BasisIndex.from_flat(i)
+        ket = functools.reduce(np.kron, [basis_ket(2, b).amps for b in bits])
+        np.testing.assert_array_equal(ket, basis_ket(16, i).amps)
 
 
 def test_tensor_identity():
-    np.testing.assert_allclose(
-        tensor(identity(2), identity(2)).matrix, np.eye(4), atol=ATOL
-    )
+    # an element's Pauli string is the identity on the other photon
+    for name in ELEMENTS:
+        local = element_operator(name).matrix
+        factors = (local, np.eye(4)) if element_photon(name) == 1 else (np.eye(4), local)
+        embedded = np.kron(*factors)
+        np.testing.assert_array_equal(element_operator_16(name).matrix, embedded)
 
 
 def test_tensor_sigma_z_pair():
-    # 2x2 Kronecker expansion by hand: diag(+1, -1, -1, +1)
-    zz = tensor(Operator(SIGMA_Z, kind="hermitian"), Operator(SIGMA_Z, kind="hermitian"))
-    np.testing.assert_allclose(zz.matrix, np.diag([1.0, -1.0, -1.0, 1.0]), atol=ATOL)
-
-
-def test_tensor_associative():
-    rng = np.random.default_rng(11)
-    states = []
-    for _ in range(3):
-        raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        states.append(StateVector(raw / np.linalg.norm(raw)))
-    a, b, c = states
-    left = tensor(tensor(a, b), c)
-    right = tensor(a, tensor(b, c))
-    assert np.abs(left.amps - right.amps).max() < 1e-15
+    # 2x2 Kronecker expansion by hand: diag(+1, -1, -1, +1), the Pauli string ZZ
+    np.testing.assert_array_equal(np.kron(SIGMA_Z, SIGMA_Z), np.diag([1.0, -1.0, -1.0, 1.0]))
+    np.testing.assert_array_equal(element_operator("z1z1'").matrix, np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
 def test_tensor_overflow_rejected():
+    # a Kronecker product past the 16-dim two-photon space is no state or operator
     sixteen = basis_ket(16, 0)
     with pytest.raises(ValueError):
-        tensor(sixteen, basis_ket(2, 0))
-    with pytest.raises(TypeError):
-        tensor(sixteen, identity(2))
+        StateVector(np.kron(sixteen.amps, basis_ket(2, 0).amps))
+    with pytest.raises(ValueError):
+        Operator(np.kron(np.eye(16), EYE2))
 
 
 def test_apply_identity_and_mismatch():
@@ -157,7 +160,8 @@ def test_commutators():
     z = Operator(SIGMA_Z, kind="hermitian")
     x = Operator(SIGMA_X, kind="hermitian")
     # disjoint tensor factors commute
-    assert commutator_norm(tensor(z, identity(2)), tensor(identity(2), x)) == 0
+    z_i, i_x = Operator(np.kron(SIGMA_Z, EYE2)), Operator(np.kron(EYE2, SIGMA_X))
+    assert commutator_norm(z_i, i_x) == 0
     # [sigma_z, sigma_x] = 2i sigma_y: max-abs entry 2
     assert commutator_norm(z, x) == pytest.approx(2.0)
     with pytest.raises(ValueError):
@@ -168,7 +172,8 @@ def test_adjoint_and_matmul():
     hadamard = Operator(
         np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2), kind="unitary"
     )
-    product = matmul(adjoint(hadamard), hadamard)
+    adjoint = Operator(hadamard.matrix.conj().T, kind="unitary")
+    product = matmul(adjoint, hadamard)
     assert product.kind == "unitary"
     np.testing.assert_allclose(product.matrix, np.eye(2), atol=ATOL)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -7,15 +8,19 @@ from hyperbell.lhv import (
     ELEMENTS,
     LHV_BOUND,
     QUANTUM_VALUE,
+    ROW_APPARATUS_PAIRS,
     LhvAssignment,
+    LhvConstraint,
     check,
     constraint_product,
     contradiction_certificate,
     enumerate_assignments,
     mermin_value,
     parity_argument,
+    parity_vector,
 )
 from hyperbell.observables import CONSTRAINT_ROWS
+from hyperbell.optics import build_apparatus
 
 # Independent transcription of the nine predictions, used as the test-side
 # oracle so the library tables are checked against a second copy.
@@ -30,6 +35,20 @@ ORACLE_CONSTRAINTS = [
     (("x1", "z1'", "x2z2'"), +1),
     (("z1z1'", "x1x1'", "z2x2'", "x2z2'"), -1),
 ]
+
+# The (photon-1, photon-2) apparatus pair that reads each row, as transcribed
+# from the paper's measurement scheme.
+ORACLE_ROW_APPARATUS_PAIRS = {
+    1: (1, 4),
+    2: (3, 4),
+    3: (3, 2),
+    4: (1, 2),
+    5: (5, 4),
+    6: (5, 2),
+    7: (1, 6),
+    8: (3, 6),
+    9: (5, 6),
+}
 
 
 def oracle_scan():
@@ -54,13 +73,24 @@ def oracle_scan():
     return best_count, best_value, worst_value, full
 
 
-def test_constraint_tables_agree_across_modules():
-    # lhv transcribes the predictions; observables derives them numerically
+def test_each_row_group_falls_in_exactly_one_apparatus():
+    # a row's elements on each photon are read together by exactly one of the
+    # six built apparatuses, the one ROW_APPARATUS_PAIRS names
     assert len(CONSTRAINTS) == len(CONSTRAINT_ROWS) == 9
-    for constraint, row in zip(CONSTRAINTS, CONSTRAINT_ROWS):
-        assert constraint.id == row.id
-        assert constraint.variables == row.groups
-        assert constraint.required_product == row.eigenvalue
+    specs = [build_apparatus(i) for i in range(1, 7)]
+    for constraint in CONSTRAINTS:
+        readers = []
+        for photon in (1, 2):
+            group = {name for name in constraint.variables if name[1] == str(photon)}
+            matches = [spec.id for spec in specs if group <= set(spec.value_names)]
+            assert len(matches) == 1, (constraint.id, photon, matches)
+            assert build_apparatus(matches[0]).photon == photon
+            readers.append(matches[0])
+        assert tuple(readers) == ROW_APPARATUS_PAIRS[constraint.id]
+
+
+def test_row_apparatus_pairs_match_the_oracle():
+    assert ROW_APPARATUS_PAIRS == ORACLE_ROW_APPARATUS_PAIRS
     for constraint, (variables, required) in zip(CONSTRAINTS, ORACLE_CONSTRAINTS):
         assert constraint.variables == variables
         assert constraint.required_product == required
@@ -155,13 +185,84 @@ def test_certificate_serialization():
         assert f"v({name:<6})" in text
 
 
+def _solves_parity(table, y):
+    """yA = 0 (every element an even number of times in y's rows) and y.b = 1."""
+    chosen = [(variables, sign) for (variables, sign), bit in zip(table, y) if bit]
+    counts = {}
+    for variables, _ in chosen:
+        for name in variables:
+            counts[name] = counts.get(name, 0) + 1
+    signs = [sign for _, sign in chosen]
+    return all(n % 2 == 0 for n in counts.values()) and signs.count(-1) % 2 == 1
+
+
+def _constraints(table):
+    return [LhvConstraint(i, variables, sign) for i, (variables, sign) in enumerate(table, 1)]
+
+
 def test_parity_argument_structural():
-    argument = parity_argument()
-    # singles cancel pairwise; only the four compounds survive with odd count
-    assert set(argument.odd_multiplicity) == {"z1z1'", "x1x1'", "z2x2'", "x2z2'"}
-    assert argument.forced_product == +1
-    assert argument.row9_required == -1
-    assert argument.contradiction
+    y = parity_argument()
+    # all nine rows: every element appears twice, so the products multiply to
+    # +1, while the required products multiply to -1
+    assert y == (1,) * 9
+    assert _solves_parity(ORACLE_CONSTRAINTS, y)
+    # rows 1-8 force the four compounds of row 9 to multiply to +1
+    certificate = contradiction_certificate()
+    assert certificate.parity_rows == tuple(range(1, 10))
+    assert certificate.parity_product == +1
+    assert CONSTRAINTS[8].required_product == -1
+
+
+# Peres-Mermin square (Peres, PLA 151, 107, 1990): nine two-qubit Paulis,
+# three rows multiplying to +I and three columns to +I, +I and -I.
+PERES_MERMIN = [
+    (("XI", "IX", "XX"), +1),
+    (("IZ", "ZI", "ZZ"), +1),
+    (("XZ", "ZX", "YY"), +1),
+    (("XI", "IZ", "XZ"), +1),
+    (("IX", "ZI", "ZX"), +1),
+    (("XX", "ZZ", "YY"), -1),
+]
+
+# GHZ-Mermin (Mermin, PRL 65, 3373, 1990): on (|000> + |111>)/sqrt2,
+# XXX = +1 and XYY = YXY = YYX = -1.
+GHZ_MERMIN = [
+    (("x1", "x2", "x3"), +1),
+    (("x1", "y2", "y3"), -1),
+    (("y1", "x2", "y3"), -1),
+    (("y1", "y2", "x3"), -1),
+]
+
+
+@pytest.mark.parametrize("table", [PERES_MERMIN, GHZ_MERMIN], ids=["peres-mermin", "ghz-mermin"])
+def test_gf2_parity_proof_of_other_tables(table):
+    y = parity_vector(_constraints(table))
+    assert y == (1,) * len(table)
+    assert _solves_parity(table, y)
+
+
+@pytest.mark.parametrize("row", range(9))
+def test_gf2_parity_proof_fails_with_one_sign_flipped(row):
+    # all nine rows are the only y with yA = 0, and a flipped sign makes y.b = 0:
+    # the flipped table has a local-realistic model, which the scan confirms
+    table = list(ORACLE_CONSTRAINTS)
+    variables, sign = table[row]
+    table[row] = (variables, -sign)
+    assert parity_vector(_constraints(table)) is None
+    satisfiable = any(
+        all(math.prod(dict(zip(ELEMENTS, bits))[n] for n in v) == s for v, s in table)
+        for bits in itertools.product((1, -1), repeat=12)
+    )
+    assert satisfiable
+
+
+def test_gf2_parity_proof_finds_y_among_redundant_rows():
+    # a consistent row before and a repeated row after: y is still found, and
+    # it is a genuine solution, not the repeat (which pairs to yA = 0, y.b = 0)
+    table = [(("z1",), +1)] + ORACLE_CONSTRAINTS + [ORACLE_CONSTRAINTS[0]]
+    y = parity_vector(_constraints(table))
+    assert y is not None and _solves_parity(table, y)
+    assert parity_vector(_constraints([(("a", "b"), -1), (("a", "b"), -1)])) is None
 
 
 def test_no_two_variables_share_identical_row_membership():

@@ -11,19 +11,16 @@ from hyperbell.hilbert import (
     commutator_norm,
     expectation,
     inner,
-    matmul,
-    tensor,
 )
+from hyperbell.lhv import ELEMENT_PAULI, ELEMENTS, element_photon
 from hyperbell.observables import (
     CONSTRAINT_ROWS,
-    LOCAL_OBSERVABLES,
     ROW_EIGENVALUES,
-    LocalObservable,
+    SIGMA_X,
+    SIGMA_Z,
     bell_mermin_operator,
     build_bell_states,
-    build_observable,
     doubly_entangled_state,
-    element_factors,
     element_operator,
     element_operator_16,
     qudit_relabel,
@@ -31,6 +28,30 @@ from hyperbell.observables import (
 )
 
 PSI = doubly_entangled_state()
+
+#: The eight single-qubit observables, named axis, photon, and a prime on the path.
+SINGLES = ("z1", "x1", "z1'", "x1'", "z2", "x2", "z2'", "x2'")
+
+
+def slot(name):
+    """(photon, dof) factor a single-qubit observable acts on."""
+    return int(name[1]), "path" if name.endswith("'") else "pol"
+
+
+def single_qubit_matrix(name):
+    """Reference 16-dim sigma on one (photon, dof) factor, as a plain np.kron chain."""
+    photon, dof = slot(name)
+    factors = [np.eye(2)] * 4
+    factors[2 * (photon - 1) + (dof == "path")] = SIGMA_X if name[0] == "x" else SIGMA_Z
+    return np.kron(np.kron(factors[0], factors[1]), np.kron(factors[2], factors[3]))
+
+
+def factors(name):
+    """Single-qubit factors of a named element, polarization factor first."""
+    if name in SINGLES:
+        return [name]
+    photon = name[1]
+    return [name[0] + photon, name[2] + photon + "'"]
 
 
 def test_state_amplitudes():
@@ -45,49 +66,51 @@ def test_state_amplitudes():
 
 
 def test_exactly_eight_local_observables():
-    assert len(LOCAL_OBSERVABLES) == 8
-    assert set(LOCAL_OBSERVABLES) == {
-        "z1", "x1", "z1'", "x1'", "z2", "x2", "z2'", "x2'",
-    }
+    # eight elements have one non-identity Pauli letter; the other four have two
+    singles = {name for name in ELEMENTS if len(ELEMENT_PAULI[name].replace("I", "")) == 1}
+    assert singles == set(SINGLES)
+    assert len(ELEMENTS) - len(singles) == 4
 
 
 def test_local_observable_validation():
-    with pytest.raises(ValueError):
-        LocalObservable(3, "pol", "z")
-    with pytest.raises(ValueError):
-        LocalObservable(1, "spin", "z")
-    with pytest.raises(ValueError):
-        LocalObservable(1, "pol", "y")
+    # only the twelve named elements have a realization
+    for name in ("z3", "y1", "z1''", "z1z2", ""):
+        with pytest.raises(KeyError):
+            element_operator(name)
+        with pytest.raises(KeyError):
+            element_operator_16(name)
 
 
-@pytest.mark.parametrize("name", sorted(LOCAL_OBSERVABLES))
+@pytest.mark.parametrize("name", sorted(SINGLES))
 def test_observables_are_hermitian_involutions(name):
-    op = build_observable(LOCAL_OBSERVABLES[name])
+    op = element_operator_16(name)
     assert op.kind == "hermitian"
-    np.testing.assert_allclose(matmul(op, op).matrix, np.eye(16), atol=ATOL)
+    np.testing.assert_array_equal(op.matrix, single_qubit_matrix(name))
+    np.testing.assert_allclose(op.matrix @ op.matrix, np.eye(16), atol=ATOL)
 
 
 def test_observable_eigenkets():
-    z1 = build_observable(LOCAL_OBSERVABLES["z1"])
+    z1 = element_operator_16("z1")
     huhu = basis_ket(16, 0)
     np.testing.assert_allclose(apply(z1, huhu).amps, huhu.amps, atol=ATOL)
 
     # |H> (x) (|u>+|d>)/sqrt2 (x) |H> (x) |u> is a +1 eigenket of x1'
-    plus_path = StateVector(np.array([1, 1], dtype=complex) / np.sqrt(2))
-    state = tensor(tensor(basis_ket(2, 0), plus_path), tensor(basis_ket(2, 0), basis_ket(2, 0)))
-    x1p = build_observable(LOCAL_OBSERVABLES["x1'"])
+    h, u, plus_path = [1, 0], [1, 0], np.array([1, 1]) / np.sqrt(2)
+    state = StateVector(np.kron(np.kron(h, plus_path), np.kron(h, u)))
+    x1p = element_operator_16("x1'")
     np.testing.assert_allclose(apply(x1p, state).amps, state.amps, atol=ATOL)
 
 
 def test_commutation_structure_all_28_pairs():
     # same (photon, dof) slot -> anticommuting pair (norm 2); otherwise commuting
-    names = sorted(LOCAL_OBSERVABLES)
-    ops = {name: build_observable(LOCAL_OBSERVABLES[name]) for name in names}
+    names = sorted(SINGLES)
     same_slot = 0
     for a, b in itertools.combinations(names, 2):
-        oa, ob = LOCAL_OBSERVABLES[a], LOCAL_OBSERVABLES[b]
-        norm = commutator_norm(ops[a], ops[b])
-        if (oa.photon, oa.dof) == (ob.photon, ob.dof):
+        reference = single_qubit_matrix(a) @ single_qubit_matrix(b)
+        reference = reference - single_qubit_matrix(b) @ single_qubit_matrix(a)
+        norm = commutator_norm(element_operator_16(a), element_operator_16(b))
+        assert norm == np.abs(reference).max()
+        if slot(a) == slot(b):
             same_slot += 1
             assert norm == pytest.approx(2.0, abs=ATOL)
         else:
@@ -96,20 +119,27 @@ def test_commutation_structure_all_28_pairs():
 
 
 def test_element_factors_and_photons():
-    assert [f.name for f in element_factors("z1z1'")] == ["z1", "z1'"]
-    assert [f.name for f in element_factors("x2z2'")] == ["x2", "z2'"]
-    assert [f.name for f in element_factors("z2")] == ["z2"]
+    assert factors("z1z1'") == ["z1", "z1'"]
+    assert factors("x2z2'") == ["x2", "z2'"]
+    assert factors("z2") == ["z2"]
+    for name in ELEMENTS:
+        # every factor sits on the element's photon, and the other photon's
+        # two Pauli letters are the identity
+        assert {slot(f)[0] for f in factors(name)} == {element_photon(name)}
+        other = ELEMENT_PAULI[name][2:] if element_photon(name) == 1 else ELEMENT_PAULI[name][:2]
+        assert other == "II"
     with pytest.raises(KeyError):
-        element_factors("y1")
+        element_photon("y1")
 
 
 def test_element_operator_consistency():
-    # 16-dim element realizations equal the product of their embedded factors
-    for name in ("z1", "x1'", "z1z1'", "x1x1'", "z2x2'", "x2z2'"):
+    # 16-dim element realizations equal the product of their factors, each a
+    # reference np.kron chain independent of the Pauli table
+    for name in ELEMENTS:
         direct = element_operator_16(name).matrix
         built = np.eye(16, dtype=complex)
-        for factor in element_factors(name):
-            built = built @ build_observable(factor).matrix
+        for factor in factors(name):
+            built = built @ single_qubit_matrix(factor)
         np.testing.assert_allclose(direct, built, atol=ATOL)
         # elements are involutions too
         np.testing.assert_allclose(direct @ direct, np.eye(16), atol=ATOL)

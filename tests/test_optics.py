@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from hyperbell.hilbert import (
     ATOL,
     StateVector,
-    adjoint,
     basis_ket,
     commutator_norm,
     matmul,
@@ -85,9 +85,7 @@ def test_phase_element():
 )
 def test_every_element_is_unitary(element):
     u = element_unitary(element)
-    np.testing.assert_allclose(
-        matmul(adjoint(u), u).matrix, np.eye(4), atol=ATOL
-    )
+    np.testing.assert_allclose(u.matrix.conj().T @ u.matrix, np.eye(4), atol=ATOL)
 
 
 def test_element_validation():
@@ -172,10 +170,17 @@ def test_apparatus_5_basis_is_bell_basis():
 
 
 def test_build_apparatus_rejects_bad_id():
-    with pytest.raises(ValueError):
-        build_apparatus(0)
-    with pytest.raises(ValueError):
-        build_apparatus(7)
+    for bad in (0, 7, True, 1.0, "1", None):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            build_apparatus(bad)
+    # a rejected True or 1.0 leaves no cache entry that id 1 could be handed
+    assert type(build_apparatus(1).id) is int
+
+
+def test_build_apparatus_takes_any_integer_id():
+    spec = build_apparatus(np.int64(1))
+    assert spec.id == 1 and type(spec.id) is int
+    assert spec.detector_map == build_apparatus(1).detector_map
 
 
 def test_describe_mentions_elements_and_map():
@@ -315,8 +320,9 @@ def test_bell_input_validation():
         bell_probabilities(basis_ket(16, 0))
     with pytest.raises(ValueError):
         bell_histogram(StateVector(2 * basis_ket(4, 0).amps, normalized=False), 10, rng)
-    with pytest.raises(ValueError):
-        bell_histogram(basis_ket(4, 0), 0, rng)
+    for bad in (True, 2.5, "5", 0, 2**64):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            bell_histogram(basis_ket(4, 0), bad, rng)
 
 
 def test_rows_commute_within_each_apparatus_grouping():
