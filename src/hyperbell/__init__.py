@@ -64,7 +64,6 @@ from .experiment import (
     estimate_rows,
     exact_expectation,
     noisy_state,
-    sweep_csv,
     visibility_sweep,
 )
 

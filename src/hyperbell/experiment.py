@@ -37,7 +37,7 @@ from .observables import (
     bell_mermin_operator,
     doubly_entangled_state,
 )
-# MAX_SHOTS is defined in optics and read here as experiment.MAX_SHOTS by the CLI.
+# MAX_SHOTS, the largest shot count the samplers accept, is re-exported here.
 from .optics import MAX_SHOTS, _integer, _shot_count, born_distributions, build_apparatus
 from .optics import check_distributions, pattern_bras, pattern_distribution, readout_table
 
@@ -57,6 +57,11 @@ DEFAULT_GRID: tuple[float, ...] = (
 BOUNDARY_ATOL = 1e-9
 
 Quantity = Union[int, str]  # constraint-row id 1..9 or "O"
+
+
+def _seed(seed) -> int:
+    """``seed`` as a plain int in [0, 2**64 - 1], the range a command-line seed may take."""
+    return _integer(seed, 0, 2**64 - 1, "seed must be an integer in [0, 2**64 - 1]")
 
 
 @dataclass(frozen=True)
@@ -398,28 +403,8 @@ def visibility_sweep(
     return SweepTable(columns)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
-SWEEP_CSV_HEADER = "v,exact_O,est_O,std_err,lhv_bound,violated"
-
-
-def sweep_csv(points: Sequence[SweepPoint]) -> str:
-    """CSV table with a header row, period decimals, locale independent."""
-    lines = [SWEEP_CSV_HEADER]
-    for p in points:
-        est = _fmt(p.estimate) if p.estimate is not None else ""
-        err = _fmt(p.std_error) if p.std_error is not None else ""
-        lines.append(
-            f"{_fmt(p.visibility)},{_fmt(p.exact)},{est},{err},"
-            f"{_fmt(p.lhv_bound)},{p.violated}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def sweep_table(points: Sequence[SweepPoint]) -> list[dict]:
-    """JSON-ready rows mirroring the CSV columns."""
+    """JSON-ready rows, one dict per point; None where a point was not sampled."""
     return [
         {
             "v": p.visibility,

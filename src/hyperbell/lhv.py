@@ -246,32 +246,6 @@ class ContradictionCertificate:
             ],
         }
 
-    def to_text(self) -> str:
-        flags, _ = check(self.witness)
-        closing = CONSTRAINTS[self.parity_rows[-1] - 1]
-        lines = [
-            "local-hidden-variable certificate",
-            f"  assignments scanned : {2 ** len(ELEMENTS)}",
-            f"  max satisfied       : {self.satisfied_max} of {len(CONSTRAINTS)}",
-            f"  max LHV value       : {self.mermin_max}",
-            f"  min LHV value       : {self.mermin_min}",
-            f"  quantum value       : {QUANTUM_VALUE}",
-            f"  parity product      : {self.parity_product:+d} (constraint {closing.id} "
-            f"requires {closing.required_product:+d})",
-            "  witness assignment:",
-        ]
-        for name in ELEMENTS:
-            lines.append(f"    v({name:<6}) = {self.witness[name]:+d}")
-        lines.append("  per-constraint check at the witness:")
-        for i, c in enumerate(CONSTRAINTS):
-            product = constraint_product(self.witness, c)
-            status = "satisfied" if flags[i] else "violated"
-            lines.append(
-                f"    {c.id}: {'.'.join(c.variables):<28} required {c.required_product:+d}"
-                f"  got {product:+d}  {status}"
-            )
-        return "\n".join(lines)
-
 
 def contradiction_certificate() -> ContradictionCertificate:
     """Scan all 4096 assignments; report the best witness and the parity proof.

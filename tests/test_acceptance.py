@@ -9,6 +9,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from hyperbell import cli
 from hyperbell.hilbert import apply, basis_ket, expectation
 from hyperbell.lhv import (
     CONSTRAINTS,
@@ -45,7 +46,7 @@ from hyperbell.experiment import (
     exact_expectation,
     noisy_state,
     sample_pair_counts,
-    sweep_csv,
+    sweep_table,
     violation_flag,
     visibility_sweep,
 )
@@ -144,7 +145,7 @@ def test_criterion_5_visibility_threshold():
         assert abs(threshold - 7.0) < 1e-12
         assert violation_flag(threshold) == "boundary"
         points = visibility_sweep(DEFAULT_GRID, shots_per_setting=0)
-        table = sweep_csv(points).strip().split("\n")
+        table = cli.csv_sweep({"rows": sweep_table(points)})
         flags = {line.split(",")[0]: line.split(",")[5] for line in table[1:]}
         assert flags["0.77"] == "no"
         assert flags["0.78"] == "yes"

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,8 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hyperbell import cli
+from hyperbell import cli, experiment, lhv, observables, optics
+from hyperbell.hilbert import ATOL
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
@@ -32,6 +34,20 @@ def run_cli(*args, env_extra=None):
 def validate(payload, schema_name):
     schema = json.loads((SCHEMAS / f"{schema_name}.schema.json").read_text())
     jsonschema.validate(payload, schema)
+
+
+def library_message(validate, *args) -> str:
+    """str() of the ValueError that a library validator raises for these arguments."""
+    with pytest.raises(ValueError) as info:
+        validate(*args)
+    return str(info.value)
+
+
+def assert_usage_error(code, stdout, stderr, message):
+    """Exit 2, nothing on stdout, and one stderr line quoting the library's message."""
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"hyperbell: error: {message}\n"
 
 
 def test_verify_text():
@@ -167,8 +183,8 @@ def test_sweep_json_schema():
 
 def test_sweep_rejects_bad_grid():
     result = run_cli("sweep", "--grid", "0.5", "1.5", "--shots", "10")
-    assert result.returncode == 2
-    assert "grid" in result.stderr
+    message = library_message(experiment._visibilities, [0.5, 1.5])
+    assert_usage_error(result.returncode, result.stdout, result.stderr, message)
 
 
 def test_bell_eigenstate_histogram():
@@ -250,9 +266,9 @@ def test_unwritable_output_is_a_usage_error():
 )
 def test_shot_count_beyond_int64_rejected(args):
     result = run_cli(*args, "--shots", "99999999999999999999")
-    assert result.returncode == 2
-    assert result.stderr.startswith("hyperbell: error: shots must lie in")
-    assert "Traceback" not in result.stderr
+    minimum = 1 if args[0] == "bell" else 2
+    message = library_message(optics._shot_count, 99999999999999999999, minimum)
+    assert_usage_error(result.returncode, result.stdout, result.stderr, message)
 
 
 @pytest.mark.parametrize(
@@ -265,11 +281,56 @@ def test_shot_count_beyond_int64_rejected(args):
 )
 def test_one_shot_rejected_where_a_standard_error_is_reported(args):
     result = run_cli(*args, "--shots", "1")
-    assert result.returncode == 2
-    assert result.stderr.strip() == (
-        f"hyperbell: error: shots must lie in [2, 2**63 - 1] for '{args[0]}'"
-    )
+    message = library_message(optics._shot_count, 1, 2)
+    assert_usage_error(result.returncode, result.stdout, result.stderr, message)
     assert run_cli(*args, "--shots", "2").returncode == 0
+
+
+_A = optics.build_apparatus
+
+
+@pytest.mark.parametrize(
+    "argv, validate, bad",
+    [
+        (["mermin", "--shots", "1"], optics._shot_count, (1, 2)),
+        (["simulate", "--apparatus-pair", "1", "4", "--shots", "1"], optics._shot_count, (1, 2)),
+        (["sweep", "--shots", "1"], optics._shot_count, (1, 2)),
+        (["mermin", "--shots", str(2**64)], optics._shot_count, (2**64, 2)),
+        (["bell", "--shots", str(2**64)], optics._shot_count, (2**64, 1)),
+        (["mermin", "--visibility", "1.5"], experiment.NoiseModel, (1.5,)),
+        (["sweep", "--grid", "0.5", "1.5"], experiment._visibilities, ([0.5, 1.5],)),
+        (["mermin", "--seed", "-3"], experiment._seed, (-3,)),
+        (["bell", "--seed", str(2**64)], experiment._seed, (2**64,)),
+        (["simulate", "--apparatus-pair", "1", "9"], _A, (9,)),
+        (["simulate", "--apparatus-pair", "7", "4"], _A, (7,)),
+        (["simulate", "--apparatus-pair", "4", "2"], optics._check_sides, (_A(4), _A(2))),
+    ],
+)
+def test_usage_error_quotes_the_library_message(capsys, argv, validate, bad):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert_usage_error(code, out, err, library_message(validate, *bad))
+
+
+def test_verify_exits_1_when_a_relation_fails(monkeypatch, capsys):
+    checks = observables.verify_eigenequations()
+    checks[4] = dataclasses.replace(checks[4], residual=ATOL)
+    monkeypatch.setattr(observables, "verify_eigenequations", lambda: checks)
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL") == 2 and out.count("PASS") == 8
+    assert out.endswith("FAILED rows: [5] (residual >= 1e-12)\n")
+    assert cli.main(["verify", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)[4]["residual"] == ATOL
+
+
+def test_lhv_exits_1_when_the_certificate_is_off(monkeypatch, capsys):
+    certificate = dataclasses.replace(lhv.contradiction_certificate(), satisfied_max=9)
+    monkeypatch.setattr(lhv, "contradiction_certificate", lambda: certificate)
+    assert cli.main(["lhv"]) == 1
+    assert "max satisfied: 9 of 9" in capsys.readouterr().out
+    assert cli.main(["lhv", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["satisfied_max"] == 9
 
 
 def test_bell_accepts_one_shot():
@@ -376,8 +437,12 @@ def test_fuzzed_argv_never_crashes(tmp_path, data):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
-            code = cli.main(argv)
+            code, returned = cli.main(argv), True
         except SystemExit as exc:  # argparse: usage errors and --help
-            code = exc.code
+            code, returned = exc.code, False
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in stderr.getvalue()
+    if returned and code == 2:  # the input check or --output: one line, no output
+        assert stdout.getvalue() == "", argv
+        assert stderr.getvalue().startswith("hyperbell: error: "), argv
+        assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n"), argv

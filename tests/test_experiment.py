@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hyperbell import cli
 from hyperbell.hilbert import ATOL, basis_ket
 from hyperbell.lhv import CONSTRAINTS
 from hyperbell.observables import (
@@ -23,7 +24,6 @@ from hyperbell.experiment import (
     CorrelationEstimate,
     NoiseModel,
     ROW_APPARATUS_PAIRS,
-    SWEEP_CSV_HEADER,
     SweepTable,
     counted_mean,
     estimate_mermin,
@@ -32,7 +32,6 @@ from hyperbell.experiment import (
     exact_expectation,
     noisy_state,
     sample_pair_counts,
-    sweep_csv,
     sweep_table,
     violation_flag,
     visibility_sweep,
@@ -354,18 +353,22 @@ def test_sweep_crossing_in_default_grid():
     assert by_v[0.78].exact == pytest.approx(9 * 0.78, abs=ATOL)
 
 
+def _sweep_csv(points) -> list[str]:
+    """The CLI's CSV lines for a sweep table."""
+    return cli.csv_sweep({"rows": sweep_table(points)})
+
+
 def test_sweep_with_sampling_and_csv():
     points = visibility_sweep([0.0, 0.5, 1.0], shots_per_setting=3000, seed=5)
-    csv_text = sweep_csv(points)
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == SWEEP_CSV_HEADER == "v,exact_O,est_O,std_err,lhv_bound,violated"
+    lines = _sweep_csv(points)
+    assert lines[0] == "v,exact_O,est_O,std_err,lhv_bound,violated"
     assert len(lines) == 4
     last = lines[3].split(",")
     assert last[0] == "1" and last[1] == "9" and last[2] == "9"
     assert last[4] == "7" and last[5] == "yes"
     # repeated with the same seed: identical text
-    again = sweep_csv(visibility_sweep([0.0, 0.5, 1.0], shots_per_setting=3000, seed=5))
-    assert again == csv_text
+    again = _sweep_csv(visibility_sweep([0.0, 0.5, 1.0], shots_per_setting=3000, seed=5))
+    assert again == lines
 
     rows = sweep_table(points)
     assert rows[0]["violated"] == "no"
@@ -373,9 +376,11 @@ def test_sweep_with_sampling_and_csv():
 
 
 def test_sweep_csv_exact_only_leaves_columns_empty():
-    csv_text = sweep_csv(visibility_sweep([0.5], shots_per_setting=0))
-    line = csv_text.strip().split("\n")[1]
-    assert line == "0.5,4.5,,,7,no"
+    points = visibility_sweep([0.5], shots_per_setting=0)
+    assert _sweep_csv(points)[1] == "0.5,4.5,,,7,no"
+    assert cli.text_sweep({"rows": sweep_table(points)})[1].split() == [
+        "0.5", "4.5", "-", "-", "7", "no",
+    ]
 
 
 def test_sweep_of_an_empty_grid_is_an_empty_table():
@@ -383,7 +388,7 @@ def test_sweep_of_an_empty_grid_is_an_empty_table():
         table = visibility_sweep((), shots)
         assert len(table) == 0 and list(table) == []
         assert table.columns.shape == (0, 4)
-        assert sweep_csv(table) == SWEEP_CSV_HEADER + "\n"
+        assert _sweep_csv(table) == ["v,exact_O,est_O,std_err,lhv_bound,violated"]
 
 
 def test_sweep_table_slices_to_a_table():

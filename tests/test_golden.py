@@ -2,19 +2,23 @@
 
 The files in ``tests/golden/`` were written by the CLI itself; any change to
 the sampler, the estimators or a renderer that alters a single byte of a
-seeded run fails here.  A deliberate output change rewrites the affected
-files and is logged in CHANGES.md.
+seeded run, on stdout or in its ``--output`` file, fails here.  A deliberate
+output change rewrites the affected files and is logged in CHANGES.md.  Every
+JSON golden also validates against its command's schema in ``schemas/``.
 """
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from hyperbell import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SCHEMAS = GOLDEN.parent.parent / "schemas"
 
 #: File name -> argv.  Every command in every format at the default seed,
 #: plus runs that sample non-deterministic outcomes (V < 1, a random input).
@@ -63,7 +67,15 @@ def test_every_case_has_a_golden_file():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_stdout_bytes_match_golden(name):
-    code, stdout = run_in_process(CASES[name])
+def test_stdout_bytes_match_golden(name, tmp_path):
+    target = tmp_path / name
+    code, stdout = run_in_process([*CASES[name], "--output", str(target)])
     assert code == 0
     assert stdout == (GOLDEN / name).read_bytes()
+    assert target.read_bytes() == stdout
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith(".json")))
+def test_json_golden_matches_its_schema(name):
+    schema = json.loads((SCHEMAS / f"{CASES[name][0]}.schema.json").read_text())
+    jsonschema.validate(json.loads((GOLDEN / name).read_text()), schema)

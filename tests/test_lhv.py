@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hyperbell import cli
 from hyperbell.lhv import (
     CONSTRAINTS,
     ELEMENTS,
@@ -179,7 +180,7 @@ def test_certificate_serialization():
     assert payload["assignments_scanned"] == 4096
     assert len(payload["rows"]) == 9
     assert sum(row["satisfied"] for row in payload["rows"]) == 8
-    text = certificate.to_text()
+    text = "\n".join(cli.text_lhv(payload))
     assert "max satisfied" in text and "8 of 9" in text
     for name in ELEMENTS:
         assert f"v({name:<6})" in text
