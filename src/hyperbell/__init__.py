@@ -45,7 +45,6 @@ from .lhv import (
 )
 from .optics import (
     ApparatusSpec,
-    OpticalElement,
     bell_histogram,
     bell_probabilities,
     build_apparatus,

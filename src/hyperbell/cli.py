@@ -62,7 +62,8 @@ def text_verify(payload) -> list[str]:
 
 def run_lhv(args):
     c = lhv.contradiction_certificate()
-    ok = (c.satisfied_max, c.mermin_max, c.parity_product) == (8, lhv.LHV_BOUND, +1)
+    expected = (len(lhv.CONSTRAINTS) - 1, lhv.LHV_BOUND, +1)
+    ok = (c.satisfied_max, c.mermin_max, c.parity_product) == expected
     return c.to_dict(), int(not ok)
 
 
@@ -88,7 +89,7 @@ def text_lhv(payload) -> list[str]:
             f"{'satisfied' if row['satisfied'] else 'violated'}"
             for row in rows
         ),
-        f"max satisfied: {payload['satisfied_max']} of 9; "
+        f"max satisfied: {payload['satisfied_max']} of {len(rows)}; "
         f"max LHV value: {payload['mermin_max']}; quantum: {payload['quantum_value']}",
     ]
 

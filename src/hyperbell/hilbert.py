@@ -22,9 +22,8 @@ import numpy as np
 # dimension 16.
 ATOL = 1e-12
 
-# Dimension 8 never appears in a finished object but is reachable as an
-# intermediate of a three-factor Kronecker product.
-VALID_DIMS = (2, 4, 8, 16)
+#: Dimensions of one qubit, one photon and both photons.
+VALID_DIMS = (2, 4, 16)
 
 _POL_LABELS = ("H", "V")
 _PATH_LABELS = ("u", "d")
@@ -68,7 +67,7 @@ def _frozen_array(values, shape_check) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateVector:
-    """A ket over 2-, 4-, 8- or 16-dim factors of the two-photon space.
+    """A ket over 2-, 4- or 16-dim factors of the two-photon space.
 
     ``normalized=True`` (the default) asserts unit norm at construction;
     results of non-norm-preserving maps carry ``normalized=False``.

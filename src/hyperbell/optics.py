@@ -6,16 +6,17 @@ Element conventions on one photon's 4-dim pol (x) path space:
   HWP45  half-wave plate,  |H> -> (|H>+|V>)/sqrt2,  |V> -> (|H>-|V>)/sqrt2
   PBS    transmits H keeping its path label; reflects V swapping u <-> d,
          with no extra reflection phase (port convention pinned here)
-  PHASE  e^{i phi} on one chosen basis ray (H, V, u or d)
 
 The two elements each apparatus reads and its chain come from
-``lhv.APPARATUSES``.  Apparatuses 1-4 are ordered element chains followed by
-detectors on the four computational output ports; their measurement basis is
-the chain's unitary pulled back onto the input space.  Apparatuses 5 and 6
-read the two jointly measured products per photon, so they are modeled
-directly as projective measurements in the joint eigenbasis of their two
-observables (for 5 that eigenbasis is exactly the polarization-path Bell
-basis).
+``lhv.APPARATUSES`` alone.  Apparatuses 1-4 are ordered element chains
+followed by detectors on the four computational output ports; their
+measurement basis is the chain's unitary pulled back onto the input space.
+Apparatuses 5 and 6 have no chain: they read the two jointly measured products
+per photon, as projective measurements in the joint eigenbasis of their two
+elements A and B.  Detector d, with signs (s_a, s_b) in the order (+,+),
+(+,-), (-,+), (-,-), is the first nonzero column of (1 + s_a A)(1 + s_b B)
+built from the elements' Pauli strings, normalized; for apparatus 5 these are
+the polarization-path Bell states phi+, phi-, psi+, psi-.
 
 Every detector is mapped to the eigenvalues of the apparatus's three
 quantities, each eigenvalue extracted independently from its own operator and
@@ -46,14 +47,8 @@ COMMUTATOR_ATOL = 1e-13
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 _EYE2 = np.eye(2, dtype=np.complex128)
 
-_PHASE_MODES = ("H", "V", "u", "d")
-
 #: Detector port labels for the element-chain apparatuses, index 2*pol + path.
 PORT_LABELS = ("(H,u)", "(H,d)", "(V,u)", "(V,d)")
-
-#: Apparatus-5 detector order; these are the polarization-path Bell states.
-APPARATUS5_LABELS = ("phi+", "phi-", "psi+", "psi-")
-
 
 #: Largest shot count of one setting; ``Generator.multinomial`` counts in int64.
 MAX_SHOTS = 2**63 - 1
@@ -78,42 +73,19 @@ def _shot_count(shots, minimum: int = 1) -> int:
     return _integer(shots, minimum, MAX_SHOTS, rule)
 
 
-@dataclass(frozen=True)
-class OpticalElement:
-    """One linear element; ``phase`` and ``mode`` apply to PHASE only."""
-
-    kind: str
-    phase: float = 0.0
-    mode: str = "d"
-
-    def __post_init__(self):
-        if self.kind not in ("BS", "HWP45", "PBS", "PHASE"):
-            raise ValueError(f"unknown element kind {self.kind!r}")
-        if self.kind == "PHASE" and self.mode not in _PHASE_MODES:
-            raise ValueError(f"PHASE mode must be one of {_PHASE_MODES}")
-
-
-def element_unitary(element: OpticalElement) -> Operator:
-    """Single-photon unitary of one element on the pol (x) path space."""
-    if element.kind == "BS":
+def element_unitary(kind: str) -> Operator:
+    """Single-photon unitary of one element kind of the table: "BS", "HWP45" or "PBS"."""
+    if kind == "BS":
         matrix = np.kron(_EYE2, _HADAMARD)
-    elif element.kind == "HWP45":
+    elif kind == "HWP45":
         matrix = np.kron(_HADAMARD, _EYE2)
-    elif element.kind == "PBS":
+    elif kind == "PBS":
         # |H,u> -> |H,u>, |H,d> -> |H,d>, |V,u> -> |V,d>, |V,d> -> |V,u>
         matrix = np.zeros((4, 4), dtype=np.complex128)
         matrix[0, 0] = matrix[1, 1] = 1.0
         matrix[3, 2] = matrix[2, 3] = 1.0
-    else:  # PHASE
-        shift = np.exp(1j * element.phase)
-        diag = np.ones(4, dtype=np.complex128)
-        if element.mode in ("H", "V"):
-            pol = 0 if element.mode == "H" else 1
-            diag[2 * pol : 2 * pol + 2] = shift
-        else:
-            path = 0 if element.mode == "u" else 1
-            diag[[path, 2 + path]] = shift
-        matrix = np.diag(diag)
+    else:
+        raise ValueError(f"unknown element kind {kind!r}")
     return Operator(matrix, kind="unitary")
 
 
@@ -130,7 +102,7 @@ class ApparatusSpec:
     photon: int
     observable_a: str
     observable_b: str
-    elements: tuple[OpticalElement, ...] | None
+    elements: tuple[str, ...] | None
     basis: np.ndarray
     detector_map: tuple[tuple[int, int, int], ...]
 
@@ -148,7 +120,7 @@ class ApparatusSpec:
             f"{self.observable_a}, {self.observable_b} and {self.product_name}"
         ]
         if self.elements is not None:
-            chain = " -> ".join(e.kind for e in self.elements)
+            chain = " -> ".join(self.elements)
             lines.append(f"  elements: {chain} -> detectors on ports "
                          f"{', '.join(PORT_LABELS)}")
         else:
@@ -182,26 +154,28 @@ def _chain_basis(element_kinds: tuple[str, ...]) -> np.ndarray:
     """Detector basis of an element chain: row d is U^dagger |port d>."""
     unitary = np.eye(4, dtype=np.complex128)
     for kind in element_kinds:
-        unitary = element_unitary(OpticalElement(kind)).matrix @ unitary
+        unitary = element_unitary(kind).matrix @ unitary
     # U^dagger e_d is the d-th column of U^dagger, i.e. conj of U's d-th row.
     return unitary.conj()
 
 
-def _joint_eigenbasis_6() -> np.ndarray:
-    """Joint eigenbasis of (z x', x z') ordered (+,+), (+,-), (-,+), (-,-)."""
-    s = 1.0 / np.sqrt(2.0)
-    h_plus = np.array([s, s, 0, 0], dtype=np.complex128)  # |H,u+d>
-    h_minus = np.array([s, -s, 0, 0], dtype=np.complex128)
-    v_plus = np.array([0, 0, s, s], dtype=np.complex128)
-    v_minus = np.array([0, 0, s, -s], dtype=np.complex128)
-    return np.array(
-        [
-            s * (h_plus + v_minus),
-            s * (h_plus - v_minus),
-            s * (h_minus + v_plus),
-            s * (h_minus - v_plus),
-        ]
-    )
+def _joint_eigenbasis(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
+    """Joint eigenbasis of commuting +-1 observables A and B, one row per sign pair.
+
+    Row d, with signs (s_a, s_b) in the order (+,+), (+,-), (-,+), (-,-), is the
+    first nonzero column of (1 + s_a A)(1 + s_b B), normalized.  A zero
+    projector (B = +-A) raises ``AssertionError`` naming ``name``.
+    """
+    eye = np.eye(a.shape[0])
+    rows = []
+    for s_a, s_b in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        projector = (eye + s_a * a) @ (eye + s_b * b)
+        norms = np.linalg.norm(projector, axis=0)
+        nonzero = np.flatnonzero(norms >= ATOL)
+        if not nonzero.size:
+            raise AssertionError(f"{name}: no joint eigenvector with signs ({s_a:+d}, {s_b:+d})")
+        rows.append(projector[:, nonzero[0]] / norms[nonzero[0]])
+    return np.array(rows)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -221,16 +195,10 @@ def build_apparatus(apparatus_id: int) -> ApparatusSpec:
         raise AssertionError(f"apparatus {apparatus_id}: observables do not commute")
     product = matmul(op_a, op_b).matrix
 
-    if chain is not None:
-        elements = tuple(OpticalElement(kind) for kind in chain)
-        basis = _chain_basis(chain)
-    elif apparatus_id == 5:
-        elements = None
-        bells = build_bell_states("pol-path")
-        basis = np.array([bells[label].amps for label in APPARATUS5_LABELS])
+    if chain is None:
+        basis = _joint_eigenbasis(op_a.matrix, op_b.matrix, f"apparatus {apparatus_id}")
     else:
-        elements = None
-        basis = _joint_eigenbasis_6()
+        basis = _chain_basis(chain)
 
     gram = basis @ basis.conj().T
     if np.abs(gram - np.eye(4)).max() >= ATOL:
@@ -256,7 +224,7 @@ def build_apparatus(apparatus_id: int) -> ApparatusSpec:
         photon=photon,
         observable_a=name_a,
         observable_b=name_b,
-        elements=elements,
+        elements=chain,
         basis=basis,
         detector_map=tuple(detector_map),
     )

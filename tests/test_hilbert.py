@@ -48,6 +48,10 @@ def test_state_validation():
         StateVector(np.array([1.0, 1.0]))  # labeled normalized but norm 2
     with pytest.raises(ValueError):
         StateVector(np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError):
+        StateVector(np.eye(8)[0])  # dim 8 is no factor of the two-photon space
+    with pytest.raises(ValueError):
+        Operator(np.eye(8))
     unnorm = StateVector(np.array([2.0, 0.0]), normalized=False)
     assert unnorm.norm_squared() == 4.0
 

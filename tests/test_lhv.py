@@ -1,10 +1,13 @@
 import itertools
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from hyperbell import cli
 from hyperbell.lhv import (
+    APPARATUSES,
     CONSTRAINTS,
     ELEMENTS,
     LHV_BOUND,
@@ -311,3 +314,17 @@ def test_sign_flip_symmetry_orbits():
                 )
             )
             assert [constraint_product(flipped, c) for c in CONSTRAINTS] == base
+
+
+def test_readme_apparatus_table_matches_the_library_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| (\d+) +\| (.+?) +\| (.+?) +\|$", readme, flags=re.M)
+    documented = {int(id_): (read, realization) for id_, read, realization in rows}
+    expected = {
+        id_: (
+            f"`{a}`, `{b}`, `{a}*{b}`",
+            "joint-eigenbasis measurement" if chain is None else ", ".join(chain),
+        )
+        for id_, ((a, b), chain) in APPARATUSES.items()
+    }
+    assert documented == expected

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from hyperbell import optics
 from hyperbell.hilbert import (
     ATOL,
     StateVector,
@@ -17,10 +18,9 @@ from hyperbell.observables import (
     element_operator,
 )
 from hyperbell.optics import (
-    APPARATUS5_LABELS,
     BELL_LABELS,
     COMMUTATOR_ATOL,
-    OpticalElement,
+    _joint_eigenbasis,
     bell_histogram,
     bell_probabilities,
     build_apparatus,
@@ -34,6 +34,32 @@ PSI = doubly_entangled_state()
 PSI_RHO = np.outer(PSI.amps, PSI.amps.conj())
 INV = 1 / np.sqrt(2)
 
+#: Apparatus-5 detector order: the polarization-path Bell states in sign order.
+APPARATUS5_LABELS = ("phi+", "phi-", "psi+", "psi-")
+
+#: Detector sign order (s_a, s_b) of a joint-eigenbasis apparatus.
+SIGN_ORDER = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+SIGMA = {
+    "I": np.eye(2),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
+}
+
+
+def pauli(letters):
+    return np.kron(SIGMA[letters[0]], SIGMA[letters[1]])
+
+
+#: Ordered pairs of distinct, commuting two-qubit Pauli strings over {I, X, Z}.
+COMMUTING_PAIRS = [
+    (a, b)
+    for a, b in itertools.permutations(
+        ["".join(p) for p in itertools.product("IXZ", repeat=2) if p != ("I", "I")], 2
+    )
+    if np.array_equal(pauli(a) @ pauli(b), pauli(b) @ pauli(a))
+]
+
 
 # basis order on one photon: (H,u)=0, (H,d)=1, (V,u)=2, (V,d)=3
 def ket4(index):
@@ -41,7 +67,7 @@ def ket4(index):
 
 
 def test_bs_acts_on_path_only():
-    bs = element_unitary(OpticalElement("BS")).matrix
+    bs = element_unitary("BS").matrix
     # |u> -> (|u>+|d>)/sqrt2 for both polarizations
     np.testing.assert_allclose(bs @ ket4(0).amps, [INV, INV, 0, 0], atol=ATOL)
     np.testing.assert_allclose(bs @ ket4(2).amps, [0, 0, INV, INV], atol=ATOL)
@@ -50,14 +76,14 @@ def test_bs_acts_on_path_only():
 
 
 def test_hwp_acts_on_polarization_only():
-    hwp = element_unitary(OpticalElement("HWP45")).matrix
+    hwp = element_unitary("HWP45").matrix
     # |V> -> (|H>-|V>)/sqrt2, path untouched
     np.testing.assert_allclose(hwp @ ket4(2).amps, [INV, 0, -INV, 0], atol=ATOL)
     np.testing.assert_allclose(hwp @ ket4(0).amps, [INV, 0, INV, 0], atol=ATOL)
 
 
 def test_pbs_port_convention():
-    pbs = element_unitary(OpticalElement("PBS")).matrix
+    pbs = element_unitary("PBS").matrix
     # H transmits keeping its path, V reflects swapping u <-> d, no phase
     np.testing.assert_allclose(pbs @ ket4(0).amps, ket4(0).amps, atol=ATOL)
     np.testing.assert_allclose(pbs @ ket4(1).amps, ket4(1).amps, atol=ATOL)
@@ -65,34 +91,15 @@ def test_pbs_port_convention():
     np.testing.assert_allclose(pbs @ ket4(3).amps, ket4(2).amps, atol=ATOL)
 
 
-def test_phase_element():
-    shifted = element_unitary(OpticalElement("PHASE", phase=np.pi / 3, mode="d"))
-    expected = np.diag([1, np.exp(1j * np.pi / 3), 1, np.exp(1j * np.pi / 3)])
-    np.testing.assert_allclose(shifted.matrix, expected, atol=ATOL)
-    on_v = element_unitary(OpticalElement("PHASE", phase=0.5, mode="V"))
-    expected = np.diag([1, 1, np.exp(0.5j), np.exp(0.5j)])
-    np.testing.assert_allclose(on_v.matrix, expected, atol=ATOL)
-
-
-@pytest.mark.parametrize(
-    "element",
-    [
-        OpticalElement("BS"),
-        OpticalElement("HWP45"),
-        OpticalElement("PBS"),
-        OpticalElement("PHASE", phase=1.3, mode="u"),
-    ],
-)
-def test_every_element_is_unitary(element):
-    u = element_unitary(element)
+@pytest.mark.parametrize("kind", ["BS", "HWP45", "PBS"])
+def test_every_element_is_unitary(kind):
+    u = element_unitary(kind)
     np.testing.assert_allclose(u.matrix.conj().T @ u.matrix, np.eye(4), atol=ATOL)
 
 
 def test_element_validation():
-    with pytest.raises(ValueError):
-        OpticalElement("mirror")
-    with pytest.raises(ValueError):
-        OpticalElement("PHASE", mode="q")
+    with pytest.raises(ValueError, match="'mirror'"):
+        element_unitary("mirror")
 
 
 EXPECTED_ASSIGNMENT = {
@@ -167,6 +174,45 @@ def test_apparatus_5_basis_is_bell_basis():
     for d, label in enumerate(APPARATUS5_LABELS):
         assert abs(np.vdot(spec.basis[d], bells[label].amps)) == pytest.approx(1.0)
         assert spec.detector_map[d][:2] == eigen_by_label[label]
+
+
+def test_joint_eigenbases_list_detectors_in_sign_order():
+    for apparatus_id in (5, 6):
+        spec = build_apparatus(apparatus_id)
+        assert spec.elements is None
+        assert [labels[:2] for labels in spec.detector_map] == SIGN_ORDER
+
+
+def test_apparatus_6_basis_matches_the_hand_written_vectors():
+    # the joint eigenbasis of (z x', x z') written out by hand
+    h_plus, h_minus = np.array([INV, INV, 0, 0]), np.array([INV, -INV, 0, 0])
+    v_plus, v_minus = np.array([0, 0, INV, INV]), np.array([0, 0, INV, -INV])
+    expected = INV * np.array(
+        [h_plus + v_minus, h_plus - v_minus, h_minus + v_plus, h_minus - v_plus]
+    )
+    basis = build_apparatus(6).basis
+    for d in range(4):
+        assert np.abs(basis[d] - expected[d]).max() <= 1e-15
+
+
+def test_every_commuting_pauli_pair_has_a_joint_eigenbasis():
+    assert len(COMMUTING_PAIRS) == 28
+    for a, b in COMMUTING_PAIRS:
+        basis = _joint_eigenbasis(pauli(a), pauli(b), f"{a}, {b}")
+        assert np.abs(basis @ basis.conj().T - np.eye(4)).max() < ATOL
+        for vec, (s_a, s_b) in zip(basis, SIGN_ORDER):
+            assert np.abs(pauli(a) @ vec - s_a * vec).max() < ATOL
+            assert np.abs(pauli(b) @ vec - s_b * vec).max() < ATOL
+
+
+def test_dependent_pair_has_no_joint_eigenbasis(monkeypatch):
+    with pytest.raises(AssertionError, match="^ZX, ZX: "):
+        _joint_eigenbasis(pauli("ZX"), pauli("ZX"), "ZX, ZX")
+    # an apparatus that reads one element twice is named in the error
+    table = {**optics.APPARATUSES, 6: (("z2x2'", "z2x2'"), None)}
+    monkeypatch.setattr(optics, "APPARATUSES", table)
+    with pytest.raises(AssertionError, match="^apparatus 6: "):
+        build_apparatus.__wrapped__(6)
 
 
 def test_build_apparatus_rejects_bad_id():
