@@ -69,8 +69,8 @@ def run_lhv(args):
 
 def text_lhv(payload) -> list[str]:
     rows, witness = payload["rows"], payload["witness"]
-    # The parity proof closes on the last row that y selects, a fact of the table.
-    closing = rows[max(i for i, bit in enumerate(lhv.parity_argument()) if bit)]
+    # The parity proof closes on the last row that y selects.
+    closing = rows[payload["parity_rows"][-1] - 1]
     return [
         "local-hidden-variable certificate",
         f"  assignments scanned : {payload['assignments_scanned']}",
@@ -254,7 +254,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check(args: argparse.Namespace) -> None:
     """Pass each input through the library's own validator; raises its ``ValueError``."""
-    if "shots" in args:
+    if "shots" in args and args.command == "sweep":
+        experiment._sweep_shot_count(args.shots)
+    elif "shots" in args:
         # A standard error needs two shots; bell reports counts only.
         optics._shot_count(args.shots, 1 if args.command == "bell" else 2)
     if "seed" in args:

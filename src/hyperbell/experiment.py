@@ -6,18 +6,18 @@ traceless, so exact expectations tr(rho Q) scale linearly,
 <Q>(V) = V * <Q>(1); in particular the Bell-Mermin value is 9V and crosses the
 local-realistic ceiling of 7 exactly at V = 7/9.
 
-Shots are independent and identically distributed, so the 4 x 4 histogram of
-detector patterns is a sufficient statistic for every estimate.  A setting's
-Born distribution is diag(K rho K^dagger), K = conj(B1) (x) conj(B2).  K is
-unitary, so K I K^dagger = I and white noise adds exactly (1-V)/16 to every
-pattern: p(V) = V p_Psi + (1-V)/16 with p_Psi = diag(K |Psi><Psi| K^dagger).
-The nine rows' p_Psi are one (9, 16) table, built once by the general Born
-rule; a visibility, or a whole grid, costs one broadcast of the mixture and
-one check, and then one multinomial draw per visibility of its 9 x 16 count
-table from its own generator.  ``sample_pair_counts`` (``simulate``) draws
-from the Born distribution of any density matrix.  Means and standard errors
-are read off the counts, so cost and memory do not grow with the shot count.
-All randomness flows from one seed.
+Shots are iid, so a row's estimate and SE need only n+, its shots at +1, and
+n+ ~ Binomial(n, p+) is the marginal of its detector-pattern counts.  Its
+Born distribution is diag(K rho K^dagger), K = conj(B1) (x) conj(B2); K is
+unitary, so white noise adds exactly (1-V)/16 to every pattern and, over the
+row's k = 8 patterns at +1, p+(V) = V p+_Psi + (1-V) k/16.  Each p+_Psi is
+summed once from its pair's |Psi> distribution, built by the general Born
+rule, and the detector maps' pattern values; a visibility then costs one
+check of p+ and one binomial draw of the nine rows from its own generator.
+``sample_pair_counts`` (``simulate``) draws all 16 pattern counts of any
+density matrix, as its fifteen quantities need them.  Estimates are read off
+the counts, so cost and memory do not grow with the shot count.  All
+randomness flows from one seed.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .hilbert import ATOL
 from .lhv import CONSTRAINTS, LHV_BOUND, ROW_APPARATUS_PAIRS
 from .observables import (
     CONSTRAINT_ROWS,
@@ -39,7 +40,7 @@ from .observables import (
 )
 # MAX_SHOTS, the largest shot count the samplers accept, is re-exported here.
 from .optics import MAX_SHOTS, _integer, _shot_count, born_distributions, build_apparatus
-from .optics import check_distributions, pattern_bras, pattern_distribution, readout_table
+from .optics import pattern_bras, pattern_distribution, readout_table
 
 #: Fixed default seed used whenever the caller does not pass one.
 DEFAULT_SEED = 12345
@@ -64,6 +65,13 @@ def _seed(seed) -> int:
     return _integer(seed, 0, 2**64 - 1, "seed must be an integer in [0, 2**64 - 1]")
 
 
+def _visibility(value) -> float:
+    """``value`` as a float in [0, 1]; bools and non-numbers raise ``ValueError`` naming it."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 <= value <= 1:
+        raise ValueError(f"visibility must be a number in [0, 1], got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """White-noise admixture; the visibility is a real number in [0, 1], not a bool."""
@@ -71,10 +79,7 @@ class NoiseModel:
     visibility: float
 
     def __post_init__(self):
-        value = self.visibility
-        if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 <= value <= 1:
-            raise ValueError(f"visibility must be a number in [0, 1], got {value!r}")
-        object.__setattr__(self, "visibility", float(value))
+        object.__setattr__(self, "visibility", _visibility(self.visibility))
 
 
 @lru_cache(maxsize=None)
@@ -101,13 +106,12 @@ def _mixed(v) -> np.ndarray:
 
 def noisy_state(visibility: float) -> np.ndarray:
     """rho = V |Psi><Psi| + (1-V) I/16 as a read-only 16 x 16 density matrix."""
-    return _mixed(NoiseModel(visibility).visibility)
+    return _mixed(_visibility(visibility))
 
 
 def _visibilities(values: Sequence[float]) -> np.ndarray:
-    """Visibilities checked by ``NoiseModel``, as a float array of shape (n, 1, 1)."""
-    v = np.array([NoiseModel(x).visibility for x in values], dtype=np.float64)
-    return v.reshape(-1, 1, 1)
+    """Visibilities checked by ``_visibility``, as a float column of shape (n, 1)."""
+    return np.array([_visibility(x) for x in values], dtype=np.float64).reshape(-1, 1)
 
 
 @lru_cache(maxsize=None)
@@ -156,19 +160,6 @@ class CorrelationEstimate:
 
 # -- sampling ---------------------------------------------------------------
 
-def _draw_counts(probs: np.ndarray, shots: int, rngs) -> np.ndarray:
-    """Counts (n, m, 16) of ``shots`` draws from each of m distributions at n points.
-
-    ``probs`` has shape (n, m, 16) and ``rngs`` gives one generator per
-    point.  A point's draw fills its m settings in order, so it equals m
-    sequential one-setting draws from the same generator.
-    """
-    counts = np.empty(probs.shape, dtype=np.int64)
-    for out, p, rng in zip(counts, probs, rngs):
-        out[...] = rng.multinomial(shots, p)
-    return counts
-
-
 def sample_pair_counts(
     a1_id: int,
     a2_id: int,
@@ -183,7 +174,7 @@ def sample_pair_counts(
     """
     count = _shot_count(shots)
     probs = pattern_distribution(build_apparatus(a1_id), build_apparatus(a2_id), density)
-    return _draw_counts(probs.reshape(1, 1, 16), count, (rng,)).reshape(4, 4)
+    return rng.multinomial(count, probs.ravel()).reshape(4, 4)
 
 
 def counted_mean(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -207,12 +198,13 @@ def _plus_minus_mean(plus: int, n: int) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def _row_tables() -> tuple[np.ndarray, np.ndarray]:
-    """|Psi> distributions p_Psi (9, 16) and +-1 values (9, 16) of the rows at their pairs.
+def _row_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """+-1 values (9, 16) of the rows at their pairs, p+_Psi (9,) and k/16 (9,).
 
-    Row i holds constraint i+1: its pair's Born distribution of |Psi> and the
-    product of its variables, over the flat patterns 4*d1 + d2.  Neither
-    depends on the visibility, so both are built once, on first use.
+    Row i holds constraint i+1: the product of its variables over the flat
+    patterns 4*d1 + d2, the |Psi> Born distribution of its pair summed over
+    its k patterns at +1, and k/16.  None depends on the visibility, so all
+    are built once, on first use.
     """
     bras, values = [], []
     for constraint in CONSTRAINTS:
@@ -221,41 +213,49 @@ def _row_tables() -> tuple[np.ndarray, np.ndarray]:
         table = readout_table(a1, a2)
         bras.append(pattern_bras(a1, a2))
         values.append(np.prod([table[name] for name in constraint.variables], axis=0))
-    tables = born_distributions(np.concatenate(bras), _noise_terms()[0]), np.array(values)
+    values, p_psi = np.array(values), born_distributions(np.concatenate(bras), _noise_terms()[0])
+    tables = values, (p_psi * (values > 0)).sum(axis=1), (values > 0).sum(axis=1) / 16.0
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _row_distributions(visibilities: np.ndarray) -> np.ndarray:
-    """Born distributions (n, 9, 16) of the nine rows at visibilities of shape (n, 1, 1).
+def _plus_probabilities(visibilities) -> np.ndarray:
+    """p+(V) = V p+_Psi + (1-V) k/16 of the nine rows, checked once and clipped to [0, 1].
 
-    K is unitary, so white noise puts exactly (1-V)/16 on every pattern and
-    p(V) = V p_Psi + (1-V)/16: one broadcast, checked once with the bounds of
-    the Born rule.
+    ``visibilities`` is one float, giving shape (9,), or a column (n, 1),
+    giving (n, 9) with the same bits per point.
     """
-    return check_distributions(visibilities * _row_tables()[0] + (1.0 - visibilities) / 16.0)
+    _, plus_psi, uniform = _row_tables()
+    probs = visibilities * plus_psi + (1.0 - visibilities) * uniform
+    if probs.size and (probs.min() <= -ATOL or probs.max() >= 1.0 + ATOL):
+        raise ValueError("density matrix is not a unit-trace positive state")
+    return probs.clip(0.0, 1.0)
 
 
-def _sample_rows(visibilities: np.ndarray, shots: int, seeds) -> list[list[tuple[float, float]]]:
-    """(mean, SE) of the nine rows at each visibility, one generator per visibility.
+def _plus_counts(probs: np.ndarray, shots: int, seed) -> list[int]:
+    """n+ of the nine rows at one point: one binomial draw from the generator of ``seed``.
 
-    The one row sampler: ``estimate_rows`` and ``estimate_mermin`` call it
-    with one visibility, ``visibility_sweep`` with its grid.  ``seeds`` gives
-    each generator's seed; n+ of every row comes from one int64 reduction.
+    The one row sampler.  It fills the rows in order, as nine sequential draws.
     """
-    values = _row_tables()[1]
-    rngs = map(np.random.default_rng, seeds)
-    counts = _draw_counts(_row_distributions(visibilities), shots, rngs)
-    plus = np.sum(counts, axis=-1, where=values > 0).tolist()
-    return [[_plus_minus_mean(p, shots) for p in row] for row in plus]
+    return np.random.default_rng(seed).binomial(shots, probs).tolist()
 
 
-def _mermin_value(rows: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """O from the nine rows' (mean, SE): signed means summed, SEs in quadrature."""
-    total = sum(c.required_product * mean for c, (mean, _) in zip(CONSTRAINTS, rows))
-    variance = sum(se**2 for _, se in rows)
-    return float(total), math.sqrt(variance)
+def _sample_point(shots_per_setting, visibility, seed) -> tuple[int, list[int]]:
+    """Checked shots (at least 2, for a standard error) and n+ of the nine rows at V."""
+    shots = _shot_count(shots_per_setting, 2)
+    return shots, _plus_counts(_plus_probabilities(_visibility(visibility)), shots, seed)
+
+
+def _mermin_value(plus: Sequence[int], shots: int) -> tuple[float, float]:
+    """O and its SE from the nine rows' n+: signed row means summed, SEs in quadrature.
+
+    Means are (2 n+ - n)/n, as in ``estimate_rows``; the variances
+    4 n+ n- / ((n-1) n^2) are summed as exact integers and divided once.
+    """
+    total = sum(c.required_product * ((2 * p - shots) / shots) for c, p in zip(CONSTRAINTS, plus))
+    spread = sum(p * (shots - p) for p in plus)
+    return float(total), 2.0 * math.sqrt(spread / (shots - 1)) / shots
 
 
 def estimate_rows(
@@ -265,16 +265,14 @@ def estimate_rows(
 ) -> list[CorrelationEstimate]:
     """Sampled correlation of every constraint row at its matched pair.
 
-    One multinomial draw gives the 9 x 16 count table of the nine rows'
-    distributions V p_Psi + (1-V)/16.  The generator fills the rows in order,
-    so the counts equal nine sequential draws from one generator, and a fixed
-    seed fixes every estimate.
+    One binomial draw gives n+ of the nine rows, each with its p+(V); the
+    generator fills the rows in order, so a fixed seed fixes every estimate.
+    A standard error needs at least 2 shots.
     """
-    shots = _shot_count(shots_per_setting)
-    (rows,) = _sample_rows(_visibilities((visibility,)), shots, (seed,))
+    shots, plus = _sample_point(shots_per_setting, visibility, seed)
     return [
-        CorrelationEstimate(constraint.id, shots, mean, std_error)
-        for constraint, (mean, std_error) in zip(CONSTRAINTS, rows)
+        CorrelationEstimate(constraint.id, shots, *_plus_minus_mean(p, shots))
+        for constraint, p in zip(CONSTRAINTS, plus)
     ]
 
 
@@ -307,13 +305,12 @@ def estimate_mermin(
 ) -> CorrelationEstimate:
     """Monte Carlo estimate of the Bell-Mermin value under white noise.
 
-    Each of the nine terms is sampled at its matched apparatus pair, as in
-    ``estimate_rows``; the signed term means are summed and the standard
-    errors combined in quadrature.
+    Each of the nine terms is sampled at its matched apparatus pair, by the
+    same draw as ``estimate_rows``; the signed term means are summed and the
+    standard errors combined in quadrature.
     """
-    shots = _shot_count(shots_per_setting)
-    (rows,) = _sample_rows(_visibilities((visibility,)), shots, (seed,))
-    return CorrelationEstimate("O", shots, *_mermin_value(rows))
+    shots, plus = _sample_point(shots_per_setting, visibility, seed)
+    return CorrelationEstimate("O", shots, *_mermin_value(plus, shots))
 
 
 # -- visibility sweep --------------------------------------------------------
@@ -376,6 +373,12 @@ class SweepTable(Sequence[SweepPoint]):
         return f"SweepTable({list(self)!r})"
 
 
+def _sweep_shot_count(shots) -> int:
+    """Shots per setting of a sweep: 0 (exact values only) or an integer in [2, 2**63 - 1]."""
+    rule = "shots must be 0 or an integer in [2, 2**63 - 1]"
+    return _integer(shots, 0, 0, rule) if shots == 0 else _integer(shots, 2, MAX_SHOTS, rule)
+
+
 def visibility_sweep(
     grid: Sequence[float],
     shots_per_setting: int = 0,
@@ -383,22 +386,21 @@ def visibility_sweep(
 ) -> SweepTable:
     """Exact and (optionally) sampled Bell-Mermin values across visibilities.
 
-    ``shots_per_setting=0`` skips sampling.  Each grid point samples from its
-    own child seed, ``SeedSequence(seed).spawn(len(grid))`` in grid order, so
-    points are independent, the table is reproducible, and a row equals
-    ``estimate_mermin(shots_per_setting, v, child)``.  The grid's density
-    matrices, one broadcast, serve only the exact column; the sampler mixes
-    the rows' |Psi> distributions with the uniform noise term instead.
+    ``shots_per_setting=0`` skips sampling; else it is at least 2.  Each grid
+    point samples from its own child seed, ``SeedSequence(seed).spawn(len(grid))``
+    in grid order, so points are independent, the table is reproducible, and
+    a row equals ``estimate_mermin(shots_per_setting, v, child)``.  The grid's
+    density matrices, one broadcast, serve only the exact column.
     """
-    shots = _shot_count(shots_per_setting, minimum=0)
+    shots = _sweep_shot_count(shots_per_setting)
     visibilities = _visibilities(grid)
     columns = np.full((len(visibilities), 4), np.nan)
     columns[:, 0] = visibilities.ravel()
-    columns[:, 1] = [exact_expectation("O", rho) for rho in _mixed(visibilities)]
+    columns[:, 1] = [exact_expectation("O", rho) for rho in _mixed(visibilities[:, :, None])]
     if shots:
         children = np.random.SeedSequence(seed).spawn(len(visibilities))
-        for row, stats in zip(columns, _sample_rows(visibilities, shots, children)):
-            row[2:] = _mermin_value(stats)
+        for row, probs, child in zip(columns, _plus_probabilities(visibilities), children):
+            row[2:] = _mermin_value(_plus_counts(probs, shots, child), shots)
     columns.setflags(write=False)
     return SweepTable(columns)
 

@@ -233,6 +233,7 @@ class ContradictionCertificate:
             "mermin_min": self.mermin_min,
             "quantum_value": QUANTUM_VALUE,
             "parity_product": self.parity_product,
+            "parity_rows": list(self.parity_rows),
             "witness": self.witness.as_dict(),
             "rows": [
                 {

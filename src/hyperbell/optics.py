@@ -16,7 +16,7 @@ per photon, as projective measurements in the joint eigenbasis of their two
 elements A and B.  Detector d, with signs (s_a, s_b) in the order (+,+),
 (+,-), (-,+), (-,-), is the first nonzero column of (1 + s_a A)(1 + s_b B)
 built from the elements' Pauli strings, normalized; for apparatus 5 these are
-the polarization-path Bell states phi+, phi-, psi+, psi-.
+the polarization-path Bell states phi+, phi-, psi+, psi-, read by ``bell``.
 
 Every detector is mapped to the eigenvalues of the apparatus's three
 quantities, each eigenvalue extracted independently from its own operator and
@@ -37,9 +37,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import ATOL, Operator, StateVector, commutator_norm, inner, matmul
+from .hilbert import ATOL, Operator, StateVector, commutator_norm, matmul
 from .lhv import APPARATUSES, element_photon
-from .observables import build_bell_states, element_operator
+from .observables import element_operator
 
 #: Commutation tolerance for the two primary observables of one apparatus.
 COMMUTATOR_ATOL = 1e-13
@@ -50,7 +50,7 @@ _EYE2 = np.eye(2, dtype=np.complex128)
 #: Detector port labels for the element-chain apparatuses, index 2*pol + path.
 PORT_LABELS = ("(H,u)", "(H,d)", "(V,u)", "(V,d)")
 
-#: Largest shot count of one setting; ``Generator.multinomial`` counts in int64.
+#: Largest shot count of one setting; ``Generator.binomial`` and ``multinomial`` count in int64.
 MAX_SHOTS = 2**63 - 1
 
 
@@ -268,28 +268,19 @@ def born_distributions(bras: np.ndarray, density: np.ndarray) -> np.ndarray:
 
     ``bras`` stacks the settings' pattern-bra matrices K row-wise, shape
     (m*16, 16); the result has shape (m, 16), one distribution per setting.
-    It passes ``check_distributions``, then round-off below zero is clipped
-    and each distribution renormalized, so it can feed
-    ``Generator.multinomial`` directly.
+    Entries may fall below zero by less than ``ATOL`` and each distribution
+    must sum to 1 within 1e-9, or the state is not a unit-trace positive one
+    (``ValueError``; an empty stack passes).  Round-off below zero is then
+    clipped and each distribution renormalized.
     """
     rho = np.asarray(density)
     if rho.shape != (16, 16):
         raise ValueError("pair measurement expects a 16 x 16 density matrix")
-    raw = ((bras @ rho) * bras.conj()).sum(axis=-1).real
-    probs = np.clip(check_distributions(raw.reshape(-1, 16)), 0.0, None)
-    return probs / probs.sum(axis=-1, keepdims=True)
-
-
-def check_distributions(probs: np.ndarray) -> np.ndarray:
-    """``probs`` itself, if each distribution on its last axis is one; else ``ValueError``.
-
-    Entries may fall below zero by less than ``ATOL`` and each distribution
-    must sum to 1 within 1e-9, or the state behind them is not a unit-trace
-    positive one.  An empty stack passes.
-    """
-    if probs.size and (probs.min() <= -ATOL or np.abs(probs.sum(axis=-1) - 1.0).max() >= 1e-9):
+    raw = ((bras @ rho) * bras.conj()).sum(axis=-1).real.reshape(-1, 16)
+    if raw.size and (raw.min() <= -ATOL or np.abs(raw.sum(axis=-1) - 1.0).max() >= 1e-9):
         raise ValueError("density matrix is not a unit-trace positive state")
-    return probs
+    probs = np.clip(raw, 0.0, None)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def pattern_distribution(
@@ -315,15 +306,18 @@ def readout_table(a1: ApparatusSpec, a2: ApparatusSpec) -> dict[str, np.ndarray]
 #: Label order used by the Bell discriminator.
 BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 
+#: The Bell state on each of apparatus 5's detectors, in its sign order of (z z', x x').
+_BELL_DETECTORS = ("phi+", "phi-", "psi+", "psi-")
+
 
 def bell_probabilities(state: StateVector) -> dict[str, float]:
-    """Projection probabilities of a single-photon state onto the Bell basis."""
+    """Projection probabilities of a single-photon state onto apparatus 5's Bell basis."""
     if state.dim != 4:
         raise ValueError("Bell discrimination expects a 4-dim pol-path state")
     if not state.normalized:
         raise ValueError("Bell discrimination expects a normalized state")
-    bells = build_bell_states("pol-path")
-    return {label: abs(inner(bells[label], state)) ** 2 for label in BELL_LABELS}
+    bells = dict(zip(_BELL_DETECTORS, build_apparatus(5).basis))
+    return {label: abs(complex(np.vdot(bells[label], state.amps))) ** 2 for label in BELL_LABELS}
 
 
 def bell_histogram(

@@ -86,6 +86,7 @@ def test_lhv_json_roundtrip():
     assert payload["mermin_max"] == 7
     assert payload["mermin_min"] == -9
     assert payload["parity_product"] == 1
+    assert payload["parity_rows"] == list(range(1, 10))
     # round-trip through the schema'd structure is byte stable
     assert json.loads(json.dumps(payload)) == payload
 
@@ -181,6 +182,15 @@ def test_sweep_json_schema():
     assert payload["rows"][1]["violated"] == "yes"
 
 
+def test_sweep_at_zero_shots_is_the_exact_only_table(capsys):
+    assert cli.main(["sweep", "--shots", "0", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    validate(payload, "sweep")
+    assert payload["shots_per_setting"] == 0
+    assert all(row["est_O"] is None and row["std_err"] is None for row in payload["rows"])
+    assert [row["v"] for row in payload["rows"]] == list(experiment.DEFAULT_GRID)
+
+
 def test_sweep_rejects_bad_grid():
     result = run_cli("sweep", "--grid", "0.5", "1.5", "--shots", "10")
     message = library_message(experiment._visibilities, [0.5, 1.5])
@@ -266,8 +276,11 @@ def test_unwritable_output_is_a_usage_error():
 )
 def test_shot_count_beyond_int64_rejected(args):
     result = run_cli(*args, "--shots", "99999999999999999999")
-    minimum = 1 if args[0] == "bell" else 2
-    message = library_message(optics._shot_count, 99999999999999999999, minimum)
+    if args[0] == "sweep":
+        message = library_message(experiment._sweep_shot_count, 99999999999999999999)
+    else:
+        minimum = 1 if args[0] == "bell" else 2
+        message = library_message(optics._shot_count, 99999999999999999999, minimum)
     assert_usage_error(result.returncode, result.stdout, result.stderr, message)
 
 
@@ -281,7 +294,10 @@ def test_shot_count_beyond_int64_rejected(args):
 )
 def test_one_shot_rejected_where_a_standard_error_is_reported(args):
     result = run_cli(*args, "--shots", "1")
-    message = library_message(optics._shot_count, 1, 2)
+    if args[0] == "sweep":
+        message = library_message(experiment._sweep_shot_count, 1)
+    else:
+        message = library_message(optics._shot_count, 1, 2)
     assert_usage_error(result.returncode, result.stdout, result.stderr, message)
     assert run_cli(*args, "--shots", "2").returncode == 0
 
@@ -294,7 +310,7 @@ _A = optics.build_apparatus
     [
         (["mermin", "--shots", "1"], optics._shot_count, (1, 2)),
         (["simulate", "--apparatus-pair", "1", "4", "--shots", "1"], optics._shot_count, (1, 2)),
-        (["sweep", "--shots", "1"], optics._shot_count, (1, 2)),
+        (["sweep", "--shots", "1"], experiment._sweep_shot_count, (1,)),
         (["mermin", "--shots", str(2**64)], optics._shot_count, (2**64, 2)),
         (["bell", "--shots", str(2**64)], optics._shot_count, (2**64, 1)),
         (["mermin", "--visibility", "1.5"], experiment.NoiseModel, (1.5,)),

@@ -159,20 +159,22 @@ def test_exact_expectation_validates_its_inputs(quantity, density, expected):
 @pytest.mark.parametrize("shots", [2, 100, MAX_SHOTS])
 @pytest.mark.parametrize("seed, visibility", [(0, 0.0), (7, 0.5), (12345, 0.9), (99, 1.0)])
 def test_estimate_rows_equals_sequential_pair_draws(shots, seed, visibility):
-    # reference: the nine settings drawn one by one from one generator, each
-    # from its pair's |Psi> distribution mixed with the uniform noise term,
-    # and each row's values multiplied out from the readout table of its pair
+    # reference: nine sequential binomial draws of n+ from one generator, row
+    # by row; each row's p+ is its |Psi> distribution at its pair summed over
+    # the patterns where the row's product, multiplied out from the readout
+    # table, is +1, mixed with the uniform noise term's share k/16
     rng = np.random.default_rng(seed)
     pure = noisy_state(1.0)
     reference = []
     for constraint in CONSTRAINTS:
         a1_id, a2_id = ROW_APPARATUS_PAIRS[constraint.id]
         a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
-        probs = visibility * pattern_distribution(a1, a2, pure) + (1 - visibility) / 16
-        counts = rng.multinomial(shots, probs.ravel())
         table = readout_table(a1, a2)
-        values = np.prod([table[name] for name in constraint.variables], axis=0)
-        mean, se = counted_mean(counts, values)
+        plus = np.prod([table[name] for name in constraint.variables], axis=0) > 0
+        plus_psi = pattern_distribution(a1, a2, pure).ravel()[plus].sum()
+        p = visibility * plus_psi + (1 - visibility) * plus.sum() / 16
+        n_plus = int(rng.binomial(shots, p))
+        mean, se = counted_mean(np.array([n_plus, shots - n_plus]), np.array([1, -1]))
         reference.append(CorrelationEstimate(constraint.id, shots, mean, se))
     assert estimate_rows(shots, visibility, seed) == reference
 
@@ -389,6 +391,10 @@ def test_sweep_of_an_empty_grid_is_an_empty_table():
         assert len(table) == 0 and list(table) == []
         assert table.columns.shape == (0, 4)
         assert _sweep_csv(table) == ["v,exact_O,est_O,std_err,lhv_bound,violated"]
+    # one shot gives no standard error, so it is never a sweep's shot count
+    rule = "shots must be 0 or an integer in [2, 2**63 - 1], got 1"
+    with pytest.raises(ValueError, match=re.escape(rule)):
+        visibility_sweep((), 1)
 
 
 def test_sweep_table_slices_to_a_table():

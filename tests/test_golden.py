@@ -44,6 +44,9 @@ CASES = {
     "sweep.txt": ["sweep", "--format", "text"],
     "sweep.json": ["sweep", "--format", "json"],
     "sweep_shots1000.csv": ["sweep", "--shots", "1000"],
+    # Exact values only: the renderers' cells for points not sampled.
+    "sweep_exact.txt": ["sweep", "--shots", "0", "--format", "text"],
+    "sweep_exact.csv": ["sweep", "--shots", "0"],
     # The shape of a benchmark scan: 21 points across 7/9 at 100 shots.
     "sweep_scan_shots100_seed7.json": [
         "sweep", "--grid", *(f"{0.70 + k / 100:.2f}" for k in range(21)),

@@ -183,6 +183,7 @@ def test_certificate_serialization():
     assert payload["assignments_scanned"] == 4096
     assert len(payload["rows"]) == 9
     assert sum(row["satisfied"] for row in payload["rows"]) == 8
+    assert payload["parity_rows"] == list(certificate.parity_rows)
     text = "\n".join(cli.text_lhv(payload))
     assert "max satisfied" in text and "8 of 9" in text
     for name in ELEMENTS:

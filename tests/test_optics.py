@@ -341,6 +341,18 @@ def test_bell_probabilities_of_named_states():
         assert sum(probs.values()) == pytest.approx(1.0, abs=ATOL)
 
 
+def test_bell_probabilities_match_the_hand_written_bell_states():
+    # apparatus 5's table-derived basis against the hand-written amplitudes
+    bells = build_bell_states("pol-path")
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        state = StateVector(raw / np.linalg.norm(raw))
+        expected = {label: abs(np.vdot(bells[label].amps, state.amps)) ** 2
+                    for label in BELL_LABELS}
+        assert bell_probabilities(state) == expected
+
+
 def test_bell_probabilities_of_product_ket():
     # |H,u> = (phi+ + phi-)/sqrt2: never psi+-, each phi half the time
     probs = bell_probabilities(basis_ket(4, 0))

@@ -4,10 +4,10 @@ rho = A A^dagger / tr(A A^dagger) with A a complex 16 x k matrix, k in 1..16;
 k = 1 gives pure states.  The batched Born computation of the nine rows is
 checked against the per-pair one, the detector marginals against no
 signalling, and the correlations read off the detector maps against
-tr(rho Q) from the operators.  The sampler's white-noise mixture
-V p_Psi + (1-V)/16 is checked against the Born rule and tr(rho Q) on
-noisy_state(V), and the batched visibility sweep bit for bit against its
-points computed one at a time.
+tr(rho Q) from the operators.  Each row's probability of reading +1 is
+checked against (1 + tr(rho R))/2, the sampler's white-noise p+(V) against
+the Born rule of noisy_state(V), and the batched visibility sweep bit for bit
+against its points computed one at a time.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from hyperbell.experiment import (
     MAX_SHOTS,
     ROW_APPARATUS_PAIRS,
-    _row_distributions,
+    _plus_probabilities,
     _row_tables,
     _visibilities,
     estimate_mermin,
@@ -55,7 +55,7 @@ def row_bras():
 
 
 def row_distributions(rho):
-    return born_distributions(row_bras(), rho), _row_tables()[1]
+    return born_distributions(row_bras(), rho), _row_tables()[0]
 
 
 @settings(deadline=None)
@@ -100,28 +100,39 @@ def test_row_correlations_match_operator_traces(rho):
 
 
 @settings(deadline=None)
+@given(density_matrices())
+def test_row_plus_probability_is_half_of_one_plus_the_correlation(rho):
+    # the sampler draws n+ ~ Binomial(n, p+); p+ summed over the +1 patterns of
+    # diag(K rho K^dagger) must be (1 + tr(rho R))/2 for every row R
+    probs, values = row_distributions(rho)
+    plus = (probs * (values > 0)).sum(axis=1)
+    for constraint, p in zip(CONSTRAINTS, plus):
+        assert abs(p - (1.0 + exact_expectation(constraint.id, rho)) / 2.0) <= 1e-12
+
+
+@settings(deadline=None)
 @given(st.lists(st.floats(0.0, 1.0), max_size=6))
 def test_sampled_mixture_is_the_born_rule_of_the_noisy_state(drawn):
-    # the sampler never builds rho; its rows must still be diag(K rho K^dagger)
-    # of rho = noisy_state(V), with correlations tr(rho Q_row)
+    # the sampler never builds rho; its p+(V) must still be the +1 patterns'
+    # share of diag(K rho K^dagger) for rho = noisy_state(V), one point or a grid
     grid = [0.0, 7.0 / 9.0, 1.0, *drawn]
-    probs = _row_distributions(_visibilities(grid))
-    values = _row_tables()[1]
-    assert probs.shape == (len(grid), 9, 16)
+    probs = _plus_probabilities(_visibilities(grid))
+    values = _row_tables()[0]
+    assert probs.shape == (len(grid), 9)
     for v, rows in zip(grid, probs):
+        assert np.array_equal(_plus_probabilities(v), rows)
         rho = noisy_state(v)
-        for constraint, row, row_values in zip(CONSTRAINTS, rows, values):
+        for constraint, p, row_values in zip(CONSTRAINTS, rows, values):
             a1_id, a2_id = ROW_APPARATUS_PAIRS[constraint.id]
             pair = pattern_distribution(build_apparatus(a1_id), build_apparatus(a2_id), rho)
-            assert np.abs(row - pair.ravel()).max() <= 1e-12
-            assert abs(row @ row_values - exact_expectation(constraint.id, rho)) <= 1e-12
+            assert abs(p - pair.ravel()[row_values > 0].sum()) <= 1e-12
 
 
 def test_sampled_mixture_is_checked():
-    # the Born-rule bounds apply to the mixture: V = 1.5 puts -1/32 on the
-    # patterns |Psi> never reaches
-    with pytest.raises(ValueError, match="not a unit-trace positive state"):
-        _row_distributions(np.full((1, 1, 1), 1.5))
+    # p+ is a probability: V = 1.5 gives -1/4 on the rows |Psi> never reads +1
+    for visibilities in (1.5, np.array([[0.5], [1.5]])):
+        with pytest.raises(ValueError, match="not a unit-trace positive state"):
+            _plus_probabilities(visibilities)
 
 
 #: Grid points: the ends, the threshold 7/9, and arbitrary values in between.
@@ -157,5 +168,5 @@ def test_batched_born_rule_takes_an_empty_stack():
     # min() on an empty array
     probs = born_distributions(np.empty((0, 16), complex), noisy_state(0.5))
     assert probs.shape == (0, 16)
-    assert _row_distributions(_visibilities(())).shape == (0, 9, 16)
+    assert _plus_probabilities(_visibilities(())).shape == (0, 9)
     assert len(visibility_sweep((), 100)) == 0
