@@ -13,7 +13,11 @@ unitary, so white noise adds exactly (1-V)/16 to every pattern and, over the
 row's k = 8 patterns at +1, p+(V) = V p+_Psi + (1-V) k/16.  Each p+_Psi is
 summed once from its pair's |Psi> distribution, built by the general Born
 rule, and the detector maps' pattern values; a visibility then costs one
-check of p+ and one binomial draw of the nine rows from its own generator.
+check of p+ and nine scalar binomial draws, in row order, from its own
+generator.  A sweep point's generator is its child of
+``SeedSequence(seed).spawn(len(grid))``: the children's PCG64 states are
+computed in one vectorized pass from the parent's pool, equal to numpy's
+``spawn``, and set in turn on one generator per sweep.
 ``sample_pair_counts`` (``simulate``) draws all 16 pattern counts of any
 density matrix, as its fifteen quantities need them.  Estimates are read off
 the counts, so cost and memory do not grow with the shot count.  All
@@ -233,18 +237,21 @@ def _plus_probabilities(visibilities) -> np.ndarray:
     return probs.clip(0.0, 1.0)
 
 
-def _plus_counts(probs: np.ndarray, shots: int, seed) -> list[int]:
-    """n+ of the nine rows at one point: one binomial draw from the generator of ``seed``.
+def _plus_counts(probs: np.ndarray, shots: int, gen: np.random.Generator) -> list[int]:
+    """n+ of the nine rows at one point, drawn from ``gen`` in row order.
 
-    The one row sampler.  It fills the rows in order, as nine sequential draws.
+    The one row sampler.  Nine scalar draws are the same stream as one array
+    draw of the nine rows, without numpy's array-argument checks;
+    ``_plus_probabilities`` has already checked p+.
     """
-    return np.random.default_rng(seed).binomial(shots, probs).tolist()
+    return [gen.binomial(shots, p) for p in probs.tolist()]
 
 
 def _sample_point(shots_per_setting, visibility, seed) -> tuple[int, list[int]]:
     """Checked shots (at least 2, for a standard error) and n+ of the nine rows at V."""
     shots = _shot_count(shots_per_setting, 2)
-    return shots, _plus_counts(_plus_probabilities(_visibility(visibility)), shots, seed)
+    probs = _plus_probabilities(_visibility(visibility))
+    return shots, _plus_counts(probs, shots, np.random.default_rng(seed))
 
 
 def _mermin_value(plus: Sequence[int], shots: int) -> tuple[float, float]:
@@ -265,8 +272,9 @@ def estimate_rows(
 ) -> list[CorrelationEstimate]:
     """Sampled correlation of every constraint row at its matched pair.
 
-    One binomial draw gives n+ of the nine rows, each with its p+(V); the
-    generator fills the rows in order, so a fixed seed fixes every estimate.
+    Nine binomial draws give n+ of the nine rows, each with its p+(V), in
+    row order from the generator of ``seed``, so a fixed seed fixes every
+    estimate.
     A standard error needs at least 2 shots.
     """
     shots, plus = _sample_point(shots_per_setting, visibility, seed)
@@ -379,28 +387,81 @@ def _sweep_shot_count(shots) -> int:
     return _integer(shots, 0, 0, rule) if shots == 0 else _integer(shots, 2, MAX_SHOTS, rule)
 
 
+def _hash_constants(init: int, multiplier: int, first: int, count: int) -> np.ndarray:
+    """Column of init * multiplier**k mod 2**32 for k = first .. first + count - 1."""
+    words = [init * multiplier**k & 0xFFFFFFFF for k in range(first, first + count)]
+    return np.array(words, dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence hash constants.  Each hash XORs a word with one constant
+# and multiplies it by the next.  A child's pool has advanced INIT_A by MULT_A
+# 16 times before its spawn key is hashed; generate_state starts at INIT_B.
+_SPAWN_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16, 5)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 0, 9)
+_MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2**128 - 1
+
+
+def _child_states(pool: np.ndarray, n: int) -> list[dict]:
+    """PCG64 states of the children of ``SeedSequence(seed).spawn(n)``, from its ``pool``.
+
+    A seed below 2**64 is at most two entropy words, and child i's entropy is
+    them padded with zeros to the pool's four words, then the key word i.  So
+    its pool is the parent's with i hashed into each word, and the four
+    hash-and-mix steps run on a (4, n) array, the eight words of
+    ``generate_state(4, uint64)`` on an (8, n) array, and PCG64's srandom on
+    Python ints.  Each dict equals ``np.random.PCG64(child).state``.
+    """
+    key = (np.arange(n, dtype=np.uint32) ^ _SPAWN_HASH[:-1]) * _SPAWN_HASH[1:]
+    key ^= key >> 16
+    mixed = pool[:, None] * _MIX_LEFT - key * _MIX_RIGHT
+    mixed ^= mixed >> 16
+    words = (np.tile(mixed, (2, 1)) ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
+    words ^= words >> 16
+    words = words.astype(np.uint64)
+    states = []
+    for seed_high, seed_low, inc_high, inc_low in (words[0::2] | words[1::2] << 32).T.tolist():
+        inc = (inc_high << 65 | inc_low << 1 | 1) & _MASK128
+        state = ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULTIPLIER + inc) & _MASK128
+        states.append({
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        })
+    return states
+
+
 def visibility_sweep(
     grid: Sequence[float],
     shots_per_setting: int = 0,
-    seed=DEFAULT_SEED,
+    seed: int = DEFAULT_SEED,
 ) -> SweepTable:
     """Exact and (optionally) sampled Bell-Mermin values across visibilities.
 
-    ``shots_per_setting=0`` skips sampling; else it is at least 2.  Each grid
-    point samples from its own child seed, ``SeedSequence(seed).spawn(len(grid))``
-    in grid order, so points are independent, the table is reproducible, and
-    a row equals ``estimate_mermin(shots_per_setting, v, child)``.  The grid's
-    density matrices, one broadcast, serve only the exact column.
+    ``shots_per_setting=0`` skips sampling; else it is at least 2.  ``seed``
+    is an integer in [0, 2**64 - 1].  Each grid point samples from its own
+    child of ``SeedSequence(seed).spawn(len(grid))``, in grid order, so points
+    are independent, the table is reproducible, and a row equals
+    ``estimate_mermin(shots_per_setting, v, child)``.  The children's PCG64
+    states are computed in one pass, equal to numpy's, and set in turn on one
+    generator per call.  The grid's density matrices, one broadcast, serve
+    only the exact column.
     """
     shots = _sweep_shot_count(shots_per_setting)
+    seed = _seed(seed)
     visibilities = _visibilities(grid)
     columns = np.full((len(visibilities), 4), np.nan)
     columns[:, 0] = visibilities.ravel()
     columns[:, 1] = [exact_expectation("O", rho) for rho in _mixed(visibilities[:, :, None])]
     if shots:
-        children = np.random.SeedSequence(seed).spawn(len(visibilities))
-        for row, probs, child in zip(columns, _plus_probabilities(visibilities), children):
-            row[2:] = _mermin_value(_plus_counts(probs, shots, child), shots)
+        sequence = np.random.SeedSequence(seed)
+        gen = np.random.default_rng(sequence)
+        states = _child_states(sequence.pool, len(visibilities))
+        for row, probs, state in zip(columns, _plus_probabilities(visibilities), states):
+            gen.bit_generator.state = state
+            row[2:] = _mermin_value(_plus_counts(probs, shots, gen), shots)
     columns.setflags(write=False)
     return SweepTable(columns)
 

@@ -19,10 +19,17 @@ REPO = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
 
 
-def run_cli(*args, env_extra=None):
+def child_env(env_extra=None) -> dict:
+    """This environment, with the imported package's source root first on PYTHONPATH."""
     env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
+    root = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    env.update(env_extra or {})
+    return env
+
+
+def run_cli(*args, env_extra=None):
+    env = child_env(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "hyperbell", *args],
         capture_output=True,
@@ -386,7 +393,7 @@ def run_cli_measured(*args):
     )
     start = time.perf_counter()
     result = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=child_env()
     )
     elapsed = time.perf_counter() - start
     peak = int(result.stderr.strip().splitlines()[-1].split("=")[1])

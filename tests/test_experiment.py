@@ -25,6 +25,7 @@ from hyperbell.experiment import (
     NoiseModel,
     ROW_APPARATUS_PAIRS,
     SweepTable,
+    _child_states,
     counted_mean,
     estimate_mermin,
     estimate_pair,
@@ -430,6 +431,24 @@ def test_sweep_table_repr_lists_its_rows():
 def test_sweep_rejects_bad_grid():
     with pytest.raises(ValueError):
         visibility_sweep([0.5, 1.5], shots_per_setting=0)
+
+
+@pytest.mark.parametrize("shots", [0, 100])
+@pytest.mark.parametrize("bad", [-1, True, 2.5, "7", 2**64, None])
+def test_sweep_rejects_bad_seeds(bad, shots):
+    # checked before any work, so an exact-only sweep rejects it too
+    rule = f"seed must be an integer in [0, 2**64 - 1], got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(rule)):
+        visibility_sweep([0.5, 0.9], shots, bad)
+
+
+@pytest.mark.parametrize("n", [0, 1, 21, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 - 1])
+def test_child_states_equal_numpy_spawn(seed, n):
+    # reference: numpy's own path, one SeedSequence child and PCG64 per point
+    children = np.random.SeedSequence(seed).spawn(n)
+    expected = [np.random.PCG64(child).state for child in children]
+    assert _child_states(np.random.SeedSequence(seed).pool, n) == expected
 
 
 def test_estimator_consistency_over_seeds():
