@@ -17,6 +17,7 @@ raised after the check keep their tracebacks: they are not usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -139,9 +140,9 @@ def text_simulate(payload) -> list[str]:
     return [
         f"apparatus pair ({a1_id}, {a2_id}); visibility {_fmt(payload['visibility'])}; "
         f"{payload['shots']} shots; seed {payload['seed']}",
-        f"{'quantity':<24}{'mean':>14}{'std_err':>14}",
+        f"{'quantity':<24} {'mean':>13} {'std_err':>13}",
         *(
-            f"{row['quantity']:<24}{_fmt(row['mean']):>14}{_fmt(row['std_error']):>14}"
+            f"{row['quantity']:<24} {_fmt(row['mean']):>13} {_fmt(row['std_error']):>13}"
             for row in payload["results"]
         ),
     ]
@@ -172,8 +173,9 @@ def _sweep_cells(payload, missing: str) -> list:
 
 
 def text_sweep(payload) -> list[str]:
-    widths = (14, 14, 14, 14, 10)
-    return ["".join(map(str.rjust, c, widths)) + f"  {c[-1]}" for c in _sweep_cells(payload, "-")]
+    # a space between cells, so a cell as wide as its column never fuses with the next
+    widths = (14, 13, 13, 13, 9)
+    return [" ".join(map(str.rjust, c, widths)) + f"  {c[-1]}" for c in _sweep_cells(payload, "-")]
 
 
 def csv_sweep(payload) -> list[str]:
@@ -237,7 +239,9 @@ _FLAGS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` never mutates it."""
     parser = argparse.ArgumentParser(prog="hyperbell", description=(
         "Two-photon polarization-path all-versus-nothing Bell test: exact verification, "
         "local-hidden-variable scan, and linear-optics measurement simulation."))

@@ -69,6 +69,13 @@ def _seed(seed) -> int:
     return _integer(seed, 0, 2**64 - 1, "seed must be an integer in [0, 2**64 - 1]")
 
 
+def _generator(seed) -> np.random.Generator:
+    """The generator of a point estimate: ``seed`` checked by ``_seed``, or a ``SeedSequence``."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _seed(seed)
+    return np.random.default_rng(seed)
+
+
 def _visibility(value) -> float:
     """``value`` as a float in [0, 1]; bools and non-numbers raise ``ValueError`` naming it."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 <= value <= 1:
@@ -118,9 +125,8 @@ def _visibilities(values: Sequence[float]) -> np.ndarray:
     return np.array([_visibility(x) for x in values], dtype=np.float64).reshape(-1, 1)
 
 
-@lru_cache(maxsize=None)
 def _quantity_matrix(quantity: Quantity) -> np.ndarray:
-    """Read-only matrix of a constraint row or of O, built once per quantity."""
+    """Read-only matrix of a constraint row or of O; each is built once per process."""
     if quantity == "O":
         return bell_mermin_operator().realization.matrix
     return CONSTRAINT_ROWS[quantity - 1].operator().matrix
@@ -249,9 +255,10 @@ def _plus_counts(probs: np.ndarray, shots: int, gen: np.random.Generator) -> lis
 
 def _sample_point(shots_per_setting, visibility, seed) -> tuple[int, list[int]]:
     """Checked shots (at least 2, for a standard error) and n+ of the nine rows at V."""
+    gen = _generator(seed)
     shots = _shot_count(shots_per_setting, 2)
     probs = _plus_probabilities(_visibility(visibility))
-    return shots, _plus_counts(probs, shots, np.random.default_rng(seed))
+    return shots, _plus_counts(probs, shots, gen)
 
 
 def _mermin_value(plus: Sequence[int], shots: int) -> tuple[float, float]:
@@ -274,7 +281,7 @@ def estimate_rows(
 
     Nine binomial draws give n+ of the nine rows, each with its p+(V), in
     row order from the generator of ``seed``, so a fixed seed fixes every
-    estimate.
+    estimate.  ``seed`` is an integer in [0, 2**64 - 1] or a ``SeedSequence``.
     A standard error needs at least 2 shots.
     """
     shots, plus = _sample_point(shots_per_setting, visibility, seed)
@@ -295,9 +302,10 @@ def estimate_pair(
 
     The six local values come first, photon 1 then photon 2, followed by the
     nine cross products ``name1*name2``; all are read off one count table.
+    ``seed`` is taken as by ``estimate_rows``.
     """
     a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     counts = sample_pair_counts(a1_id, a2_id, noisy_state(visibility), shots, rng)
     quantities = readout_table(a1, a2)
     for name1 in a1.value_names:

@@ -88,10 +88,17 @@ class ConstraintRow:
         return ".".join(self.groups)
 
     def operator(self) -> Operator:
-        matrix = np.eye(16, dtype=np.complex128)
-        for name in self.groups:
-            matrix = matrix @ element_operator_16(name).matrix
-        return Operator(matrix, kind="hermitian")
+        """The row's read-only 16-dim product operator, built once per process."""
+        return _product_operator(self.groups)
+
+
+@functools.lru_cache(maxsize=None)
+def _product_operator(names: tuple[str, ...]) -> Operator:
+    """Product of the named elements' 16-dim operators, in order."""
+    matrix = np.eye(16, dtype=np.complex128)
+    for name in names:
+        matrix = matrix @ element_operator_16(name).matrix
+    return Operator(matrix, kind="hermitian")
 
 
 #: The nine constraint rows; eigenvalue pattern (-,-,-,-,+,+,+,+,-).
@@ -142,7 +149,9 @@ class MerminOperator:
     realization: Operator
 
 
+@functools.lru_cache(maxsize=None)
 def bell_mermin_operator() -> MerminOperator:
+    """The signed sum O, built once per process; its matrix is read-only."""
     terms = tuple((row.eigenvalue, row) for row in CONSTRAINT_ROWS)
     matrix = np.zeros((16, 16), dtype=np.complex128)
     for sign, row in terms:

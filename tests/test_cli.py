@@ -198,6 +198,32 @@ def test_sweep_at_zero_shots_is_the_exact_only_table(capsys):
     assert [row["v"] for row in payload["rows"]] == list(experiment.DEFAULT_GRID)
 
 
+def test_the_shared_parser_carries_no_state(capsys):
+    # one process, one parser: each call prints what a fresh process prints
+    golden = REPO / "tests" / "golden"
+    # usage errors from argparse, after --grid was parsed, and from the library
+    # check, whose bad value would fail every later call if it leaked
+    bad = [["sweep", "--grid", "0.5", "--shots", "x"], ["mermin", "--visibility", "1.5"]]
+    fresh = [run_cli(*argv) for argv in (*bad, ["sweep", "--grid", "0.5", "--shots", "0"])]
+    calls = [
+        (bad[0], 2, "", fresh[0].stderr),
+        (bad[1], 2, "", fresh[1].stderr),
+        (["sweep", "--grid", "0.5", "--shots", "0"], 0, fresh[2].stdout, ""),
+        (["sweep", "--format", "text"], 0, (golden / "sweep.txt").read_text(), ""),
+        (["verify"], 0, (golden / "verify.txt").read_text(), ""),
+        (["lhv", "--format", "json"], 0, (golden / "lhv.json").read_text(), ""),
+    ]
+    for argv, code, stdout, stderr in calls:
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        assert (got, *capsys.readouterr()) == (code, stdout, stderr)
+    assert [r.returncode for r in fresh] == [2, 2, 0]
+    assert "invalid int value: 'x'" in fresh[0].stderr and "1.5" in fresh[1].stderr
+    assert len(fresh[2].stdout.splitlines()) == 2
+
+
 def test_sweep_rejects_bad_grid():
     result = run_cli("sweep", "--grid", "0.5", "1.5", "--shots", "10")
     message = library_message(experiment._visibilities, [0.5, 1.5])

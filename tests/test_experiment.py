@@ -436,10 +436,17 @@ def test_sweep_rejects_bad_grid():
 @pytest.mark.parametrize("shots", [0, 100])
 @pytest.mark.parametrize("bad", [-1, True, 2.5, "7", 2**64, None])
 def test_sweep_rejects_bad_seeds(bad, shots):
-    # checked before any work, so an exact-only sweep rejects it too
+    # checked before any work, so an exact-only sweep rejects it too; the
+    # point estimators check it before the shots, so shots 0 reaches it too
     rule = f"seed must be an integer in [0, 2**64 - 1], got {bad!r}"
-    with pytest.raises(ValueError, match=re.escape(rule)):
-        visibility_sweep([0.5, 0.9], shots, bad)
+    for estimate in (
+        lambda: visibility_sweep([0.5, 0.9], shots, bad),
+        lambda: estimate_rows(shots, 0.9, bad),
+        lambda: estimate_mermin(shots, 0.9, bad),
+        lambda: estimate_pair(1, 4, 0.9, shots, bad),
+    ):
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            estimate()
 
 
 @pytest.mark.parametrize("n", [0, 1, 21, 1000])

@@ -82,3 +82,51 @@ def test_stdout_bytes_match_golden(name, tmp_path):
 def test_json_golden_matches_its_schema(name):
     schema = json.loads((SCHEMAS / f"{CASES[name][0]}.schema.json").read_text())
     jsonschema.validate(json.loads((GOLDEN / name).read_text()), schema)
+
+
+#: Text tables beyond the goldens: at 2**63 - 1 shots nearly every cell fills
+#: its column, which once ran neighbouring numbers together.
+MAX_SHOT_TABLES = {
+    "simulate_max_shots": [
+        "simulate", "--apparatus-pair", "1", "4", "--visibility", "0.9",
+        "--shots", "9223372036854775807",
+    ],
+    "sweep_max_shots": ["sweep", "--shots", "9223372036854775807", "--format", "text"],
+    "bell_max_shots": ["bell", "--state", "random", "--shots", "9223372036854775807"],
+}
+TEXT_TABLES = {
+    **{name: argv for name, argv in CASES.items()
+       if name.endswith(".txt") and argv[0] in ("simulate", "sweep", "bell")},
+    **MAX_SHOT_TABLES,
+}
+
+
+def table_cells(command: str, payload) -> tuple[int, list[list[str]]]:
+    """Header lines before the data, and each data line's cells, from the JSON payload."""
+    def g(x):
+        return "-" if x is None else format(x, ".12g")
+
+    if command == "simulate":
+        return 2, [[r["quantity"], g(r["mean"]), g(r["std_error"])] for r in payload["results"]]
+    if command == "sweep":
+        numbers = ("v", "exact_O", "est_O", "std_err", "lhv_bound")
+        return 1, [[*(g(r[key]) for key in numbers), r["violated"]] for r in payload["rows"]]
+    probabilities = payload["exact_probabilities"]
+    return 3, [[k, str(n), g(probabilities[k])] for k, n in payload["counts"].items()]
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_TABLES))
+def test_text_table_cells_are_the_json_values(name):
+    # every data line splits on whitespace into exactly its columns, each
+    # number the JSON value of the same command line at .12g
+    argv = TEXT_TABLES[name]
+    if name in CASES:
+        text = (GOLDEN / name).read_text()
+    else:
+        code, stdout = run_in_process(argv)
+        assert code == 0
+        text = stdout.decode()
+    code, stdout = run_in_process([*argv, "--format", "json"])
+    assert code == 0
+    skip, expected = table_cells(argv[0], json.loads(stdout))
+    assert [line.split() for line in text.splitlines()[skip:]] == expected

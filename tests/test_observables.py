@@ -1,8 +1,10 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
+from hyperbell import experiment
 from hyperbell.hilbert import (
     ATOL,
     StateVector,
@@ -12,9 +14,10 @@ from hyperbell.hilbert import (
     expectation,
     inner,
 )
-from hyperbell.lhv import ELEMENT_PAULI, ELEMENTS, element_photon
+from hyperbell.lhv import CONSTRAINTS, ELEMENT_PAULI, ELEMENTS, element_photon
 from hyperbell.observables import (
     CONSTRAINT_ROWS,
+    ConstraintRow,
     ROW_EIGENVALUES,
     SIGMA_X,
     SIGMA_Z,
@@ -276,3 +279,42 @@ def test_row_operators_hermitian_unit_eigenvalues():
         np.testing.assert_allclose(
             op.matrix @ op.matrix, np.eye(16), atol=ATOL
         )
+
+
+#: Test-side Pauli matrices, so the products below share no code with ``observables``.
+LETTERS = {
+    "I": np.eye(2, dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
+
+def kron_product(names) -> np.ndarray:
+    """Product, in order, of each element's Kronecker product of its ``ELEMENT_PAULI`` letters."""
+    matrix = np.eye(16, dtype=np.complex128)
+    for name in names:
+        matrix = matrix @ functools.reduce(np.kron, [LETTERS[x] for x in ELEMENT_PAULI[name]])
+    return matrix
+
+
+@pytest.mark.parametrize("constraint", CONSTRAINTS, ids=lambda c: f"row{c.id}")
+def test_row_operator_is_built_once_read_only_from_the_table(constraint):
+    row = CONSTRAINT_ROWS[constraint.id - 1]
+    op = row.operator()
+    assert op is row.operator()
+    # keyed on the element names alone
+    assert op is ConstraintRow(0, tuple(constraint.variables), +1).operator()
+    assert experiment._quantity_matrix(constraint.id) is op.matrix
+    assert not op.matrix.flags.writeable
+    assert op.matrix.tobytes() == kron_product(constraint.variables).tobytes()
+
+
+def test_mermin_operator_is_built_once_read_only_from_the_table():
+    m = bell_mermin_operator()
+    assert m is bell_mermin_operator()
+    assert experiment._quantity_matrix("O") is m.realization.matrix
+    assert not m.realization.matrix.flags.writeable
+    expected = np.zeros((16, 16), dtype=np.complex128)
+    for constraint in CONSTRAINTS:
+        expected += constraint.required_product * kron_product(constraint.variables)
+    assert m.realization.matrix.tobytes() == expected.tobytes()

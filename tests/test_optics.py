@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hyperbell import optics
+from hyperbell import observables, optics
 from hyperbell.hilbert import (
     ATOL,
     StateVector,
@@ -227,6 +227,29 @@ def test_build_apparatus_takes_any_integer_id():
     spec = build_apparatus(np.int64(1))
     assert spec.id == 1 and type(spec.id) is int
     assert spec.detector_map == build_apparatus(1).detector_map
+
+
+def test_cold_rebuild_runs_every_detector_check(monkeypatch):
+    # nothing under build_apparatus is cached: after cache_clear, apparatuses
+    # 1-6 build their 12 element operators and make all 6 x 4 x 3 label checks
+    calls = {"pauli": 0, "eigenvalue": 0}
+
+    def counted(key, original):
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+        return wrapper
+
+    for i in range(1, 7):
+        build_apparatus(i)  # warm, as certify is before it times a cold rebuild
+    monkeypatch.setattr(observables, "_pauli_matrix", counted("pauli", observables._pauli_matrix))
+    monkeypatch.setattr(optics, "_eigenvalue_on", counted("eigenvalue", optics._eigenvalue_on))
+    build_apparatus.cache_clear()
+    try:
+        assert [build_apparatus(i).id for i in range(1, 7)] == [1, 2, 3, 4, 5, 6]
+    finally:
+        build_apparatus.cache_clear()
+    assert calls == {"pauli": 12, "eigenvalue": 72}
 
 
 def test_describe_mentions_elements_and_map():
