@@ -14,10 +14,8 @@ from .hilbert import (
     Operator,
     StateVector,
     apply,
-    basis_ket,
     commutator_norm,
     expectation,
-    inner,
     matmul,
 )
 from .observables import (
@@ -57,7 +55,6 @@ from .experiment import (
     DEFAULT_SEED,
     DEFAULT_SHOTS,
     CorrelationEstimate,
-    NoiseModel,
     estimate_mermin,
     estimate_pair,
     estimate_rows,

@@ -57,7 +57,7 @@ def text_verify(payload) -> list[str]:
             for c in checks
         ),
         f"FAILED rows: {failed} (residual >= {ATOL:g})"
-        if failed else f"all 9 relations hold (residual < {ATOL:g})",
+        if failed else f"all {len(rows)} relations hold (residual < {ATOL:g})",
     ]
 
 
@@ -266,7 +266,7 @@ def _check(args: argparse.Namespace) -> None:
     if "seed" in args:
         experiment._seed(args.seed)
     if "visibility" in args:
-        experiment.NoiseModel(args.visibility)
+        experiment._visibility(args.visibility)
     if "grid" in args:
         experiment._visibilities(args.grid)
     if "apparatus_pair" in args:

@@ -83,16 +83,6 @@ def _visibility(value) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """White-noise admixture; the visibility is a real number in [0, 1], not a bool."""
-
-    visibility: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "visibility", _visibility(self.visibility))
-
-
 @lru_cache(maxsize=None)
 def _noise_terms() -> tuple[np.ndarray, np.ndarray]:
     """Read-only |Psi><Psi| and I, built on first use."""
@@ -121,8 +111,15 @@ def noisy_state(visibility: float) -> np.ndarray:
 
 
 def _visibilities(values: Sequence[float]) -> np.ndarray:
-    """Visibilities checked by ``_visibility``, as a float column of shape (n, 1)."""
-    return np.array([_visibility(x) for x in values], dtype=np.float64).reshape(-1, 1)
+    """An iterable grid, not text, as a float column (n, 1) checked by ``_visibility``."""
+    if not isinstance(values, (str, bytes, bytearray)):
+        try:
+            points = iter(values)
+        except TypeError:
+            pass
+        else:
+            return np.array([_visibility(x) for x in points], dtype=np.float64).reshape(-1, 1)
+    raise ValueError(f"visibility grid must be an iterable of numbers, got {values!r}")
 
 
 def _quantity_matrix(quantity: Quantity) -> np.ndarray:
@@ -136,7 +133,8 @@ def _quantity_key(quantity) -> Quantity:
     """'O', or a row id 1..9 as a plain int; bools and other types are rejected."""
     if isinstance(quantity, str) and quantity == "O":
         return quantity
-    return _integer(quantity, 1, 9, "quantity must be a row id 1..9 or 'O'")
+    rows = len(CONSTRAINTS)
+    return _integer(quantity, 1, rows, f"quantity must be a row id 1..{rows} or 'O'")
 
 
 def exact_expectation(quantity: Quantity, density: np.ndarray) -> float:
@@ -163,7 +161,7 @@ class CorrelationEstimate:
     std_error: float
 
     def __post_init__(self):
-        bound = 9.0 if self.quantity == "O" else 1.0
+        bound = float(len(CONSTRAINTS)) if self.quantity == "O" else 1.0
         if abs(self.estimate) > bound + 1e-9:
             raise ValueError(f"estimate {self.estimate} out of range for {self.quantity}")
 
@@ -302,10 +300,11 @@ def estimate_pair(
 
     The six local values come first, photon 1 then photon 2, followed by the
     nine cross products ``name1*name2``; all are read off one count table.
-    ``seed`` is taken as by ``estimate_rows``.
+    ``seed`` and ``shots`` are taken as by ``estimate_rows``.
     """
     a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
     rng = _generator(seed)
+    shots = _shot_count(shots, 2)
     counts = sample_pair_counts(a1_id, a2_id, noisy_state(visibility), shots, rng)
     quantities = readout_table(a1, a2)
     for name1 in a1.value_names:

@@ -25,9 +25,6 @@ ATOL = 1e-12
 #: Dimensions of one qubit, one photon and both photons.
 VALID_DIMS = (2, 4, 16)
 
-_POL_LABELS = ("H", "V")
-_PATH_LABELS = ("u", "d")
-
 
 class BasisIndex(NamedTuple):
     """Bit labels (pol1, path1, pol2, path2) of one 16-dim product ket."""
@@ -40,20 +37,6 @@ class BasisIndex(NamedTuple):
     @property
     def flat(self) -> int:
         return 8 * self.p1pol + 4 * self.p1path + 2 * self.p2pol + self.p2path
-
-    @classmethod
-    def from_flat(cls, index: int) -> "BasisIndex":
-        if not 0 <= index < 16:
-            raise ValueError(f"flat basis index out of range: {index}")
-        return cls((index >> 3) & 1, (index >> 2) & 1, (index >> 1) & 1, index & 1)
-
-    def label(self) -> str:
-        return "|{},{};{},{}>".format(
-            _POL_LABELS[self.p1pol],
-            _PATH_LABELS[self.p1path],
-            _POL_LABELS[self.p2pol],
-            _PATH_LABELS[self.p2path],
-        )
 
 
 def _frozen_array(values, shape_check) -> np.ndarray:
@@ -131,26 +114,11 @@ class Operator:
         return self.matrix.shape[0]
 
 
-def basis_ket(dim: int, index: int) -> StateVector:
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dim {dim}")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(amps)
-
-
 def apply(op: Operator, s: StateVector) -> StateVector:
     """Matrix-vector product op|s>; the result is not renormalized."""
     if op.dim != s.dim:
         raise ValueError(f"dimension mismatch: operator {op.dim}, state {s.dim}")
     return StateVector(op.matrix @ s.amps, normalized=False)
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amps, b.amps))
 
 
 def expectation(op: Operator, s: StateVector) -> float:

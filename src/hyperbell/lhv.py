@@ -108,8 +108,8 @@ ROW_APPARATUS_PAIRS: dict[int, tuple[int, int]] = {
 #: re-derived by contradiction_certificate() and asserted in the tests.
 LHV_BOUND = 7
 
-#: Quantum value of the same quantity on the doubly entangled state.
-QUANTUM_VALUE = 9
+#: Quantum value of the same quantity on the doubly entangled state: every row holds.
+QUANTUM_VALUE = len(CONSTRAINTS)
 
 
 @dataclass(frozen=True)
@@ -129,14 +129,6 @@ class LhvAssignment:
 
     def as_dict(self) -> dict[str, int]:
         return dict(zip(ELEMENTS, self.values))
-
-    @classmethod
-    def from_dict(cls, values: dict[str, int]) -> "LhvAssignment":
-        missing = [name for name in ELEMENTS if name not in values]
-        extra = [name for name in values if name not in _ELEMENT_INDEX]
-        if missing or extra:
-            raise ValueError(f"bad element names: missing {missing}, extra {extra}")
-        return cls(tuple(values[name] for name in ELEMENTS))
 
 
 def enumerate_assignments() -> Iterator[LhvAssignment]:

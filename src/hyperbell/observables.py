@@ -106,8 +106,6 @@ CONSTRAINT_ROWS: tuple[ConstraintRow, ...] = tuple(
     ConstraintRow(c.id, c.variables, c.required_product) for c in CONSTRAINTS
 )
 
-ROW_EIGENVALUES: tuple[int, ...] = tuple(row.eigenvalue for row in CONSTRAINT_ROWS)
-
 
 @dataclass(frozen=True)
 class EigenCheck:
@@ -123,12 +121,12 @@ class EigenCheck:
         return self.residual < ATOL
 
 
-def verify_eigenequations(state: StateVector | None = None) -> list[EigenCheck]:
+def verify_eigenequations() -> list[EigenCheck]:
     """Check all nine eigenvalue relations; failures are reported, not raised.
 
     The residual is the max-abs entry of (row_op - eigenvalue)|Psi>.
     """
-    psi = doubly_entangled_state() if state is None else state
+    psi = doubly_entangled_state()
     checks = []
     for row in CONSTRAINT_ROWS:
         image = apply(row.operator(), psi)
@@ -145,18 +143,16 @@ class MerminOperator:
     quantum value is 9; the local-realistic maximum is 7.
     """
 
-    terms: tuple[tuple[int, ConstraintRow], ...]
     realization: Operator
 
 
 @functools.lru_cache(maxsize=None)
 def bell_mermin_operator() -> MerminOperator:
     """The signed sum O, built once per process; its matrix is read-only."""
-    terms = tuple((row.eigenvalue, row) for row in CONSTRAINT_ROWS)
     matrix = np.zeros((16, 16), dtype=np.complex128)
-    for sign, row in terms:
-        matrix += sign * row.operator().matrix
-    return MerminOperator(terms=terms, realization=Operator(matrix, kind="hermitian"))
+    for row in CONSTRAINT_ROWS:
+        matrix += row.eigenvalue * row.operator().matrix
+    return MerminOperator(Operator(matrix, kind="hermitian"))
 
 
 def qudit_relabel(state: StateVector) -> np.ndarray:

@@ -47,9 +47,6 @@ COMMUTATOR_ATOL = 1e-13
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 _EYE2 = np.eye(2, dtype=np.complex128)
 
-#: Detector port labels for the element-chain apparatuses, index 2*pol + path.
-PORT_LABELS = ("(H,u)", "(H,d)", "(V,u)", "(V,d)")
-
 #: Largest shot count of one setting; ``Generator.binomial`` and ``multinomial`` count in int64.
 MAX_SHOTS = 2**63 - 1
 
@@ -102,7 +99,6 @@ class ApparatusSpec:
     photon: int
     observable_a: str
     observable_b: str
-    elements: tuple[str, ...] | None
     basis: np.ndarray
     detector_map: tuple[tuple[int, int, int], ...]
 
@@ -113,29 +109,6 @@ class ApparatusSpec:
     @property
     def value_names(self) -> tuple[str, str, str]:
         return (self.observable_a, self.observable_b, self.product_name)
-
-    def describe(self) -> str:
-        lines = [
-            f"apparatus {self.id} (photon {self.photon}): measures "
-            f"{self.observable_a}, {self.observable_b} and {self.product_name}"
-        ]
-        if self.elements is not None:
-            chain = " -> ".join(self.elements)
-            lines.append(f"  elements: {chain} -> detectors on ports "
-                         f"{', '.join(PORT_LABELS)}")
-        else:
-            lines.append("  realization: projective measurement in the joint "
-                         "eigenbasis of the two observables")
-        lines.append("  detector map (basis state | eigenvalues):")
-        for d in range(4):
-            amps = ", ".join(f"{a.real:+.4f}{a.imag:+.4f}j" for a in self.basis[d])
-            va, vb, vab = self.detector_map[d]
-            lines.append(
-                f"    D{d}: [{amps}]  "
-                f"v({self.observable_a})={va:+d} v({self.observable_b})={vb:+d} "
-                f"v({self.product_name})={vab:+d}"
-            )
-        return "\n".join(lines)
 
 
 def _eigenvalue_on(matrix: np.ndarray, vec: np.ndarray, name: str) -> int:
@@ -185,7 +158,8 @@ def build_apparatus(apparatus_id: int) -> ApparatusSpec:
     The id is any integer 1..6 but not a bool; the spec stores it as a plain
     int.  The cache is typed, so ``True`` or ``1.0`` never reaches id 1's entry.
     """
-    apparatus_id = _integer(apparatus_id, 1, 6, "apparatus id must be an integer 1..6")
+    count = len(APPARATUSES)
+    apparatus_id = _integer(apparatus_id, 1, count, f"apparatus id must be an integer 1..{count}")
     (name_a, name_b), chain = APPARATUSES[apparatus_id]
     photon = element_photon(name_a)
 
@@ -224,7 +198,6 @@ def build_apparatus(apparatus_id: int) -> ApparatusSpec:
         photon=photon,
         observable_a=name_a,
         observable_b=name_b,
-        elements=chain,
         basis=basis,
         detector_map=tuple(detector_map),
     )

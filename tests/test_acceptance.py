@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from hyperbell import cli
-from hyperbell.hilbert import apply, basis_ket, expectation
+from hyperbell.hilbert import StateVector, apply, expectation
 from hyperbell.lhv import (
     CONSTRAINTS,
     ELEMENTS,
@@ -238,4 +238,4 @@ def test_criterion_9_qudit_relabeling():
         expected[3, 0] = 0.5
         assert np.array_equal(grid, expected)
         # sanity on a product ket as well
-        assert qudit_relabel(basis_ket(16, 0))[0, 0] == 1.0
+        assert qudit_relabel(StateVector(np.eye(16)[0]))[0, 0] == 1.0

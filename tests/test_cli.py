@@ -346,7 +346,7 @@ _A = optics.build_apparatus
         (["sweep", "--shots", "1"], experiment._sweep_shot_count, (1,)),
         (["mermin", "--shots", str(2**64)], optics._shot_count, (2**64, 2)),
         (["bell", "--shots", str(2**64)], optics._shot_count, (2**64, 1)),
-        (["mermin", "--visibility", "1.5"], experiment.NoiseModel, (1.5,)),
+        (["mermin", "--visibility", "1.5"], experiment._visibility, (1.5,)),
         (["sweep", "--grid", "0.5", "1.5"], experiment._visibilities, ([0.5, 1.5],)),
         (["mermin", "--seed", "-3"], experiment._seed, (-3,)),
         (["bell", "--seed", str(2**64)], experiment._seed, (2**64,)),

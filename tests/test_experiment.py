@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hyperbell import cli
-from hyperbell.hilbert import ATOL, basis_ket
+from hyperbell.hilbert import ATOL, StateVector
 from hyperbell.lhv import CONSTRAINTS
 from hyperbell.observables import (
     CONSTRAINT_ROWS,
@@ -22,10 +22,10 @@ from hyperbell.experiment import (
     DEFAULT_GRID,
     MAX_SHOTS,
     CorrelationEstimate,
-    NoiseModel,
     ROW_APPARATUS_PAIRS,
     SweepTable,
     _child_states,
+    _visibility,
     counted_mean,
     estimate_mermin,
     estimate_pair,
@@ -40,14 +40,11 @@ from hyperbell.experiment import (
 
 
 def test_noise_model_range():
-    NoiseModel(0.0)
-    NoiseModel(1.0)
-    with pytest.raises(ValueError):
-        NoiseModel(-0.1)
-    with pytest.raises(ValueError):
-        NoiseModel(1.1)
-    with pytest.raises(ValueError):
-        noisy_state(2.0)
+    noisy_state(0.0)
+    noisy_state(1.0)
+    for bad in (-0.1, 1.1, 2.0):
+        with pytest.raises(ValueError):
+            noisy_state(bad)
 
 
 def test_density_state_validation():
@@ -83,7 +80,7 @@ def test_density_distribution_matches_pure_mixture(visibility):
     # density matrix, against V p_Psi + (1-V)/16 sum_i p_i from the pure-state
     # distributions of |Psi> and the sixteen basis kets
     rho = noisy_state(visibility)
-    kets = [basis_ket(16, i) for i in range(16)]
+    kets = [StateVector(ket) for ket in np.eye(16)]
     for a1_id, a2_id in ROW_APPARATUS_PAIRS.values():
         a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
         reference = visibility * joint_distribution(a1, a2, doubly_entangled_state())
@@ -197,6 +194,30 @@ SAMPLERS = {
 }
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_apparatus(7), "apparatus id must be an integer 1..6, got 7"),
+        (lambda: exact_expectation(10, noisy_state(1.0)),
+         "quantity must be a row id 1..9 or 'O', got 10"),
+        (lambda: CorrelationEstimate("O", 2, 9.5, 0.0), "estimate 9.5 out of range for O"),
+        (lambda: CorrelationEstimate(1, 2, 1.5, 0.0), "estimate 1.5 out of range for 1"),
+    ],
+)
+def test_bounds_read_from_the_table_keep_their_messages(call, message):
+    # six apparatuses and nine rows, counted from lhv's table
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("sampler", ["estimate_rows", "estimate_mermin", "estimate_pair"])
+def test_point_estimators_reject_one_shot_before_drawing(sampler):
+    # a standard error needs two shots; all three say so by the same rule
+    rule = "shots must be an integer in [2, 2**63 - 1], got 1"
+    with pytest.raises(ValueError, match=re.escape(rule)):
+        SAMPLERS[sampler](1)
+
+
 @pytest.mark.parametrize("bad", [2.5, 100.0, True, False, "5", None, -1, MAX_SHOTS + 1])
 @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
 def test_samplers_reject_bad_shot_counts(sampler, bad):
@@ -215,7 +236,6 @@ def test_samplers_take_integral_shot_counts():
 
 
 VISIBILITY_USERS = {
-    "NoiseModel": lambda v: NoiseModel(v),
     "noisy_state": lambda v: noisy_state(v),
     "estimate_rows": lambda v: estimate_rows(100, v, 1),
     "estimate_mermin": lambda v: estimate_mermin(100, v, 1),
@@ -235,7 +255,7 @@ def test_visibility_rejects_bools_and_non_numbers(user, bad):
 
 
 def test_visibility_takes_any_real_number_as_a_float():
-    assert type(NoiseModel(1).visibility) is float
+    assert type(_visibility(1)) is float
     assert np.array_equal(noisy_state(np.float32(0.5)), noisy_state(0.5))
     assert estimate_mermin(100, Fraction(9, 10), 1) == estimate_mermin(100, 0.9, 1)
     assert visibility_sweep([np.int64(1)], 100, 1) == visibility_sweep([1.0], 100, 1)
@@ -431,6 +451,23 @@ def test_sweep_table_repr_lists_its_rows():
 def test_sweep_rejects_bad_grid():
     with pytest.raises(ValueError):
         visibility_sweep([0.5, 1.5], shots_per_setting=0)
+
+
+@pytest.mark.parametrize(
+    "grid", [0.5, "0.5", b"1", bytearray(b"1"), None, np.float64(0.5), np.array(0.5)], ids=repr
+)
+def test_sweep_rejects_a_grid_that_is_text_or_not_iterable(grid):
+    rule = f"visibility grid must be an iterable of numbers, got {grid!r}"
+    for shots in (0, 100):
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            visibility_sweep(grid, shots)
+
+
+def test_sweep_takes_a_tuple_list_or_array_grid():
+    grid = [0.5, 7 / 9, 1.0]
+    expected = visibility_sweep(grid, 100, seed=3)
+    for same in (tuple(grid), np.array(grid), iter(grid)):
+        assert visibility_sweep(same, 100, seed=3) == expected
 
 
 @pytest.mark.parametrize("shots", [0, 100])

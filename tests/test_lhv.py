@@ -111,12 +111,6 @@ def test_assignment_validation():
         LhvAssignment((1,) * 11)
     with pytest.raises(ValueError):
         LhvAssignment((1,) * 11 + (0,))
-    with pytest.raises(ValueError):
-        LhvAssignment.from_dict({name: 1 for name in ELEMENTS[:-1]})
-    with pytest.raises(ValueError):
-        LhvAssignment.from_dict({**{n: 1 for n in ELEMENTS}, "y1": 1})
-    roundtrip = LhvAssignment.from_dict({name: -1 for name in ELEMENTS})
-    assert roundtrip.values == (-1,) * 12
 
 
 def test_enumeration_count_order_distinct():
@@ -136,10 +130,8 @@ def test_all_plus_one_assignment():
 
 def test_flipping_bob_singles_reaches_the_maximum():
     # flip v(z2), v(z2'), v(x2), v(x2') to -1: rows 1-8 satisfied, row 9 not
-    values = {name: 1 for name in ELEMENTS}
-    for name in ("z2", "z2'", "x2", "x2'"):
-        values[name] = -1
-    flags, count = check(LhvAssignment.from_dict(values))
+    flipped = ("z2", "z2'", "x2", "x2'")
+    flags, count = check(LhvAssignment(tuple(-1 if n in flipped else 1 for n in ELEMENTS)))
     assert flags == (True, True, True, True, True, True, True, True, False)
     assert count == 8
 

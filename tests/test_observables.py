@@ -9,16 +9,13 @@ from hyperbell.hilbert import (
     ATOL,
     StateVector,
     apply,
-    basis_ket,
     commutator_norm,
     expectation,
-    inner,
 )
 from hyperbell.lhv import CONSTRAINTS, ELEMENT_PAULI, ELEMENTS, element_photon
 from hyperbell.observables import (
     CONSTRAINT_ROWS,
     ConstraintRow,
-    ROW_EIGENVALUES,
     SIGMA_X,
     SIGMA_Z,
     bell_mermin_operator,
@@ -65,7 +62,7 @@ def test_state_amplitudes():
     expected[9] = -0.5
     expected[12] = 0.5
     np.testing.assert_array_equal(PSI.amps, expected)
-    assert inner(PSI, PSI) == pytest.approx(1.0, abs=ATOL)
+    assert np.vdot(PSI.amps, PSI.amps) == pytest.approx(1.0, abs=ATOL)
 
 
 def test_exactly_eight_local_observables():
@@ -94,7 +91,7 @@ def test_observables_are_hermitian_involutions(name):
 
 def test_observable_eigenkets():
     z1 = element_operator_16("z1")
-    huhu = basis_ket(16, 0)
+    huhu = StateVector(np.eye(16)[0])
     np.testing.assert_allclose(apply(z1, huhu).amps, huhu.amps, atol=ATOL)
 
     # |H> (x) (|u>+|d>)/sqrt2 (x) |H> (x) |u> is a +1 eigenket of x1'
@@ -158,8 +155,9 @@ def test_eigenequations_all_nine():
 
 def test_eigenvalue_parity_structure():
     # product of the first eight eigenvalues is +1, the ninth is -1
-    assert np.prod(ROW_EIGENVALUES[:8]) == 1
-    assert ROW_EIGENVALUES[8] == -1
+    eigenvalues = [row.eigenvalue for row in CONSTRAINT_ROWS]
+    assert np.prod(eigenvalues[:8]) == 1
+    assert eigenvalues[8] == -1
 
 
 def test_row_expectations_match_eigenvalues():
@@ -187,18 +185,15 @@ def test_mermin_operator_trace_and_product_ket():
     m = bell_mermin_operator()
     assert abs(np.trace(m.realization.matrix)) < ATOL
     # on |H,u;H,u> only the three all-diagonal terms survive: -1 -1 +1 = -1
-    assert expectation(m.realization, basis_ket(16, 0)) == pytest.approx(
+    assert expectation(m.realization, StateVector(np.eye(16)[0])) == pytest.approx(
         -1.0, abs=ATOL
     )
 
 
 def test_mermin_terms_carry_row_signs():
-    m = bell_mermin_operator()
-    assert tuple(sign for sign, _ in m.terms) == ROW_EIGENVALUES
-    rebuilt = sum(
-        sign * row.operator().matrix for sign, row in m.terms
-    )
-    np.testing.assert_allclose(rebuilt, m.realization.matrix, atol=ATOL)
+    # O is the sum of the row operators, each signed by its eigenvalue on |Psi>
+    rebuilt = sum(row.eigenvalue * row.operator().matrix for row in CONSTRAINT_ROWS)
+    np.testing.assert_allclose(rebuilt, bell_mermin_operator().realization.matrix, atol=ATOL)
 
 
 def test_qudit_relabel_of_psi():
@@ -213,14 +208,14 @@ def test_qudit_relabel_of_psi():
 
 
 def test_qudit_relabel_of_product_ket():
-    grid = qudit_relabel(basis_ket(16, 0))
+    grid = qudit_relabel(StateVector(np.eye(16)[0]))
     assert grid[0, 0] == 1.0
     assert np.abs(grid).sum() == 1.0
 
 
 def test_qudit_relabel_rejections():
     with pytest.raises(ValueError):
-        qudit_relabel(basis_ket(4, 0))
+        qudit_relabel(StateVector(np.eye(4)[0]))
     with pytest.raises(ValueError):
         qudit_relabel(StateVector(2.0 * PSI.amps, normalized=False))
 
@@ -233,7 +228,7 @@ def test_bell_states_orthonormal(basis):
     for i, a in enumerate(labels):
         for j, b in enumerate(labels):
             expected = 1.0 if i == j else 0.0
-            assert abs(inner(states[a], states[b]) - expected) < ATOL
+            assert abs(np.vdot(states[a].amps, states[b].amps) - expected) < ATOL
 
 
 def test_bell_state_amplitudes():
@@ -243,7 +238,7 @@ def test_bell_state_amplitudes():
     np.testing.assert_allclose(states["phi+"].amps, [inv, 0, 0, inv], atol=ATOL)
     # psi- = (|H,d> - |V,u>)/sqrt2
     np.testing.assert_allclose(states["psi-"].amps, [0, inv, -inv, 0], atol=ATOL)
-    assert inner(states["psi+"], states["psi-"]) == pytest.approx(0.0, abs=ATOL)
+    assert np.vdot(states["psi+"].amps, states["psi-"].amps) == pytest.approx(0.0, abs=ATOL)
 
 
 def test_bell_states_joint_eigenvectors():

@@ -8,10 +8,10 @@ from hyperbell import observables, optics
 from hyperbell.hilbert import (
     ATOL,
     StateVector,
-    basis_ket,
     commutator_norm,
     matmul,
 )
+from hyperbell.lhv import APPARATUSES
 from hyperbell.observables import (
     build_bell_states,
     doubly_entangled_state,
@@ -61,34 +61,33 @@ COMMUTING_PAIRS = [
 ]
 
 
-# basis order on one photon: (H,u)=0, (H,d)=1, (V,u)=2, (V,d)=3
-def ket4(index):
-    return basis_ket(4, index)
+# basis kets of one photon as rows: (H,u)=0, (H,d)=1, (V,u)=2, (V,d)=3
+EYE4 = np.eye(4)
 
 
 def test_bs_acts_on_path_only():
     bs = element_unitary("BS").matrix
     # |u> -> (|u>+|d>)/sqrt2 for both polarizations
-    np.testing.assert_allclose(bs @ ket4(0).amps, [INV, INV, 0, 0], atol=ATOL)
-    np.testing.assert_allclose(bs @ ket4(2).amps, [0, 0, INV, INV], atol=ATOL)
+    np.testing.assert_allclose(bs @ EYE4[0], [INV, INV, 0, 0], atol=ATOL)
+    np.testing.assert_allclose(bs @ EYE4[2], [0, 0, INV, INV], atol=ATOL)
     # |d> -> (|u>-|d>)/sqrt2
-    np.testing.assert_allclose(bs @ ket4(1).amps, [INV, -INV, 0, 0], atol=ATOL)
+    np.testing.assert_allclose(bs @ EYE4[1], [INV, -INV, 0, 0], atol=ATOL)
 
 
 def test_hwp_acts_on_polarization_only():
     hwp = element_unitary("HWP45").matrix
     # |V> -> (|H>-|V>)/sqrt2, path untouched
-    np.testing.assert_allclose(hwp @ ket4(2).amps, [INV, 0, -INV, 0], atol=ATOL)
-    np.testing.assert_allclose(hwp @ ket4(0).amps, [INV, 0, INV, 0], atol=ATOL)
+    np.testing.assert_allclose(hwp @ EYE4[2], [INV, 0, -INV, 0], atol=ATOL)
+    np.testing.assert_allclose(hwp @ EYE4[0], [INV, 0, INV, 0], atol=ATOL)
 
 
 def test_pbs_port_convention():
     pbs = element_unitary("PBS").matrix
     # H transmits keeping its path, V reflects swapping u <-> d, no phase
-    np.testing.assert_allclose(pbs @ ket4(0).amps, ket4(0).amps, atol=ATOL)
-    np.testing.assert_allclose(pbs @ ket4(1).amps, ket4(1).amps, atol=ATOL)
-    np.testing.assert_allclose(pbs @ ket4(2).amps, ket4(3).amps, atol=ATOL)
-    np.testing.assert_allclose(pbs @ ket4(3).amps, ket4(2).amps, atol=ATOL)
+    np.testing.assert_allclose(pbs @ EYE4[0], EYE4[0], atol=ATOL)
+    np.testing.assert_allclose(pbs @ EYE4[1], EYE4[1], atol=ATOL)
+    np.testing.assert_allclose(pbs @ EYE4[2], EYE4[3], atol=ATOL)
+    np.testing.assert_allclose(pbs @ EYE4[3], EYE4[2], atol=ATOL)
 
 
 @pytest.mark.parametrize("kind", ["BS", "HWP45", "PBS"])
@@ -179,7 +178,7 @@ def test_apparatus_5_basis_is_bell_basis():
 def test_joint_eigenbases_list_detectors_in_sign_order():
     for apparatus_id in (5, 6):
         spec = build_apparatus(apparatus_id)
-        assert spec.elements is None
+        assert APPARATUSES[apparatus_id][1] is None  # no element chain
         assert [labels[:2] for labels in spec.detector_map] == SIGN_ORDER
 
 
@@ -252,14 +251,6 @@ def test_cold_rebuild_runs_every_detector_check(monkeypatch):
     assert calls == {"pauli": 12, "eigenvalue": 72}
 
 
-def test_describe_mentions_elements_and_map():
-    text = build_apparatus(2).describe()
-    assert "HWP45 -> BS -> PBS" in text
-    assert "v(x2)" in text and "v(x2*x2')" in text
-    text = build_apparatus(6).describe()
-    assert "joint" in text
-
-
 @pytest.mark.parametrize(
     "pair", [(1, 4), (3, 2), (5, 6), (1, 6), (5, 4)]
 )
@@ -307,7 +298,7 @@ def test_perfect_anticorrelation_every_shot():
 
 def test_product_state_statistics_with_apparatus_1():
     # |H,u;H,u>: z1 is +1 with certainty, x1' is uniform
-    state = basis_ket(16, 0)
+    state = StateVector(np.eye(16)[0])
     a1, a4 = build_apparatus(1), build_apparatus(4)
     probs = joint_distribution(a1, a4, state).ravel()
     table = readout_table(a1, a4)
@@ -378,7 +369,7 @@ def test_bell_probabilities_match_the_hand_written_bell_states():
 
 def test_bell_probabilities_of_product_ket():
     # |H,u> = (phi+ + phi-)/sqrt2: never psi+-, each phi half the time
-    probs = bell_probabilities(basis_ket(4, 0))
+    probs = bell_probabilities(StateVector(EYE4[0]))
     assert probs["phi+"] == pytest.approx(0.5, abs=ATOL)
     assert probs["phi-"] == pytest.approx(0.5, abs=ATOL)
     assert probs["psi+"] == pytest.approx(0.0, abs=ATOL)
@@ -390,7 +381,7 @@ def test_bell_histogram_counts():
     rng = np.random.default_rng(17)
     counts = bell_histogram(states["psi-"], 500, rng)
     assert counts == {"psi+": 0, "psi-": 500, "phi+": 0, "phi-": 0}
-    counts = bell_histogram(basis_ket(4, 0), 2000, rng)
+    counts = bell_histogram(StateVector(EYE4[0]), 2000, rng)
     assert counts["psi+"] == 0 and counts["psi-"] == 0
     assert counts["phi+"] + counts["phi-"] == 2000
 
@@ -398,12 +389,12 @@ def test_bell_histogram_counts():
 def test_bell_input_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        bell_probabilities(basis_ket(16, 0))
+        bell_probabilities(StateVector(np.eye(16)[0]))
     with pytest.raises(ValueError):
-        bell_histogram(StateVector(2 * basis_ket(4, 0).amps, normalized=False), 10, rng)
+        bell_histogram(StateVector(2 * EYE4[0], normalized=False), 10, rng)
     for bad in (True, 2.5, "5", 0, 2**64):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
-            bell_histogram(basis_ket(4, 0), bad, rng)
+            bell_histogram(StateVector(EYE4[0]), bad, rng)
 
 
 def test_rows_commute_within_each_apparatus_grouping():
