@@ -96,17 +96,17 @@ def text_lhv(payload) -> list[str]:
 
 
 def run_mermin(args):
-    exact = experiment.exact_expectation("O", experiment.noisy_state(args.visibility))
+    point = experiment.visibility_sweep([args.visibility])[0]  # exact, as sweep prints it
     sampled = experiment.estimate_mermin(args.shots, args.visibility, args.seed)
     return {
         "visibility": args.visibility,
-        "exact": exact,
+        "exact": point.exact,
         "estimate": sampled.estimate,
         "std_error": sampled.std_error,
         "shots_per_setting": args.shots,
         "seed": args.seed,
         "lhv_bound": float(lhv.LHV_BOUND),
-        "violated": experiment.violation_flag(exact),
+        "violated": point.violated,
     }, 0
 
 

@@ -93,21 +93,13 @@ def _noise_terms() -> tuple[np.ndarray, np.ndarray]:
     return terms
 
 
-def _mixed(v) -> np.ndarray:
-    """Read-only V |Psi><Psi| + (1-V) I/16 for a scalar V, or a stack for V of shape (n, 1, 1).
-
-    A scalar and a stack go through the same two products and one sum per
-    element, so a point's rho is the same bits whichever way it is built.
-    """
+def noisy_state(visibility: float) -> np.ndarray:
+    """rho = V |Psi><Psi| + (1-V) I/16 as a read-only 16 x 16 density matrix."""
+    v = _visibility(visibility)
     projector, identity = _noise_terms()
     rho = v * projector + (1.0 - v) / 16.0 * identity
     rho.setflags(write=False)
     return rho
-
-
-def noisy_state(visibility: float) -> np.ndarray:
-    """rho = V |Psi><Psi| + (1-V) I/16 as a read-only 16 x 16 density matrix."""
-    return _mixed(_visibility(visibility))
 
 
 def _visibilities(values: Sequence[float]) -> np.ndarray:
@@ -241,14 +233,14 @@ def _plus_probabilities(visibilities) -> np.ndarray:
     return probs.clip(0.0, 1.0)
 
 
-def _plus_counts(probs: np.ndarray, shots: int, gen: np.random.Generator) -> list[int]:
-    """n+ of the nine rows at one point, drawn from ``gen`` in row order.
+def _plus_counts(probs: list[float], shots: int, binomial) -> list[int]:
+    """n+ of the nine rows at one point, drawn by a generator's ``binomial`` in row order.
 
     The one row sampler.  Nine scalar draws are the same stream as one array
     draw of the nine rows, without numpy's array-argument checks;
     ``_plus_probabilities`` has already checked p+.
     """
-    return [gen.binomial(shots, p) for p in probs.tolist()]
+    return [binomial(shots, p) for p in probs]
 
 
 def _sample_point(shots_per_setting, visibility, seed) -> tuple[int, list[int]]:
@@ -256,18 +248,24 @@ def _sample_point(shots_per_setting, visibility, seed) -> tuple[int, list[int]]:
     gen = _generator(seed)
     shots = _shot_count(shots_per_setting, 2)
     probs = _plus_probabilities(_visibility(visibility))
-    return shots, _plus_counts(probs, shots, gen)
+    return shots, _plus_counts(probs.tolist(), shots, gen.binomial)
+
+
+_ROW_SIGNS = tuple(c.required_product for c in CONSTRAINTS)
 
 
 def _mermin_value(plus: Sequence[int], shots: int) -> tuple[float, float]:
     """O and its SE from the nine rows' n+: signed row means summed, SEs in quadrature.
 
-    Means are (2 n+ - n)/n, as in ``estimate_rows``; the variances
-    4 n+ n- / ((n-1) n^2) are summed as exact integers and divided once.
+    Means are (2 n+ - n)/n, as in ``estimate_rows``, added left to right (``sum``
+    compensates floats from Python 3.12 on, so its bits depend on the version);
+    the variances 4 n+ n- / ((n-1) n^2) are summed as exact integers and divided once.
     """
-    total = sum(c.required_product * ((2 * p - shots) / shots) for c, p in zip(CONSTRAINTS, plus))
-    spread = sum(p * (shots - p) for p in plus)
-    return float(total), 2.0 * math.sqrt(spread / (shots - 1)) / shots
+    total, spread = 0.0, 0
+    for sign, p in zip(_ROW_SIGNS, plus):
+        total += sign * ((2 * p - shots) / shots)
+        spread += p * (shots - p)
+    return total, 2.0 * math.sqrt(spread / (shots - 1)) / shots
 
 
 def estimate_rows(
@@ -453,22 +451,24 @@ def visibility_sweep(
     are independent, the table is reproducible, and a row equals
     ``estimate_mermin(shots_per_setting, v, child)``.  The children's PCG64
     states are computed in one pass, equal to numpy's, and set in turn on one
-    generator per call.  The grid's density matrices, one broadcast, serve
-    only the exact column.
+    generator per call.  The exact column is V times one dense <Psi|O|Psi>,
+    9.0, correctly rounded: tr(rho O) is linear in V.
     """
     shots = _sweep_shot_count(shots_per_setting)
     seed = _seed(seed)
     visibilities = _visibilities(grid)
     columns = np.full((len(visibilities), 4), np.nan)
-    columns[:, 0] = visibilities.ravel()
-    columns[:, 1] = [exact_expectation("O", rho) for rho in _mixed(visibilities[:, :, None])]
+    columns[:, :2] = visibilities * (1.0, exact_expectation("O", noisy_state(1.0)))
     if shots:
         sequence = np.random.SeedSequence(seed)
         gen = np.random.default_rng(sequence)
+        bit_generator, binomial = gen.bit_generator, gen.binomial
         states = _child_states(sequence.pool, len(visibilities))
-        for row, probs, state in zip(columns, _plus_probabilities(visibilities), states):
-            gen.bit_generator.state = state
-            row[2:] = _mermin_value(_plus_counts(probs, shots, gen), shots)
+        sampled = []
+        for probs, state in zip(_plus_probabilities(visibilities).tolist(), states):
+            bit_generator.state = state
+            sampled.append(_mermin_value(_plus_counts(probs, shots, binomial), shots))
+        columns[:, 2:] = np.reshape(sampled, (-1, 2))
     columns.setflags(write=False)
     return SweepTable(columns)
 

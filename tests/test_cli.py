@@ -198,6 +198,16 @@ def test_sweep_at_zero_shots_is_the_exact_only_table(capsys):
     assert [row["v"] for row in payload["rows"]] == list(experiment.DEFAULT_GRID)
 
 
+def test_mermin_and_sweep_print_the_same_exact_value(capsys):
+    grid = ("0.2", "0.4", "0.7", "0.8")
+    assert cli.main(["sweep", "--grid", *grid, "--shots", "0", "--format", "json"]) == 0
+    exact = [row["exact_O"] for row in json.loads(capsys.readouterr().out)["rows"]]
+    assert exact == [1.8, 3.6, 6.3, 7.2]
+    for v, value in zip(grid, exact):
+        assert cli.main(["mermin", "--visibility", v, "--shots", "2", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["exact"] == value
+
+
 def test_the_shared_parser_carries_no_state(capsys):
     # one process, one parser: each call prints what a fresh process prints
     golden = REPO / "tests" / "golden"

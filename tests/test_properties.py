@@ -7,8 +7,13 @@ signalling, and the correlations read off the detector maps against
 tr(rho Q) from the operators.  Each row's probability of reading +1 is
 checked against (1 + tr(rho R))/2, the sampler's white-noise p+(V) against
 the Born rule of noisy_state(V), and the batched visibility sweep bit for bit
-against its points computed one at a time.
+against its points computed one at a time.  The Bell-Mermin sum of the row
+counts is pinned to a plain left-to-right float sum, whatever the Python.
 """
+
+import functools
+import math
+import operator
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from hyperbell.experiment import (
     MAX_SHOTS,
     ROW_APPARATUS_PAIRS,
+    _mermin_value,
     _plus_probabilities,
     _row_tables,
     _visibilities,
@@ -159,8 +165,24 @@ def test_batched_sweep_equals_points_one_at_a_time(grid, shots, seed):
     for point, v, child in zip(table, grid, children):
         single = estimate_mermin(shots, v, child)
         assert point.visibility == v
-        assert point.exact == exact_expectation("O", noisy_state(v))
+        assert point.exact == v * exact_expectation("O", noisy_state(1.0))
+        assert abs(point.exact - exact_expectation("O", noisy_state(v))) <= 1e-12
         assert (point.estimate, point.std_error) == (single.estimate, single.std_error)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([2, 100, 150_000, MAX_SHOTS]).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n), min_size=9, max_size=9))
+))
+def test_mermin_value_adds_the_signed_row_means_left_to_right(drawn):
+    # sum() of floats is compensated from Python 3.12 on; the value must be
+    # the uncompensated left-to-right sum on every interpreter
+    n, plus = drawn
+    terms = [c.required_product * ((2 * p - n) / n) for c, p in zip(CONSTRAINTS, plus)]
+    value, std_error = _mermin_value(plus, n)
+    assert value.hex() == functools.reduce(operator.add, terms).hex()
+    spread = sum(p * (n - p) for p in plus)
+    assert std_error == 2.0 * math.sqrt(spread / (n - 1)) / n
 
 
 def test_batched_born_rule_takes_an_empty_stack():
