@@ -266,7 +266,7 @@ def _check(args: argparse.Namespace) -> None:
     if "seed" in args:
         experiment._seed(args.seed)
     if "visibility" in args:
-        experiment._visibility(args.visibility)
+        args.visibility = experiment._visibility(args.visibility)
     if "grid" in args:
         experiment._visibilities(args.grid)
     if "apparatus_pair" in args:

@@ -80,7 +80,7 @@ def _visibility(value) -> float:
     """``value`` as a float in [0, 1]; bools and non-numbers raise ``ValueError`` naming it."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 <= value <= 1:
         raise ValueError(f"visibility must be a number in [0, 1], got {value!r}")
-    return float(value)
+    return float(value) + 0.0  # -0.0 becomes 0.0, so -0 and 0 give the same bytes
 
 
 @lru_cache(maxsize=None)

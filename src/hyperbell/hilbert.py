@@ -6,8 +6,10 @@ before path, so the flat index of a product ket is
 
     index = 8*pol1 + 4*path1 + 2*pol2 + path2      (H = u = 0, V = d = 1).
 
-Everything here is exact dense algebra at dimension <= 16; states and
-operators are immutable after construction.
+A ``StateVector`` always has unit norm and an ``Operator`` is always Hermitian
+or unitary: each checks its invariant at construction and is immutable after
+it, so no consumer checks again.  ``expectation`` is the one product defined
+here; anything else is plain numpy on ``.amps`` and ``.matrix``.
 """
 
 from __future__ import annotations
@@ -50,14 +52,9 @@ def _frozen_array(values, shape_check) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateVector:
-    """A ket over 2-, 4- or 16-dim factors of the two-photon space.
-
-    ``normalized=True`` (the default) asserts unit norm at construction;
-    results of non-norm-preserving maps carry ``normalized=False``.
-    """
+    """A unit-norm ket over 2-, 4- or 16-dim factors of the two-photon space."""
 
     amps: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         def check(arr):
@@ -66,29 +63,25 @@ class StateVector:
 
         arr = _frozen_array(self.amps, check)
         object.__setattr__(self, "amps", arr)
-        if self.normalized and abs(self.norm_squared() - 1.0) >= ATOL:
-            raise ValueError(
-                f"state labeled normalized has squared norm {self.norm_squared()!r}"
-            )
+        norm_squared = float(np.sum(np.abs(arr) ** 2))
+        if abs(norm_squared - 1.0) >= ATOL:
+            raise ValueError(f"state must have unit norm; squared norm is {norm_squared!r}")
 
     @property
     def dim(self) -> int:
         return self.amps.shape[0]
 
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
 
 @dataclass(frozen=True)
 class Operator:
-    """A square matrix with a declared kind in {hermitian, unitary, general}.
+    """A square matrix whose kind is "hermitian" or "unitary".
 
     The kind is validated at construction: hermitian requires M = M^dagger and
     unitary requires M^dagger M = 1, both to within ATOL.
     """
 
     matrix: np.ndarray
-    kind: str = "general"
+    kind: str
 
     def __post_init__(self):
         def check(arr):
@@ -99,8 +92,6 @@ class Operator:
 
         arr = _frozen_array(self.matrix, check)
         object.__setattr__(self, "matrix", arr)
-        if self.kind not in ("hermitian", "unitary", "general"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.kind == "hermitian":
             if np.abs(arr - arr.conj().T).max() >= ATOL:
                 raise ValueError("operator labeled hermitian is not self-adjoint")
@@ -108,43 +99,21 @@ class Operator:
             eye = np.eye(arr.shape[0])
             if np.abs(arr.conj().T @ arr - eye).max() >= ATOL:
                 raise ValueError("operator labeled unitary fails U^dagger U = 1")
+        else:
+            raise ValueError(f"unknown operator kind {self.kind!r}")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-def apply(op: Operator, s: StateVector) -> StateVector:
-    """Matrix-vector product op|s>; the result is not renormalized."""
-    if op.dim != s.dim:
-        raise ValueError(f"dimension mismatch: operator {op.dim}, state {s.dim}")
-    return StateVector(op.matrix @ s.amps, normalized=False)
-
-
 def expectation(op: Operator, s: StateVector) -> float:
-    """Real expectation value <s|op|s> of a Hermitian operator on a unit ket."""
+    """Real expectation value <s|op|s> of a Hermitian operator."""
     if op.kind != "hermitian":
         raise ValueError("expectation requires an operator of kind 'hermitian'")
     if op.dim != s.dim:
         raise ValueError(f"dimension mismatch: operator {op.dim}, state {s.dim}")
-    if not s.normalized:
-        raise ValueError("expectation requires a normalized state")
     value = complex(np.vdot(s.amps, op.matrix @ s.amps))
     if abs(value.imag) >= ATOL:
         raise ValueError(f"expectation has imaginary residue {value.imag!r}")
     return value.real
-
-
-def matmul(a: Operator, b: Operator) -> Operator:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    kind = "unitary" if a.kind == b.kind == "unitary" else "general"
-    return Operator(a.matrix @ b.matrix, kind=kind)
-
-
-def commutator_norm(a: Operator, b: Operator) -> float:
-    """Max-abs entry of ab - ba."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    return float(np.abs(comm).max())

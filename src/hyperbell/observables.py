@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    ATOL,
-    Operator,
-    StateVector,
-    BasisIndex,
-    apply,
-)
+from .hilbert import ATOL, BasisIndex, Operator, StateVector
 from .lhv import CONSTRAINTS, ELEMENT_PAULI, element_photon
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -126,11 +120,10 @@ def verify_eigenequations() -> list[EigenCheck]:
 
     The residual is the max-abs entry of (row_op - eigenvalue)|Psi>.
     """
-    psi = doubly_entangled_state()
+    psi = doubly_entangled_state().amps
     checks = []
     for row in CONSTRAINT_ROWS:
-        image = apply(row.operator(), psi)
-        residual = float(np.abs(image.amps - row.eigenvalue * psi.amps).max())
+        residual = float(np.abs(row.operator().matrix @ psi - row.eigenvalue * psi).max())
         checks.append(EigenCheck(row.id, row.label, row.eigenvalue, residual))
     return checks
 
@@ -165,8 +158,6 @@ def qudit_relabel(state: StateVector) -> np.ndarray:
     """
     if state.dim != 16:
         raise ValueError("qudit relabeling is defined for 16-dim states")
-    if not state.normalized:
-        raise ValueError("qudit relabeling expects a normalized state")
     return state.amps.reshape(4, 4).copy()
 
 

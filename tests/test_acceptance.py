@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from hyperbell import cli
-from hyperbell.hilbert import StateVector, apply, expectation
+from hyperbell.hilbert import StateVector, expectation
 from hyperbell.lhv import (
     CONSTRAINTS,
     ELEMENTS,
@@ -50,7 +50,6 @@ from hyperbell.experiment import (
     violation_flag,
     visibility_sweep,
 )
-from hyperbell.hilbert import commutator_norm, matmul
 
 PSI = doubly_entangled_state()
 
@@ -83,8 +82,8 @@ def test_criterion_2_mermin_eigenvalue():
         start = time.perf_counter()
         operator = bell_mermin_operator().realization
         assert abs(expectation(operator, PSI) - 9.0) < 1e-12
-        image = apply(operator, PSI)
-        assert np.abs(image.amps - 9.0 * PSI.amps).max() < 1e-12
+        image = operator.matrix @ PSI.amps
+        assert np.abs(image - 9.0 * PSI.amps).max() < 1e-12
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"runtime {elapsed:.3f}s exceeds 1s"
 
@@ -169,8 +168,8 @@ def test_criterion_6_apparatus_soundness():
             assert np.abs(gram - np.eye(4)).max() < 1e-12
             op_a = element_operator(spec.observable_a)
             op_b = element_operator(spec.observable_b)
-            assert commutator_norm(op_a, op_b) < COMMUTATOR_ATOL
-            product = matmul(op_a, op_b).matrix
+            product = op_a.matrix @ op_b.matrix
+            assert np.abs(product - op_b.matrix @ op_a.matrix).max() < COMMUTATOR_ATOL
             for d in range(4):
                 vec = spec.basis[d]
                 va, vb, vab = spec.detector_map[d]

@@ -208,6 +208,20 @@ def test_mermin_and_sweep_print_the_same_exact_value(capsys):
         assert json.loads(capsys.readouterr().out)["exact"] == value
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, flag", [
+    (["mermin", "--shots", "100"], "--visibility"),
+    (["simulate", "--apparatus-pair", "1", "4", "--shots", "100"], "--visibility"),
+    (["sweep", "--shots", "100"], "--grid"),
+])
+def test_negative_zero_visibility_prints_as_zero(capsys, argv, flag, fmt):
+    outputs = []
+    for zero in ("-0", "-0.0", "0"):
+        assert cli.main([*argv, flag, zero, "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_the_shared_parser_carries_no_state(capsys):
     # one process, one parser: each call prints what a fresh process prints
     golden = REPO / "tests" / "golden"

@@ -1,11 +1,14 @@
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from hyperbell import cli
+from hyperbell import cli, lhv
 from hyperbell.lhv import (
     APPARATUSES,
     CONSTRAINTS,
@@ -321,3 +324,20 @@ def test_readme_apparatus_table_matches_the_library_table():
         for id_, ((a, b), chain) in APPARATUSES.items()
     }
     assert documented == expected
+
+
+def test_lhv_runs_without_numpy():
+    # the table, the scan and the parity proof are stdlib only, and so is the package import
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import hyperbell\n"
+        "import hyperbell.lhv\n"
+        "assert hyperbell.lhv.contradiction_certificate().satisfied_max == 8\n"
+        "assert sys.modules['numpy'] is None\n"
+    )
+    env = os.environ.copy()
+    root = str(Path(lhv.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
