@@ -12,9 +12,9 @@ Born distribution is diag(K rho K^dagger), K = conj(B1) (x) conj(B2); K is
 unitary, so white noise adds exactly (1-V)/16 to every pattern and, over the
 row's k = 8 patterns at +1, p+(V) = V p+_Psi + (1-V) k/16.  Each p+_Psi is
 summed once from its pair's |Psi> distribution, built by the general Born
-rule, and the detector maps' pattern values; a visibility then costs one
-check of p+ and nine scalar binomial draws, in row order, from its own
-generator.  A sweep point's generator is its child of
+rule, and the detector maps' pattern values; a visibility then costs its
+nine p+, mixed and checked in plain floats, and nine scalar binomial draws in
+row order, from its own generator.  A sweep point's generator is its child of
 ``SeedSequence(seed).spawn(len(grid))``: the children's PCG64 states are
 computed in one vectorized pass from the parent's pool, equal to numpy's
 ``spawn``, and set in turn on one generator per sweep.
@@ -78,6 +78,8 @@ def _generator(seed) -> np.random.Generator:
 
 def _visibility(value) -> float:
     """``value`` as a float in [0, 1]; bools and non-numbers raise ``ValueError`` naming it."""
+    if type(value) is float and 0.0 <= value <= 1.0:  # the common case, before the ABC check
+        return value + 0.0
     if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 <= value <= 1:
         raise ValueError(f"visibility must be a number in [0, 1], got {value!r}")
     return float(value) + 0.0  # -0.0 becomes 0.0, so -0 and 0 give the same bytes
@@ -93,6 +95,12 @@ def _noise_terms() -> tuple[np.ndarray, np.ndarray]:
     return terms
 
 
+@lru_cache(maxsize=None)
+def _exact_mermin() -> float:
+    """<Psi|O|Psi> (9.0) from the dense operator, read on first use."""
+    return exact_expectation("O", noisy_state(1.0))
+
+
 def noisy_state(visibility: float) -> np.ndarray:
     """rho = V |Psi><Psi| + (1-V) I/16 as a read-only 16 x 16 density matrix."""
     v = _visibility(visibility)
@@ -102,15 +110,15 @@ def noisy_state(visibility: float) -> np.ndarray:
     return rho
 
 
-def _visibilities(values: Sequence[float]) -> np.ndarray:
-    """An iterable grid, not text, as a float column (n, 1) checked by ``_visibility``."""
+def _visibilities(values: Sequence[float]) -> list[float]:
+    """An iterable grid, not text, as a list of floats checked by ``_visibility``."""
     if not isinstance(values, (str, bytes, bytearray)):
         try:
             points = iter(values)
         except TypeError:
             pass
         else:
-            return np.array([_visibility(x) for x in points], dtype=np.float64).reshape(-1, 1)
+            return [_visibility(x) for x in points]
     raise ValueError(f"visibility grid must be an iterable of numbers, got {values!r}")
 
 
@@ -198,8 +206,8 @@ def _plus_minus_mean(plus: int, n: int) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def _row_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """+-1 values (9, 16) of the rows at their pairs, p+_Psi (9,) and k/16 (9,).
+def _row_tables() -> tuple[np.ndarray, tuple[tuple[float, float], ...]]:
+    """+-1 values (9, 16) of the rows at their pairs, and their (p+_Psi, k/16) as floats.
 
     Row i holds constraint i+1: the product of its variables over the flat
     patterns 4*d1 + d2, the |Psi> Born distribution of its pair summed over
@@ -214,41 +222,34 @@ def _row_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         bras.append(pattern_bras(a1, a2))
         values.append(np.prod([table[name] for name in constraint.variables], axis=0))
     values, p_psi = np.array(values), born_distributions(np.concatenate(bras), _noise_terms()[0])
-    tables = values, (p_psi * (values > 0)).sum(axis=1), (values > 0).sum(axis=1) / 16.0
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    values.setflags(write=False)
+    plus = values > 0
+    return values, tuple(zip((p_psi * plus).sum(1).tolist(), (plus.sum(1) / 16.0).tolist()))
 
 
-def _plus_probabilities(visibilities) -> np.ndarray:
-    """p+(V) = V p+_Psi + (1-V) k/16 of the nine rows, checked once and clipped to [0, 1].
-
-    ``visibilities`` is one float, giving shape (9,), or a column (n, 1),
-    giving (n, 9) with the same bits per point.
-    """
-    _, plus_psi, uniform = _row_tables()
-    probs = visibilities * plus_psi + (1.0 - visibilities) * uniform
-    if probs.size and (probs.min() <= -ATOL or probs.max() >= 1.0 + ATOL):
+def _plus_probabilities(v: float) -> list[float]:
+    """p+(V) = V p+_Psi + (1-V) k/16 of the nine rows in floats, checked and clipped to [0, 1]."""
+    w = 1.0 - v
+    probs = [v * plus_psi + w * uniform for plus_psi, uniform in _row_tables()[1]]
+    if min(probs) <= -ATOL or max(probs) >= 1.0 + ATOL:
         raise ValueError("density matrix is not a unit-trace positive state")
-    return probs.clip(0.0, 1.0)
+    return [0.0 if p < 0.0 else 1.0 if p > 1.0 else p for p in probs]
 
 
-def _plus_counts(probs: list[float], shots: int, binomial) -> list[int]:
-    """n+ of the nine rows at one point, drawn by a generator's ``binomial`` in row order.
+def _plus_counts(v: float, shots: int, binomial) -> list[int]:
+    """n+ of the nine rows at V, drawn by a generator's ``binomial`` in row order.
 
     The one row sampler.  Nine scalar draws are the same stream as one array
-    draw of the nine rows, without numpy's array-argument checks;
-    ``_plus_probabilities`` has already checked p+.
+    draw of the nine rows, without numpy's array-argument checks.
     """
-    return [binomial(shots, p) for p in probs]
+    return [binomial(shots, p) for p in _plus_probabilities(v)]
 
 
 def _sample_point(shots_per_setting, visibility, seed) -> tuple[int, list[int]]:
     """Checked shots (at least 2, for a standard error) and n+ of the nine rows at V."""
     gen = _generator(seed)
     shots = _shot_count(shots_per_setting, 2)
-    probs = _plus_probabilities(_visibility(visibility))
-    return shots, _plus_counts(probs.tolist(), shots, gen.binomial)
+    return shots, _plus_counts(_visibility(visibility), shots, gen.binomial)
 
 
 _ROW_SIGNS = tuple(c.required_product for c in CONSTRAINTS)
@@ -451,23 +452,22 @@ def visibility_sweep(
     are independent, the table is reproducible, and a row equals
     ``estimate_mermin(shots_per_setting, v, child)``.  The children's PCG64
     states are computed in one pass, equal to numpy's, and set in turn on one
-    generator per call.  The exact column is V times one dense <Psi|O|Psi>,
-    9.0, correctly rounded: tr(rho O) is linear in V.
+    generator per call.  The exact column is V times <Psi|O|Psi> = 9.0, read
+    once per process from the dense O, correctly rounded: tr(rho O) is linear in V.
     """
     shots = _sweep_shot_count(shots_per_setting)
     seed = _seed(seed)
     visibilities = _visibilities(grid)
     columns = np.full((len(visibilities), 4), np.nan)
-    columns[:, :2] = visibilities * (1.0, exact_expectation("O", noisy_state(1.0)))
+    columns[:, :2] = np.multiply.outer(visibilities, (1.0, _exact_mermin()))
     if shots:
         sequence = np.random.SeedSequence(seed)
         gen = np.random.default_rng(sequence)
         bit_generator, binomial = gen.bit_generator, gen.binomial
-        states = _child_states(sequence.pool, len(visibilities))
         sampled = []
-        for probs, state in zip(_plus_probabilities(visibilities).tolist(), states):
+        for v, state in zip(visibilities, _child_states(sequence.pool, len(visibilities))):
             bit_generator.state = state
-            sampled.append(_mermin_value(_plus_counts(probs, shots, binomial), shots))
+            sampled.append(_mermin_value(_plus_counts(v, shots, binomial), shots))
         columns[:, 2:] = np.reshape(sampled, (-1, 2))
     columns.setflags(write=False)
     return SweepTable(columns)

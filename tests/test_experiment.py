@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -246,7 +247,10 @@ VISIBILITY_USERS = {
 
 @pytest.mark.parametrize(
     "bad",
-    [True, False, np.bool_(True), "0.5", b"1", None, [0.5], 0.5j, float("nan"), -0.1, np.inf],
+    [
+        True, False, np.bool_(True), "0.5", b"1", None, [0.5], 0.5j, float("nan"),
+        -0.1, np.inf, -np.inf, 1.0 + 2**-52, -5e-324,
+    ],
 )
 @pytest.mark.parametrize("user", sorted(VISIBILITY_USERS))
 def test_visibility_rejects_bools_and_non_numbers(user, bad):
@@ -255,7 +259,12 @@ def test_visibility_rejects_bools_and_non_numbers(user, bad):
 
 
 def test_visibility_takes_any_real_number_as_a_float():
+    class Ratio(float):
+        pass
+
     assert type(_visibility(1)) is float
+    assert type(_visibility(Ratio(0.5))) is float and _visibility(Ratio(0.5)) == 0.5
+    assert math.copysign(1.0, _visibility(-0.0)) == 1.0
     assert np.array_equal(noisy_state(np.float32(0.5)), noisy_state(0.5))
     assert estimate_mermin(100, Fraction(9, 10), 1) == estimate_mermin(100, 0.9, 1)
     assert visibility_sweep([np.int64(1)], 100, 1) == visibility_sweep([1.0], 100, 1)

@@ -5,9 +5,10 @@ k = 1 gives pure states.  The batched Born computation of the nine rows is
 checked against the per-pair one, the detector marginals against no
 signalling, and the correlations read off the detector maps against
 tr(rho Q) from the operators.  Each row's probability of reading +1 is
-checked against (1 + tr(rho R))/2, the sampler's white-noise p+(V) against
-the Born rule of noisy_state(V), and the batched visibility sweep bit for bit
-against its points computed one at a time.  The Bell-Mermin sum of the row
+checked against (1 + tr(rho R))/2, the sampler's plain-float p+(V) against
+the Born rule of noisy_state(V) and bit for bit against numpy's elementwise
+formula, and the batched visibility sweep bit for bit against its points
+computed one at a time.  The Bell-Mermin sum of the row
 counts is pinned to a plain left-to-right float sum, whatever the Python.
 """
 
@@ -116,17 +117,25 @@ def test_row_plus_probability_is_half_of_one_plus_the_correlation(rho):
         assert abs(p - (1.0 + exact_expectation(constraint.id, rho)) / 2.0) <= 1e-12
 
 
+#: The ends, 7/9 and its neighbours, the float just below 1, and subnormals.
+EDGE_VISIBILITIES = (
+    0.0, 0.5, 1.0, 7.0 / 9.0, np.nextafter(7.0 / 9.0, 0.0), np.nextafter(7.0 / 9.0, 1.0),
+    1.0 - 2**-53, 5e-324, 2**-1022 - 2**-1074,
+)
+
+
 @settings(deadline=None)
 @given(st.lists(st.floats(0.0, 1.0), max_size=6))
 def test_sampled_mixture_is_the_born_rule_of_the_noisy_state(drawn):
-    # the sampler never builds rho; its p+(V) must still be the +1 patterns'
-    # share of diag(K rho K^dagger) for rho = noisy_state(V), one point or a grid
-    grid = [0.0, 7.0 / 9.0, 1.0, *drawn]
-    probs = _plus_probabilities(_visibilities(grid))
-    values = _row_tables()[0]
-    assert probs.shape == (len(grid), 9)
-    for v, rows in zip(grid, probs):
-        assert np.array_equal(_plus_probabilities(v), rows)
+    # the sampler never builds rho; its plain-float p+(V) must be numpy's
+    # elementwise formula bit for bit, and the +1 patterns' share of
+    # diag(K rho K^dagger) for rho = noisy_state(V)
+    values, terms = _row_tables()
+    plus_psi, uniform = np.array(terms).T
+    for v in _visibilities([*EDGE_VISIBILITIES, *drawn]):
+        rows = _plus_probabilities(v)
+        reference = (v * plus_psi + (1.0 - v) * uniform).clip(0.0, 1.0)
+        assert [p.hex() for p in rows] == [p.hex() for p in reference.tolist()]
         rho = noisy_state(v)
         for constraint, p, row_values in zip(CONSTRAINTS, rows, values):
             a1_id, a2_id = ROW_APPARATUS_PAIRS[constraint.id]
@@ -135,10 +144,11 @@ def test_sampled_mixture_is_the_born_rule_of_the_noisy_state(drawn):
 
 
 def test_sampled_mixture_is_checked():
-    # p+ is a probability: V = 1.5 gives -1/4 on the rows |Psi> never reads +1
-    for visibilities in (1.5, np.array([[0.5], [1.5]])):
+    # p+ is a probability: V = 1.5 gives -1/4 on the rows |Psi> never reads +1,
+    # and V = -1.5 gives -1/4 on the rows it always reads +1
+    for v in (1.5, -1.5):
         with pytest.raises(ValueError, match="not a unit-trace positive state"):
-            _plus_probabilities(visibilities)
+            _plus_probabilities(v)
 
 
 #: Grid points: the ends, the threshold 7/9, and arbitrary values in between.
@@ -190,5 +200,6 @@ def test_batched_born_rule_takes_an_empty_stack():
     # min() on an empty array
     probs = born_distributions(np.empty((0, 16), complex), noisy_state(0.5))
     assert probs.shape == (0, 16)
-    assert _plus_probabilities(_visibilities(())).shape == (0, 9)
-    assert len(visibility_sweep((), 100)) == 0
+    assert _visibilities(()) == []
+    for shots in (0, 100):
+        assert len(visibility_sweep((), shots)) == 0
