@@ -78,9 +78,9 @@ def _generator(seed) -> np.random.Generator:
 
 def _visibility(value) -> float:
     """``value`` as a float in [0, 1]; bools and non-numbers raise ``ValueError`` naming it."""
-    if type(value) is float and 0.0 <= value <= 1.0:  # the common case, before the ABC check
-        return value + 0.0
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 <= value <= 1:
+    # An exact float is tested first, so the common case skips the numbers.Real ABC check.
+    real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or not 0 <= value <= 1:
         raise ValueError(f"visibility must be a number in [0, 1], got {value!r}")
     return float(value) + 0.0  # -0.0 becomes 0.0, so -0 and 0 give the same bytes
 
@@ -93,12 +93,6 @@ def _noise_terms() -> tuple[np.ndarray, np.ndarray]:
     for term in terms:
         term.setflags(write=False)
     return terms
-
-
-@lru_cache(maxsize=None)
-def _exact_mermin() -> float:
-    """<Psi|O|Psi> (9.0) from the dense operator, read on first use."""
-    return exact_expectation("O", noisy_state(1.0))
 
 
 def noisy_state(visibility: float) -> np.ndarray:
@@ -452,14 +446,15 @@ def visibility_sweep(
     are independent, the table is reproducible, and a row equals
     ``estimate_mermin(shots_per_setting, v, child)``.  The children's PCG64
     states are computed in one pass, equal to numpy's, and set in turn on one
-    generator per call.  The exact column is V times <Psi|O|Psi> = 9.0, read
-    once per process from the dense O, correctly rounded: tr(rho O) is linear in V.
+    generator per call.  The exact column is V times one dense <Psi|O|Psi>,
+    9.0, correctly rounded: tr(rho O) is linear in V.
     """
     shots = _sweep_shot_count(shots_per_setting)
     seed = _seed(seed)
     visibilities = _visibilities(grid)
     columns = np.full((len(visibilities), 4), np.nan)
-    columns[:, :2] = np.multiply.outer(visibilities, (1.0, _exact_mermin()))
+    exact = exact_expectation("O", noisy_state(1.0))
+    columns[:, :2] = np.multiply.outer(visibilities, (1.0, exact))
     if shots:
         sequence = np.random.SeedSequence(seed)
         gen = np.random.default_rng(sequence)
