@@ -96,13 +96,13 @@ def text_lhv(payload) -> list[str]:
 
 
 def run_mermin(args):
-    point = experiment.visibility_sweep([args.visibility])[0]  # exact, as sweep prints it
-    sampled = experiment.estimate_mermin(args.shots, args.visibility, args.seed)
+    # a one-point sweep is estimate_mermin at the same seed, with sweep's exact value
+    point = experiment.visibility_sweep([args.visibility], args.shots, args.seed)[0]
     return {
         "visibility": args.visibility,
         "exact": point.exact,
-        "estimate": sampled.estimate,
-        "std_error": sampled.std_error,
+        "estimate": point.estimate,
+        "std_error": point.std_error,
         "shots_per_setting": args.shots,
         "seed": args.seed,
         "lhv_bound": float(lhv.LHV_BOUND),

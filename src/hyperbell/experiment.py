@@ -13,11 +13,10 @@ unitary, so white noise adds exactly (1-V)/16 to every pattern and, over the
 row's k = 8 patterns at +1, p+(V) = V p+_Psi + (1-V) k/16.  Each p+_Psi is
 summed once from its pair's |Psi> distribution, built by the general Born
 rule, and the detector maps' pattern values; a visibility then costs its
-nine p+, mixed and checked in plain floats, and nine scalar binomial draws in
-row order, from its own generator.  A sweep point's generator is its child of
-``SeedSequence(seed).spawn(len(grid))``: the children's PCG64 states are
-computed in one vectorized pass from the parent's pool, equal to numpy's
-``spawn``, and set in turn on one generator per sweep.
+nine p+, mixed and checked in plain floats.  A point estimate draws them by
+nine scalar binomial draws in row order from the generator of its seed; a
+sweep draws its whole (points x 9) table in one binomial call on
+``default_rng(seed)``, the same stream as the point draws run in grid order.
 ``sample_pair_counts`` (``simulate``) draws all 16 pattern counts of any
 density matrix, as its fifteen quantities need them.  Estimates are read off
 the counts, so cost and memory do not grow with the shot count.  All
@@ -233,8 +232,10 @@ def _plus_probabilities(v: float) -> list[float]:
 def _plus_counts(v: float, shots: int, binomial) -> list[int]:
     """n+ of the nine rows at V, drawn by a generator's ``binomial`` in row order.
 
-    The one row sampler.  Nine scalar draws are the same stream as one array
-    draw of the nine rows, without numpy's array-argument checks.
+    The point estimates' row sampler.  Nine scalar draws are the same stream
+    as one array draw of the nine rows, without numpy's array-argument checks;
+    ``visibility_sweep`` draws its table as one array, equal to this run point
+    by point on one generator.
     """
     return [binomial(shots, p) for p in _plus_probabilities(v)]
 
@@ -387,52 +388,6 @@ def _sweep_shot_count(shots) -> int:
     return _integer(shots, 0, 0, rule) if shots == 0 else _integer(shots, 2, MAX_SHOTS, rule)
 
 
-def _hash_constants(init: int, multiplier: int, first: int, count: int) -> np.ndarray:
-    """Column of init * multiplier**k mod 2**32 for k = first .. first + count - 1."""
-    words = [init * multiplier**k & 0xFFFFFFFF for k in range(first, first + count)]
-    return np.array(words, dtype=np.uint32)[:, None]
-
-
-# numpy's SeedSequence hash constants.  Each hash XORs a word with one constant
-# and multiplies it by the next.  A child's pool has advanced INIT_A by MULT_A
-# 16 times before its spawn key is hashed; generate_state starts at INIT_B.
-_SPAWN_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16, 5)
-_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 0, 9)
-_MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = 2**128 - 1
-
-
-def _child_states(pool: np.ndarray, n: int) -> list[dict]:
-    """PCG64 states of the children of ``SeedSequence(seed).spawn(n)``, from its ``pool``.
-
-    A seed below 2**64 is at most two entropy words, and child i's entropy is
-    them padded with zeros to the pool's four words, then the key word i.  So
-    its pool is the parent's with i hashed into each word, and the four
-    hash-and-mix steps run on a (4, n) array, the eight words of
-    ``generate_state(4, uint64)`` on an (8, n) array, and PCG64's srandom on
-    Python ints.  Each dict equals ``np.random.PCG64(child).state``.
-    """
-    key = (np.arange(n, dtype=np.uint32) ^ _SPAWN_HASH[:-1]) * _SPAWN_HASH[1:]
-    key ^= key >> 16
-    mixed = pool[:, None] * _MIX_LEFT - key * _MIX_RIGHT
-    mixed ^= mixed >> 16
-    words = (np.tile(mixed, (2, 1)) ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
-    words ^= words >> 16
-    words = words.astype(np.uint64)
-    states = []
-    for seed_high, seed_low, inc_high, inc_low in (words[0::2] | words[1::2] << 32).T.tolist():
-        inc = (inc_high << 65 | inc_low << 1 | 1) & _MASK128
-        state = ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULTIPLIER + inc) & _MASK128
-        states.append({
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        })
-    return states
-
-
 def visibility_sweep(
     grid: Sequence[float],
     shots_per_setting: int = 0,
@@ -441,13 +396,15 @@ def visibility_sweep(
     """Exact and (optionally) sampled Bell-Mermin values across visibilities.
 
     ``shots_per_setting=0`` skips sampling; else it is at least 2.  ``seed``
-    is an integer in [0, 2**64 - 1].  Each grid point samples from its own
-    child of ``SeedSequence(seed).spawn(len(grid))``, in grid order, so points
-    are independent, the table is reproducible, and a row equals
-    ``estimate_mermin(shots_per_setting, v, child)``.  The children's PCG64
-    states are computed in one pass, equal to numpy's, and set in turn on one
-    generator per call.  The exact column is V times one dense <Psi|O|Psi>,
-    9.0, correctly rounded: tr(rho O) is linear in V.
+    is an integer in [0, 2**64 - 1].  Every point's nine p+ come from
+    ``_plus_probabilities``, and the (points x 9) table is drawn in one
+    ``binomial`` call on ``default_rng(seed)``.  numpy draws an array argument
+    element by element in C order, by the same algorithm as a scalar draw, so
+    the table equals ``_plus_counts`` run point by point in grid order on that
+    one generator: the rows of ``grid[:k]`` are the first k rows of ``grid``,
+    and a one-point sweep equals ``estimate_mermin(shots_per_setting, v, seed)``
+    bit for bit.  The exact column is V times one dense <Psi|O|Psi>, 9.0,
+    correctly rounded: tr(rho O) is linear in V.
     """
     shots = _sweep_shot_count(shots_per_setting)
     seed = _seed(seed)
@@ -456,14 +413,9 @@ def visibility_sweep(
     exact = exact_expectation("O", noisy_state(1.0))
     columns[:, :2] = np.multiply.outer(visibilities, (1.0, exact))
     if shots:
-        sequence = np.random.SeedSequence(seed)
-        gen = np.random.default_rng(sequence)
-        bit_generator, binomial = gen.bit_generator, gen.binomial
-        sampled = []
-        for v, state in zip(visibilities, _child_states(sequence.pool, len(visibilities))):
-            bit_generator.state = state
-            sampled.append(_mermin_value(_plus_counts(v, shots, binomial), shots))
-        columns[:, 2:] = np.reshape(sampled, (-1, 2))
+        probs = [_plus_probabilities(v) for v in visibilities]
+        plus = np.random.default_rng(seed).binomial(shots, probs).tolist()
+        columns[:, 2:] = np.reshape([_mermin_value(p, shots) for p in plus], (-1, 2))
     columns.setflags(write=False)
     return SweepTable(columns)
 

@@ -208,6 +208,25 @@ def test_mermin_and_sweep_print_the_same_exact_value(capsys):
         assert json.loads(capsys.readouterr().out)["exact"] == value
 
 
+@pytest.mark.parametrize("v, shots, seed", [
+    ("0.9", "1000", "5"),
+    ("0.8", "1000000000000", "5"),
+    ("0.777777777778", "2", "0"),
+    ("0", "100", "18446744073709551615"),
+    ("0.5", "100000", "12345"),
+])
+def test_sweep_row_is_the_mermin_estimate_of_the_same_seed(capsys, v, shots, seed):
+    common = ["--shots", shots, "--seed", seed, "--format", "json"]
+    assert cli.main(["sweep", "--grid", v, *common]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert cli.main(["mermin", "--visibility", v, *common]) == 0
+    mermin = json.loads(capsys.readouterr().out)
+    single = experiment.estimate_mermin(int(shots), float(v), int(seed))
+    assert (row["exact_O"], row["est_O"], row["std_err"]) == (
+        mermin["exact"], mermin["estimate"], mermin["std_error"])
+    assert (row["est_O"], row["std_err"]) == (single.estimate, single.std_error)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("argv, flag", [
     (["mermin", "--shots", "100"], "--visibility"),

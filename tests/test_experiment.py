@@ -25,7 +25,8 @@ from hyperbell.experiment import (
     CorrelationEstimate,
     ROW_APPARATUS_PAIRS,
     SweepTable,
-    _child_states,
+    _mermin_value,
+    _plus_counts,
     _visibility,
     counted_mean,
     estimate_mermin,
@@ -498,10 +499,14 @@ def test_sweep_rejects_bad_seeds(bad, shots):
 @pytest.mark.parametrize("n", [0, 1, 21, 1000])
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 - 1])
 def test_child_states_equal_numpy_spawn(seed, n):
-    # reference: numpy's own path, one SeedSequence child and PCG64 per point
-    children = np.random.SeedSequence(seed).spawn(n)
-    expected = [np.random.PCG64(child).state for child in children]
-    assert _child_states(np.random.SeedSequence(seed).pool, n) == expected
+    # reference: numpy's own seeding path, PCG64(SeedSequence(seed)) with no
+    # spawned child, drawing each point's nine rows in grid order; the seeds
+    # cover one and two entropy words and the 64-bit top
+    grid = np.linspace(0.0, 1.0, n).tolist()
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    expected = [_mermin_value(_plus_counts(v, 100, gen.binomial), 100) for v in grid]
+    table = visibility_sweep(grid, 100, seed)
+    assert [(p.estimate, p.std_error) for p in table] == expected
 
 
 def test_estimator_consistency_over_seeds():

@@ -7,23 +7,30 @@ signalling, and the correlations read off the detector maps against
 tr(rho Q) from the operators.  Each row's probability of reading +1 is
 checked against (1 + tr(rho R))/2, the sampler's plain-float p+(V) against
 the Born rule of noisy_state(V) and bit for bit against numpy's elementwise
-formula, and the batched visibility sweep bit for bit against its points
-computed one at a time.  The Bell-Mermin sum of the row
-counts is pinned to a plain left-to-right float sum, whatever the Python.
+formula.  The visibility sweep's one array draw is checked bit for bit against
+its points drawn one at a time on one generator, against the point estimate of
+the same seed, and against the sweeps of its grid's prefixes.  The
+Bell-Mermin sum of the row counts is pinned to a plain left-to-right float
+sum, whatever the Python, and every builtin ``sum`` in src/ to a known
+integer sum.
 """
 
+import ast
 import functools
 import math
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperbell
 from hyperbell.experiment import (
     MAX_SHOTS,
     ROW_APPARATUS_PAIRS,
     _mermin_value,
+    _plus_counts,
     _plus_probabilities,
     _row_tables,
     _visibilities,
@@ -166,18 +173,40 @@ def grids(draw):
     return draw(st.permutations(grid + repeats))
 
 
+#: A sweep's shots per setting: the fewest, the benchmark's, and the most.
+sweep_shots = st.sampled_from([2, 100, MAX_SHOTS])
+seeds = st.integers(0, 2**64 - 1)
+
+
 @settings(deadline=None, max_examples=60)
-@given(grids(), st.sampled_from([2, 100, MAX_SHOTS]), st.integers(0, 2**64 - 1))
+@given(grids(), sweep_shots, seeds)
 def test_batched_sweep_equals_points_one_at_a_time(grid, shots, seed):
+    # the one array draw against nine scalar draws per point, in grid order
     table = visibility_sweep(grid, shots, seed)
-    children = np.random.SeedSequence(seed).spawn(len(grid))
+    gen = np.random.default_rng(seed)
     assert len(table) == len(grid)
-    for point, v, child in zip(table, grid, children):
-        single = estimate_mermin(shots, v, child)
+    for point, v in zip(table, grid):
+        expected = _mermin_value(_plus_counts(v, shots, gen.binomial), shots)
         assert point.visibility == v
         assert point.exact == v * exact_expectation("O", noisy_state(1.0))
         assert abs(point.exact - exact_expectation("O", noisy_state(v))) <= 1e-12
-        assert (point.estimate, point.std_error) == (single.estimate, single.std_error)
+        assert (point.estimate, point.std_error) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(visibilities, sweep_shots, seeds)
+def test_one_point_sweep_is_the_point_estimate_of_the_same_seed(v, shots, seed):
+    (point,) = visibility_sweep([v], shots, seed)
+    single = estimate_mermin(shots, v, seed)
+    assert (point.estimate, point.std_error) == (single.estimate, single.std_error)
+
+
+@settings(deadline=None, max_examples=60)
+@given(grids(), sweep_shots, seeds)
+def test_sweep_rows_of_a_grid_prefix_are_its_first_rows(grid, shots, seed):
+    table = visibility_sweep(grid, shots, seed)
+    for k in range(len(grid) + 1):
+        assert visibility_sweep(grid[:k], shots, seed) == table[:k]
 
 
 @settings(deadline=None, max_examples=200)
@@ -193,6 +222,36 @@ def test_mermin_value_adds_the_signed_row_means_left_to_right(drawn):
     assert value.hex() == functools.reduce(operator.add, terms).hex()
     spread = sum(p * (n - p) for p in plus)
     assert std_error == 2.0 * math.sqrt(spread / (n - 1)) / n
+
+
+#: The builtin sum() calls allowed in src/, by module.function; both add ints.
+INTEGER_SUMS = {"lhv.check", "lhv.mermin_value"}
+
+
+def _builtin_sum_calls(node, scope):
+    """(enclosing module.function, line) of every call of the name ``sum`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _builtin_sum_calls(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "sum":
+            yield scope, child.lineno
+        yield from _builtin_sum_calls(child, scope)
+
+
+def test_builtin_sum_adds_only_integers_in_src():
+    # sum() of floats is compensated from Python 3.12 on, so its bits depend
+    # on the interpreter; every builtin sum in src/ must be a known integer sum
+    seen, others = set(), []
+    for path in sorted(Path(hyperbell.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for scope, line in _builtin_sum_calls(tree, path.stem):
+            if scope in INTEGER_SUMS:
+                seen.add(scope)
+            else:
+                others.append(f"{path.name}:{line} ({scope})")
+    assert others == []
+    assert seen == INTEGER_SUMS  # the walk finds the allowed calls, so it finds any other
 
 
 def test_batched_born_rule_takes_an_empty_stack():
