@@ -1,12 +1,13 @@
 """Command-line front end: every verification and simulation as a scriptable run.
 
 ``_COMMANDS`` lists the six commands (verify, lhv, mermin, simulate, sweep,
-bell), each with its help line, runner and renderers.  ``_check`` first
-passes every input once through the library's own validator; its
-``ValueError`` becomes ``hyperbell: error: <message>`` and exit 2.  The
-runner returns the payload (the JSON-ready result) and the exit code.  JSON
-is ``json.dumps(payload, indent=2)`` for every command; a text or CSV
-renderer only formats its command's payload.
+bell), each with its help line, runner and renderers.  An input argparse
+rejects is one ``hyperbell: error: <message>`` line and exit 2.  ``_check``
+then passes every input once through the library's own validator; its
+``ValueError`` becomes the same line and exit.  The runner returns the
+payload (the JSON-ready result) and the exit code.  JSON is
+``json.dumps(payload, indent=2)`` for every command; a text or CSV renderer
+only formats its command's payload.
 
 All randomness flows from --seed (default 12345, fixed, never entropy); a
 given command line produces identical bytes on stdout and in --output files.
@@ -239,10 +240,22 @@ _FLAGS = {
 }
 
 
+#: Each character ``str.splitlines`` breaks at, escaped as ``repr`` writes it.
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser, and the class of its subparsers, whose usage errors are one line."""
+
+    def error(self, message: str):
+        # "unrecognized arguments" quotes argv as typed, so escape its line breaks
+        self.exit(2, f"hyperbell: error: {message.translate(_LINE_BREAKS)}\n")
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; ``parse_args`` never mutates it."""
-    parser = argparse.ArgumentParser(prog="hyperbell", description=(
+    parser = _Parser(prog="hyperbell", description=(
         "Two-photon polarization-path all-versus-nothing Bell test: exact verification, "
         "local-hidden-variable scan, and linear-optics measurement simulation."))
     sub = parser.add_subparsers(dest="command", required=True)

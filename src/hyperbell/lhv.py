@@ -3,8 +3,9 @@
 The argument is one table, written once below: twelve elements of reality
 as Pauli strings on (pol1, path1, pol2, path2), nine relations as element
 names and required product, and six apparatuses as the two elements each
-reads and its optical chain.  Operators, apparatuses and the pair that reads
-each row (``ROW_APPARATUS_PAIRS``) are all derived from it.
+reads and the linear-optics chain (BS, HWP45, PBS) that reads them.
+Operators, apparatuses and the pair that reads each row
+(``ROW_APPARATUS_PAIRS``) are all derived from it.
 
 A local-realistic model assigns a predetermined value +-1 to each of twelve
 elements of reality: per photon the four single-qubit quantities and the two
@@ -68,15 +69,14 @@ CONSTRAINTS: tuple[LhvConstraint, ...] = (
     LhvConstraint(9, ("z1z1'", "x1x1'", "z2x2'", "x2z2'"), -1),
 )
 
-#: The six apparatuses: id -> (the two elements it reads, element chain or
-#: None for a projective measurement in their joint eigenbasis).
-APPARATUSES: dict[int, tuple[tuple[str, str], tuple[str, ...] | None]] = {
+#: The six apparatuses: id -> (the two elements it reads, its element chain).
+APPARATUSES: dict[int, tuple[tuple[str, str], tuple[str, ...]]] = {
     1: (("z1", "x1'"), ("BS", "PBS")),
     2: (("x2", "x2'"), ("HWP45", "BS", "PBS")),
     3: (("x1", "z1'"), ("HWP45", "PBS")),
     4: (("z2", "z2'"), ("PBS",)),
-    5: (("z1z1'", "x1x1'"), None),
-    6: (("z2x2'", "x2z2'"), None),
+    5: (("z1z1'", "x1x1'"), ("PBS", "HWP45")),
+    6: (("z2x2'", "x2z2'"), ("HWP45", "PBS", "HWP45")),
 }
 
 #: Canonical element order.

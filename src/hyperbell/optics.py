@@ -8,19 +8,18 @@ Element conventions on one photon's 4-dim pol (x) path space:
          with no extra reflection phase (port convention pinned here)
 
 The two elements each apparatus reads and its chain come from
-``lhv.APPARATUSES`` alone.  Apparatuses 1-4 are ordered element chains
-followed by detectors on the four computational output ports; their
+``lhv.APPARATUSES`` alone.  Every apparatus is an ordered element chain
+followed by detectors on the four computational output ports; its
 measurement basis is the chain's unitary pulled back onto the input space.
-Apparatuses 5 and 6 have no chain: they read the two jointly measured products
-per photon, as projective measurements in the joint eigenbasis of their two
-elements A and B.  Detector d, with signs (s_a, s_b) in the order (+,+),
-(+,-), (-,+), (-,-), is the first nonzero column of (1 + s_a A)(1 + s_b B)
-built from the elements' Pauli strings, normalized; for apparatus 5 these are
-the polarization-path Bell states phi+, phi-, psi+, psi-, read by ``bell``.
+Apparatus 5, a PBS then an HWP45, is one photon's polarization-path Bell
+analyzer (Kwiat and Weinfurter, PRA 58, R2623, 1998): its ports read the
+Bell states phi+, psi+, phi-, psi-, which ``bell`` labels by their signs of
+(z z', x x').
 
 Every detector is mapped to the eigenvalues of the apparatus's three
 quantities, each eigenvalue extracted independently from its own operator and
-asserted against the basis state.  A pair of apparatuses, one per photon, has
+asserted against the basis state; the four detectors must carry four distinct
+sign pairs of the two elements.  A pair of apparatuses, one per photon, has
 16 joint detector patterns; their Born distribution is computed for a pure
 state and for a density matrix, and ``readout_table`` gives every quantity's
 value on each pattern.  The density-matrix Born rule takes a stack of pattern
@@ -132,25 +131,6 @@ def _chain_basis(element_kinds: tuple[str, ...]) -> np.ndarray:
     return unitary.conj()
 
 
-def _joint_eigenbasis(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
-    """Joint eigenbasis of commuting +-1 observables A and B, one row per sign pair.
-
-    Row d, with signs (s_a, s_b) in the order (+,+), (+,-), (-,+), (-,-), is the
-    first nonzero column of (1 + s_a A)(1 + s_b B), normalized.  A zero
-    projector (B = +-A) raises ``AssertionError`` naming ``name``.
-    """
-    eye = np.eye(a.shape[0])
-    rows = []
-    for s_a, s_b in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        projector = (eye + s_a * a) @ (eye + s_b * b)
-        norms = np.linalg.norm(projector, axis=0)
-        nonzero = np.flatnonzero(norms >= ATOL)
-        if not nonzero.size:
-            raise AssertionError(f"{name}: no joint eigenvector with signs ({s_a:+d}, {s_b:+d})")
-        rows.append(projector[:, nonzero[0]] / norms[nonzero[0]])
-    return np.array(rows)
-
-
 @lru_cache(maxsize=None, typed=True)
 def build_apparatus(apparatus_id: int) -> ApparatusSpec:
     """Construct and validate one of the six apparatuses of ``lhv.APPARATUSES``.
@@ -169,11 +149,7 @@ def build_apparatus(apparatus_id: int) -> ApparatusSpec:
     if np.abs(product - op_b.matrix @ op_a.matrix).max() >= COMMUTATOR_ATOL:
         raise AssertionError(f"apparatus {apparatus_id}: observables do not commute")
 
-    if chain is None:
-        basis = _joint_eigenbasis(op_a.matrix, op_b.matrix, f"apparatus {apparatus_id}")
-    else:
-        basis = _chain_basis(chain)
-
+    basis = _chain_basis(chain)
     gram = basis @ basis.conj().T
     if np.abs(gram - np.eye(4)).max() >= ATOL:
         raise AssertionError(f"apparatus {apparatus_id}: basis is not orthonormal")
@@ -191,6 +167,10 @@ def build_apparatus(apparatus_id: int) -> ApparatusSpec:
                 f"apparatus {apparatus_id}: detector {d} product label mismatch"
             )
         detector_map.append((va, vb, vab))
+    if len({labels[:2] for labels in detector_map}) != 4:
+        raise AssertionError(
+            f"apparatus {apparatus_id}: detectors do not resolve {name_a} and {name_b}"
+        )
 
     basis.setflags(write=False)
     return ApparatusSpec(
@@ -277,15 +257,16 @@ def readout_table(a1: ApparatusSpec, a2: ApparatusSpec) -> dict[str, np.ndarray]
 #: Label order used by the Bell discriminator.
 BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 
-#: The Bell state on each of apparatus 5's detectors, in its sign order of (z z', x x').
-_BELL_DETECTORS = ("phi+", "phi-", "psi+", "psi-")
+#: The Bell state of each sign pair (z z', x x') on apparatus 5's detectors.
+_BELL_SIGNS = {(1, 1): "phi+", (1, -1): "phi-", (-1, 1): "psi+", (-1, -1): "psi-"}
 
 
 def bell_probabilities(state: StateVector) -> dict[str, float]:
     """Projection probabilities of a single-photon state onto apparatus 5's Bell basis."""
     if state.dim != 4:
         raise ValueError("Bell discrimination expects a 4-dim pol-path state")
-    bells = dict(zip(_BELL_DETECTORS, build_apparatus(5).basis))
+    spec = build_apparatus(5)
+    bells = {_BELL_SIGNS[va, vb]: row for (va, vb, _), row in zip(spec.detector_map, spec.basis)}
     return {label: abs(complex(np.vdot(bells[label], state.amps))) ** 2 for label in BELL_LABELS}
 
 

@@ -267,6 +267,32 @@ def test_the_shared_parser_carries_no_state(capsys):
     assert len(fresh[2].stdout.splitlines()) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["mermin", "--shots", "abc"], "argument --shots: invalid int value: 'abc'"),
+    (["nope"], "argument command: invalid choice: 'nope' (choose from "
+     "'verify', 'lhv', 'mermin', 'simulate', 'sweep', 'bell')"),
+    (["mermin", "--s", "3"], "ambiguous option: --s could match --shots, --seed"),
+    (["simulate", "--apparatus-pair", "1"], "argument --apparatus-pair: expected 2 arguments"),
+    (["bell", "--state", "chi"], "argument --state: invalid choice: 'chi' "
+     "(choose from 'psi+', 'psi-', 'phi+', 'phi-', 'random')"),
+    # argparse quotes unrecognized arguments as typed; their line breaks are escaped
+    (["verify", "--shots", "a\nb\r\u2028c"], "unrecognized arguments: --shots a\\nb\\r\\u2028c"),
+])
+def test_every_argparse_error_is_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert_usage_error(info.value.code, *capsys.readouterr(), message)
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["mermin", "-h"])
+    out, err = capsys.readouterr()
+    assert info.value.code == 0 and err == ""
+    assert out.startswith("usage: hyperbell mermin [-h]")
+
+
 def test_sweep_rejects_bad_grid():
     result = run_cli("sweep", "--grid", "0.5", "1.5", "--shots", "10")
     message = library_message(experiment._visibilities, [0.5, 1.5])
@@ -534,7 +560,7 @@ def test_fuzzed_argv_never_crashes(tmp_path, data):
             code, returned = exc.code, False
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in stderr.getvalue()
-    if returned and code == 2:  # the input check or --output: one line, no output
+    if code == 2:  # argparse, the input check or --output: one line, no output
         assert stdout.getvalue() == "", argv
         assert stderr.getvalue().startswith("hyperbell: error: "), argv
         assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n"), argv

@@ -40,6 +40,10 @@ CASES = {
     "simulate_1_4_v0.9.txt": [
         "simulate", "--apparatus-pair", "1", "4", "--visibility", "0.9",
     ],
+    # Photon 1's Bell analyzer against photon 2's apparatus 6, both chains.
+    "simulate_5_6_v0.9.txt": [
+        "simulate", "--apparatus-pair", "5", "6", "--visibility", "0.9",
+    ],
     "sweep.csv": ["sweep"],
     "sweep.txt": ["sweep", "--format", "text"],
     "sweep.json": ["sweep", "--format", "json"],

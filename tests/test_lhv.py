@@ -319,7 +319,7 @@ def test_readme_apparatus_table_matches_the_library_table():
     expected = {
         id_: (
             f"`{a}`, `{b}`, `{a}*{b}`",
-            "joint-eigenbasis measurement" if chain is None else ", ".join(chain),
+            ", ".join(chain),
         )
         for id_, ((a, b), chain) in APPARATUSES.items()
     }

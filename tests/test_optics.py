@@ -15,7 +15,6 @@ from hyperbell.observables import (
 from hyperbell.optics import (
     BELL_LABELS,
     COMMUTATOR_ATOL,
-    _joint_eigenbasis,
     bell_histogram,
     bell_probabilities,
     build_apparatus,
@@ -29,10 +28,10 @@ PSI = doubly_entangled_state()
 PSI_RHO = np.outer(PSI.amps, PSI.amps.conj())
 INV = 1 / np.sqrt(2)
 
-#: Apparatus-5 detector order: the polarization-path Bell states in sign order.
-APPARATUS5_LABELS = ("phi+", "phi-", "psi+", "psi-")
+#: The polarization-path Bell state of each sign pair (z z', x x').
+BELL_BY_SIGNS = {(1, 1): "phi+", (1, -1): "phi-", (-1, 1): "psi+", (-1, -1): "psi-"}
 
-#: Detector sign order (s_a, s_b) of a joint-eigenbasis apparatus.
+#: Sign order (s_a, s_b) of the rows of ``_joint_eigenbasis``.
 SIGN_ORDER = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 SIGMA = {
@@ -162,23 +161,18 @@ def test_apparatus_4_basis_is_computational():
 
 
 def test_apparatus_5_basis_is_bell_basis():
+    # each detector is the Bell state its own (z z', x x') signs name
     spec = build_apparatus(5)
     bells = build_bell_states("pol-path")
-    eigen_by_label = {"phi+": (1, 1), "phi-": (1, -1), "psi+": (-1, 1), "psi-": (-1, -1)}
-    for d, label in enumerate(APPARATUS5_LABELS):
+    labels = [BELL_BY_SIGNS[va, vb] for va, vb, _ in spec.detector_map]
+    assert sorted(labels) == sorted(BELL_BY_SIGNS.values())
+    for d, label in enumerate(labels):
         assert abs(np.vdot(spec.basis[d], bells[label].amps)) == pytest.approx(1.0)
-        assert spec.detector_map[d][:2] == eigen_by_label[label]
-
-
-def test_joint_eigenbases_list_detectors_in_sign_order():
-    for apparatus_id in (5, 6):
-        spec = build_apparatus(apparatus_id)
-        assert APPARATUSES[apparatus_id][1] is None  # no element chain
-        assert [labels[:2] for labels in spec.detector_map] == SIGN_ORDER
 
 
 def test_apparatus_6_basis_matches_the_hand_written_vectors():
-    # the joint eigenbasis of (z x', x z') written out by hand
+    # the joint eigenbasis of (z x', x z') written out by hand; a detector state is
+    # fixed only up to its own phase, and the chain's fourth is -1 times its vector
     h_plus, h_minus = np.array([INV, INV, 0, 0]), np.array([INV, -INV, 0, 0])
     v_plus, v_minus = np.array([0, 0, INV, INV]), np.array([0, 0, INV, -INV])
     expected = INV * np.array(
@@ -186,7 +180,44 @@ def test_apparatus_6_basis_matches_the_hand_written_vectors():
     )
     basis = build_apparatus(6).basis
     for d in range(4):
-        assert np.abs(basis[d] - expected[d]).max() <= 1e-15
+        phase = np.vdot(expected[d], basis[d])
+        assert abs(abs(phase) - 1.0) <= 1e-15
+        assert np.abs(basis[d] - phase * expected[d]).max() <= 1e-15
+
+
+def _joint_eigenbasis(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
+    """Joint eigenbasis of commuting +-1 observables A and B, one row per sign pair.
+
+    Row d, with signs (s_a, s_b) in ``SIGN_ORDER``, is the first nonzero column
+    of (1 + s_a A)(1 + s_b B), normalized.  A zero projector (B = +-A) raises
+    ``AssertionError`` naming ``name``.
+    """
+    eye = np.eye(a.shape[0])
+    rows = []
+    for s_a, s_b in SIGN_ORDER:
+        projector = (eye + s_a * a) @ (eye + s_b * b)
+        norms = np.linalg.norm(projector, axis=0)
+        nonzero = np.flatnonzero(norms >= ATOL)
+        if not nonzero.size:
+            raise AssertionError(f"{name}: no joint eigenvector with signs ({s_a:+d}, {s_b:+d})")
+        rows.append(projector[:, nonzero[0]] / norms[nonzero[0]])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("apparatus_id", range(1, 7))
+def test_chain_detectors_are_the_joint_eigenvectors_of_their_signs(apparatus_id):
+    # second path: each chain detector against the joint eigenvector of the
+    # two elements' operators with that detector's own sign pair
+    spec = build_apparatus(apparatus_id)
+    assert APPARATUSES[apparatus_id][1]  # every apparatus has an element chain
+    joint = _joint_eigenbasis(
+        element_operator(spec.observable_a).matrix,
+        element_operator(spec.observable_b).matrix,
+        f"apparatus {apparatus_id}",
+    )
+    for vec, (va, vb, _) in zip(spec.basis, spec.detector_map):
+        overlap = abs(np.vdot(vec, joint[SIGN_ORDER.index((va, vb))]))
+        assert abs(overlap - 1.0) <= 1e-12
 
 
 def test_every_commuting_pauli_pair_has_a_joint_eigenbasis():
@@ -202,11 +233,19 @@ def test_every_commuting_pauli_pair_has_a_joint_eigenbasis():
 def test_dependent_pair_has_no_joint_eigenbasis(monkeypatch):
     with pytest.raises(AssertionError, match="^ZX, ZX: "):
         _joint_eigenbasis(pauli("ZX"), pauli("ZX"), "ZX, ZX")
-    # an apparatus that reads one element twice is named in the error
-    table = {**optics.APPARATUSES, 6: (("z2x2'", "z2x2'"), None)}
+    # an apparatus that reads one element twice, through its own chain, is named in the error
+    table = {**optics.APPARATUSES, 6: (("z2x2'", "z2x2'"), optics.APPARATUSES[6][1])}
     monkeypatch.setattr(optics, "APPARATUSES", table)
     with pytest.raises(AssertionError, match="^apparatus 6: "):
         build_apparatus.__wrapped__(6)
+
+
+def test_detectors_that_do_not_resolve_both_elements_are_rejected(monkeypatch):
+    # z2 read twice: the PBS chain's detectors are eigenvectors, but two share each sign pair
+    table = {**optics.APPARATUSES, 4: (("z2", "z2"), ("PBS",))}
+    monkeypatch.setattr(optics, "APPARATUSES", table)
+    with pytest.raises(AssertionError, match="^apparatus 4: detectors do not resolve z2 and z2"):
+        build_apparatus.__wrapped__(4)
 
 
 def test_non_commuting_pair_is_rejected(monkeypatch):
