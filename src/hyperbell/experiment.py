@@ -13,10 +13,12 @@ unitary, so white noise adds exactly (1-V)/16 to every pattern and, over the
 row's k = 8 patterns at +1, p+(V) = V p+_Psi + (1-V) k/16.  Each p+_Psi is
 summed once from its pair's |Psi> distribution, built by the general Born
 rule, and the detector maps' pattern values; a visibility then costs its
-nine p+, mixed and checked in plain floats.  A point estimate draws them by
-nine scalar binomial draws in row order from the generator of its seed; a
-sweep draws its whole (points x 9) table in one binomial call on
-``default_rng(seed)``, the same stream as the point draws run in grid order.
+nine p+, mixed and checked.  A point estimate mixes them in plain floats and
+draws them by nine scalar binomial draws in row order from the generator of
+its seed; a sweep mixes its (points x 9) table in one array expression and
+draws it in one binomial call on ``default_rng(seed)``, the same stream as
+the point draws run in grid order, with O and SE as column operations below
+2**25 shots.
 ``sample_pair_counts`` (``simulate``) draws all 16 pattern counts of any
 density matrix, as its fifteen quantities need them.  Estimates are read off
 the counts, so cost and memory do not grow with the shot count.  All
@@ -29,7 +31,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -199,8 +201,9 @@ def _plus_minus_mean(plus: int, n: int) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def _row_tables() -> tuple[np.ndarray, tuple[tuple[float, float], ...]]:
-    """+-1 values (9, 16) of the rows at their pairs, and their (p+_Psi, k/16) as floats.
+def _row_tables() -> tuple[np.ndarray, tuple[tuple[float, float], ...], np.ndarray]:
+    """+-1 values (9, 16) of the rows at their pairs, their (p+_Psi, k/16) as floats,
+    and a (3, 9) array of the same p+_Psi and k/16 and of the rows' required signs.
 
     Row i holds constraint i+1: the product of its variables over the flat
     patterns 4*d1 + d2, the |Psi> Born distribution of its pair summed over
@@ -215,18 +218,33 @@ def _row_tables() -> tuple[np.ndarray, tuple[tuple[float, float], ...]]:
         bras.append(pattern_bras(a1, a2))
         values.append(np.prod([table[name] for name in constraint.variables], axis=0))
     values, p_psi = np.array(values), born_distributions(np.concatenate(bras), _noise_terms()[0])
-    values.setflags(write=False)
     plus = values > 0
-    return values, tuple(zip((p_psi * plus).sum(1).tolist(), (plus.sum(1) / 16.0).tolist()))
+    columns = np.array([(p_psi * plus).sum(1), plus.sum(1) / 16.0, _ROW_SIGNS])
+    for table in (values, columns):
+        table.setflags(write=False)
+    return values, tuple(zip(*columns[:2].tolist())), columns
+
+
+def _check_plus(low: float, high: float) -> None:
+    """Raise unless the lowest and highest p+ lie within ATOL of [0, 1]: rho was no state."""
+    if low <= -ATOL or high >= 1.0 + ATOL:
+        raise ValueError("density matrix is not a unit-trace positive state")
 
 
 def _plus_probabilities(v: float) -> list[float]:
     """p+(V) = V p+_Psi + (1-V) k/16 of the nine rows in floats, checked and clipped to [0, 1]."""
     w = 1.0 - v
     probs = [v * plus_psi + w * uniform for plus_psi, uniform in _row_tables()[1]]
-    if min(probs) <= -ATOL or max(probs) >= 1.0 + ATOL:
-        raise ValueError("density matrix is not a unit-trace positive state")
+    _check_plus(min(probs), max(probs))
     return [0.0 if p < 0.0 else 1.0 if p > 1.0 else p for p in probs]
+
+
+def _plus_table(v: np.ndarray) -> np.ndarray:
+    """``_plus_probabilities`` of every V in ``v`` as one (len(v) x 9) expression, same bits."""
+    plus_psi, uniform, _ = _row_tables()[2]
+    probs = np.multiply.outer(v, plus_psi) + np.multiply.outer(1.0 - v, uniform)
+    _check_plus(probs.min(initial=0.0), probs.max(initial=1.0))  # an empty grid passes
+    return probs.clip(0.0, 1.0)
 
 
 def _plus_counts(v: float, shots: int, binomial) -> list[int]:
@@ -234,8 +252,8 @@ def _plus_counts(v: float, shots: int, binomial) -> list[int]:
 
     The point estimates' row sampler.  Nine scalar draws are the same stream
     as one array draw of the nine rows, without numpy's array-argument checks;
-    ``visibility_sweep`` draws its table as one array, equal to this run point
-    by point on one generator.
+    ``visibility_sweep`` draws its ``_plus_table`` as one array, equal to this
+    run point by point on one generator.
     """
     return [binomial(shots, p) for p in _plus_probabilities(v)]
 
@@ -262,6 +280,12 @@ def _mermin_value(plus: Sequence[int], shots: int) -> tuple[float, float]:
         total += sign * ((2 * p - shots) / shots)
         spread += p * (shots - p)
     return total, 2.0 * math.sqrt(spread / (shots - 1)) / shots
+
+
+#: Below this many shots a sweep's O and SE are column operations on its counts:
+#: the spread 9 (n/2)**2 < 2**53 is exact in float64, so each operation rounds
+#: as in ``_mermin_value``, which larger counts keep, row by row.
+_COLUMN_SHOTS = 2**25
 
 
 def estimate_rows(
@@ -396,26 +420,32 @@ def visibility_sweep(
     """Exact and (optionally) sampled Bell-Mermin values across visibilities.
 
     ``shots_per_setting=0`` skips sampling; else it is at least 2.  ``seed``
-    is an integer in [0, 2**64 - 1].  Every point's nine p+ come from
-    ``_plus_probabilities``, and the (points x 9) table is drawn in one
-    ``binomial`` call on ``default_rng(seed)``.  numpy draws an array argument
-    element by element in C order, by the same algorithm as a scalar draw, so
-    the table equals ``_plus_counts`` run point by point in grid order on that
-    one generator: the rows of ``grid[:k]`` are the first k rows of ``grid``,
-    and a one-point sweep equals ``estimate_mermin(shots_per_setting, v, seed)``
-    bit for bit.  The exact column is V times one dense <Psi|O|Psi>, 9.0,
-    correctly rounded: tr(rho O) is linear in V.
+    is an integer in [0, 2**64 - 1].  The (points x 9) ``_plus_table`` is
+    drawn in one ``binomial`` call on ``default_rng(seed)``; numpy draws an
+    array argument element by element in C order, as a scalar draw, so the
+    counts equal ``_plus_counts`` run point by point in grid order on that
+    generator.  O and SE are column operations below ``_COLUMN_SHOTS`` and
+    ``_mermin_value`` per row from it on, with the same bits either way: the
+    rows of ``grid[:k]`` are the first k rows of ``grid``, and a one-point
+    sweep equals ``estimate_mermin(shots_per_setting, v, seed)`` bit for bit.
+    The exact column is V times one dense <Psi|O|Psi>, 9.0, correctly
+    rounded: tr(rho O) is linear in V.
     """
     shots = _sweep_shot_count(shots_per_setting)
     seed = _seed(seed)
-    visibilities = _visibilities(grid)
-    columns = np.full((len(visibilities), 4), np.nan)
+    v = np.array(_visibilities(grid), dtype=float)
+    columns = np.full((len(v), 4), np.nan)
     exact = exact_expectation("O", noisy_state(1.0))
-    columns[:, :2] = np.multiply.outer(visibilities, (1.0, exact))
+    columns[:, :2] = np.multiply.outer(v, (1.0, exact))
     if shots:
-        probs = [_plus_probabilities(v) for v in visibilities]
-        plus = np.random.default_rng(seed).binomial(shots, probs).tolist()
-        columns[:, 2:] = np.reshape([_mermin_value(p, shots) for p in plus], (-1, 2))
+        plus = np.random.default_rng(seed).binomial(shots, _plus_table(v))
+        if shots >= _COLUMN_SHOTS:
+            columns[:, 2:] = np.reshape([_mermin_value(p, shots) for p in plus.tolist()], (-1, 2))
+        else:  # _mermin_value as column operations, the terms added left to right
+            terms = (2 * plus - shots) / shots * _row_tables()[2][2]
+            columns[:, 2] = reduce(operator.add, terms.T, 0.0)
+            spread = (plus * (shots - plus)).sum(axis=1)
+            columns[:, 3] = 2.0 * np.sqrt(spread / (shots - 1)) / shots
     columns.setflags(write=False)
     return SweepTable(columns)
 

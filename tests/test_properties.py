@@ -7,12 +7,13 @@ signalling, and the correlations read off the detector maps against
 tr(rho Q) from the operators.  Each row's probability of reading +1 is
 checked against (1 + tr(rho R))/2, the sampler's plain-float p+(V) against
 the Born rule of noisy_state(V) and bit for bit against numpy's elementwise
-formula.  The visibility sweep's one array draw is checked bit for bit against
-its points drawn one at a time on one generator, against the point estimate of
-the same seed, and against the sweeps of its grid's prefixes.  The
-Bell-Mermin sum of the row counts is pinned to a plain left-to-right float
-sum, whatever the Python, and every builtin ``sum`` in src/ to a known
-integer sum.
+formula and the sweep's (points x 9) table.  The visibility sweep's one array
+draw and its column operations are checked bit for bit against its points
+drawn and summed one at a time on one generator, against the point estimate
+of the same seed, and against the sweeps of its grid's prefixes, at shot
+counts on both sides of the column path's bound.  The Bell-Mermin sum of the
+row counts is pinned to a plain left-to-right float sum, whatever the Python,
+and every builtin ``sum`` in src/ to a known integer sum.
 """
 
 import ast
@@ -29,9 +30,11 @@ import hyperbell
 from hyperbell.experiment import (
     MAX_SHOTS,
     ROW_APPARATUS_PAIRS,
+    _COLUMN_SHOTS,
     _mermin_value,
     _plus_counts,
     _plus_probabilities,
+    _plus_table,
     _row_tables,
     _visibilities,
     estimate_mermin,
@@ -137,7 +140,7 @@ def test_sampled_mixture_is_the_born_rule_of_the_noisy_state(drawn):
     # the sampler never builds rho; its plain-float p+(V) must be numpy's
     # elementwise formula bit for bit, and the +1 patterns' share of
     # diag(K rho K^dagger) for rho = noisy_state(V)
-    values, terms = _row_tables()
+    values, terms, _ = _row_tables()
     plus_psi, uniform = np.array(terms).T
     for v in _visibilities([*EDGE_VISIBILITIES, *drawn]):
         rows = _plus_probabilities(v)
@@ -150,12 +153,29 @@ def test_sampled_mixture_is_the_born_rule_of_the_noisy_state(drawn):
             assert abs(p - pair.ravel()[row_values > 0].sum()) <= 1e-12
 
 
+@settings(deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=6))
+def test_sweep_table_mixes_and_clips_as_the_point_floats(drawn):
+    # the sweep's one array expression against the point's plain floats, bit
+    # for bit; V = 1 + 1e-12 puts p+ within ATOL outside [0, 1] on every row,
+    # so only the clip makes those rows probabilities
+    grid = [*EDGE_VISIBILITIES, *drawn, 1.0 + 1e-12]
+    table = _plus_table(np.array(grid))
+    assert [[p.hex() for p in row] for row in table.tolist()] == [
+        [p.hex() for p in _plus_probabilities(v)] for v in grid
+    ]
+    assert table[-1].tolist() == [0.0 if p == 0 else 1.0 for p in _row_tables()[2][0]]
+
+
 def test_sampled_mixture_is_checked():
     # p+ is a probability: V = 1.5 gives -1/4 on the rows |Psi> never reads +1,
-    # and V = -1.5 gives -1/4 on the rows it always reads +1
+    # and V = -1.5 gives -1/4 on the rows it always reads +1; a sweep's table
+    # must raise too, even with a valid point beside the bad one
     for v in (1.5, -1.5):
         with pytest.raises(ValueError, match="not a unit-trace positive state"):
             _plus_probabilities(v)
+        with pytest.raises(ValueError, match="not a unit-trace positive state"):
+            _plus_table(np.array([0.5, v]))
 
 
 #: Grid points: the ends, the threshold 7/9, and arbitrary values in between.
@@ -173,9 +193,17 @@ def grids(draw):
     return draw(st.permutations(grid + repeats))
 
 
-#: A sweep's shots per setting: the fewest, the benchmark's, and the most.
-sweep_shots = st.sampled_from([2, 100, MAX_SHOTS])
+#: A sweep's shots per setting: the fewest, the benchmark's, both sides of the
+#: column path's bound 2**25, a trillion (an int64 spread overflows), and the most.
+sweep_shots = st.sampled_from([2, 100, 2**25 - 1, 2**25, 10**12, MAX_SHOTS])
 seeds = st.integers(0, 2**64 - 1)
+
+
+def test_column_shot_bound_keeps_the_counts_exact():
+    # below the bound a sweep sums the nine n+ n- in int64 and divides in
+    # float64, so 2 n+ - n and the largest spread must be exact in both
+    n = _COLUMN_SHOTS
+    assert 9 * (n // 2) * (n - n // 2) < 2**53 and 2 * n < 2**63
 
 
 @settings(deadline=None, max_examples=60)
