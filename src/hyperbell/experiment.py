@@ -70,13 +70,6 @@ def _seed(seed) -> int:
     return _integer(seed, 0, 2**64 - 1, "seed must be an integer in [0, 2**64 - 1]")
 
 
-def _generator(seed) -> np.random.Generator:
-    """The generator of a point estimate: ``seed`` checked by ``_seed``, or a ``SeedSequence``."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = _seed(seed)
-    return np.random.default_rng(seed)
-
-
 def _visibility(value) -> float:
     """``value`` as a float in [0, 1]; bools and non-numbers raise ``ValueError`` naming it."""
     # An exact float is tested first, so the common case skips the numbers.Real ABC check.
@@ -260,7 +253,7 @@ def _plus_counts(v: float, shots: int, binomial) -> list[int]:
 
 def _sample_point(shots_per_setting, visibility, seed) -> tuple[int, list[int]]:
     """Checked shots (at least 2, for a standard error) and n+ of the nine rows at V."""
-    gen = _generator(seed)
+    gen = np.random.default_rng(_seed(seed))
     shots = _shot_count(shots_per_setting, 2)
     return shots, _plus_counts(_visibility(visibility), shots, gen.binomial)
 
@@ -297,7 +290,7 @@ def estimate_rows(
 
     Nine binomial draws give n+ of the nine rows, each with its p+(V), in
     row order from the generator of ``seed``, so a fixed seed fixes every
-    estimate.  ``seed`` is an integer in [0, 2**64 - 1] or a ``SeedSequence``.
+    estimate.  ``seed`` is an integer in [0, 2**64 - 1].
     A standard error needs at least 2 shots.
     """
     shots, plus = _sample_point(shots_per_setting, visibility, seed)
@@ -321,7 +314,7 @@ def estimate_pair(
     ``seed`` and ``shots`` are taken as by ``estimate_rows``.
     """
     a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
-    rng = _generator(seed)
+    rng = np.random.default_rng(_seed(seed))
     shots = _shot_count(shots, 2)
     counts = sample_pair_counts(a1_id, a2_id, noisy_state(visibility), shots, rng)
     quantities = readout_table(a1, a2)
@@ -428,14 +421,14 @@ def visibility_sweep(
     ``_mermin_value`` per row from it on, with the same bits either way: the
     rows of ``grid[:k]`` are the first k rows of ``grid``, and a one-point
     sweep equals ``estimate_mermin(shots_per_setting, v, seed)`` bit for bit.
-    The exact column is V times one dense <Psi|O|Psi>, 9.0, correctly
-    rounded: tr(rho O) is linear in V.
+    The exact column is V times <Psi|O|Psi>, 9.0, read off the cached
+    projector and correctly rounded: tr(rho O) is linear in V.
     """
     shots = _sweep_shot_count(shots_per_setting)
     seed = _seed(seed)
     v = np.array(_visibilities(grid), dtype=float)
     columns = np.full((len(v), 4), np.nan)
-    exact = exact_expectation("O", noisy_state(1.0))
+    exact = exact_expectation("O", _noise_terms()[0])
     columns[:, :2] = np.multiply.outer(v, (1.0, exact))
     if shots:
         plus = np.random.default_rng(seed).binomial(shots, _plus_table(v))

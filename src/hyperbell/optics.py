@@ -17,15 +17,15 @@ Bell states phi+, psi+, phi-, psi-, which ``bell`` labels by their signs of
 (z z', x x').
 
 Every detector is mapped to the eigenvalues of the apparatus's three
-quantities, each eigenvalue extracted independently from its own operator and
-asserted against the basis state; the four detectors must carry four distinct
-sign pairs of the two elements.  A pair of apparatuses, one per photon, has
-16 joint detector patterns; their Born distribution is computed for a pure
-state and for a density matrix, and ``readout_table`` gives every quantity's
-value on each pattern.  The density-matrix Born rule takes a stack of pattern
-bras, so several settings share one computation and one check; the sampler
-builds the nine rows' |Psi> distributions this way, once, and mixes in white
-noise without it.
+quantities, read off B M B^dagger, each quantity's operator M conjugated once
+by the detector basis B, which must come out diagonal with +-1 entries; the
+four detectors must carry four distinct sign pairs of the two elements.  A
+pair of apparatuses, one per photon, has 16 joint detector patterns; their
+Born distribution is computed for a pure state and for a density matrix, and
+``readout_table`` gives every quantity's value on each pattern.  The
+density-matrix Born rule takes a stack of pattern bras, so several settings
+share one computation and one check; the sampler builds the nine rows' |Psi>
+distributions this way, once, and mixes in white noise without it.
 """
 
 from __future__ import annotations
@@ -110,16 +110,13 @@ class ApparatusSpec:
         return (self.observable_a, self.observable_b, self.product_name)
 
 
-def _eigenvalue_on(matrix: np.ndarray, vec: np.ndarray, name: str) -> int:
-    """Round <v|M|v> to +-1 and assert v is the corresponding eigenvector."""
-    raw = complex(np.vdot(vec, matrix @ vec)).real
-    value = int(round(raw))
-    if value not in (-1, 1) or abs(raw - value) >= ATOL:
+def _basis_eigenvalues(basis: np.ndarray, matrix: np.ndarray, name: str) -> list[int]:
+    """Each basis row's +-1 eigenvalue of M: B M B^dagger must be diagonal with +-1 entries."""
+    conjugated = basis.conj() @ matrix @ basis.T
+    values = np.where(conjugated.diagonal().real > 0, 1, -1)
+    if np.abs(conjugated - np.diag(values)).max() >= ATOL:
         raise AssertionError(f"{name}: basis state is not a +-1 eigenvector")
-    residual = np.abs(matrix @ vec - value * vec).max()
-    if residual >= ATOL:
-        raise AssertionError(f"{name}: eigenvector residual {residual:g}")
-    return value
+    return values.tolist()
 
 
 def _chain_basis(element_kinds: tuple[str, ...]) -> np.ndarray:
@@ -154,19 +151,14 @@ def build_apparatus(apparatus_id: int) -> ApparatusSpec:
     if np.abs(gram - np.eye(4)).max() >= ATOL:
         raise AssertionError(f"apparatus {apparatus_id}: basis is not orthonormal")
 
-    detector_map = []
-    for d in range(4):
-        vec = basis[d]
-        va = _eigenvalue_on(op_a.matrix, vec, f"apparatus {apparatus_id} {name_a}")
-        vb = _eigenvalue_on(op_b.matrix, vec, f"apparatus {apparatus_id} {name_b}")
-        vab = _eigenvalue_on(
-            product, vec, f"apparatus {apparatus_id} {name_a}*{name_b}"
-        )
+    quantities = ((op_a.matrix, name_a), (op_b.matrix, name_b), (product, f"{name_a}*{name_b}"))
+    columns = [_basis_eigenvalues(basis, m, f"apparatus {apparatus_id} {n}") for m, n in quantities]
+    detector_map = list(zip(*columns))
+    for d, (va, vb, vab) in enumerate(detector_map):
         if vab != va * vb:
             raise AssertionError(
                 f"apparatus {apparatus_id}: detector {d} product label mismatch"
             )
-        detector_map.append((va, vb, vab))
     if len({labels[:2] for labels in detector_map}) != 4:
         raise AssertionError(
             f"apparatus {apparatus_id}: detectors do not resolve {name_a} and {name_b}"

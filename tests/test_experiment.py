@@ -481,7 +481,7 @@ def test_sweep_takes_a_tuple_list_or_array_grid():
 
 
 @pytest.mark.parametrize("shots", [0, 100])
-@pytest.mark.parametrize("bad", [-1, True, 2.5, "7", 2**64, None])
+@pytest.mark.parametrize("bad", [-1, True, 2.5, "7", 2**64, None, np.random.SeedSequence(1)])
 def test_sweep_rejects_bad_seeds(bad, shots):
     # checked before any work, so an exact-only sweep rejects it too; the
     # point estimators check it before the shots, so shots 0 reaches it too

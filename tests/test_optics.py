@@ -240,6 +240,18 @@ def test_dependent_pair_has_no_joint_eigenbasis(monkeypatch):
         build_apparatus.__wrapped__(6)
 
 
+@pytest.mark.parametrize(
+    "apparatus_id, chain, name", [(1, ("PBS",), "x1'"), (6, ("HWP45", "BS", "PBS"), "z2x2'")]
+)
+def test_chain_that_does_not_read_an_element_is_rejected(monkeypatch, apparatus_id, chain, name):
+    # the chain's detector states are not eigenvectors of the named element
+    table = {**optics.APPARATUSES, apparatus_id: (optics.APPARATUSES[apparatus_id][0], chain)}
+    monkeypatch.setattr(optics, "APPARATUSES", table)
+    message = rf"^apparatus {apparatus_id} {name}: basis state is not a \+-1 eigenvector"
+    with pytest.raises(AssertionError, match=message):
+        build_apparatus.__wrapped__(apparatus_id)
+
+
 def test_detectors_that_do_not_resolve_both_elements_are_rejected(monkeypatch):
     # z2 read twice: the PBS chain's detectors are eigenvectors, but two share each sign pair
     table = {**optics.APPARATUSES, 4: (("z2", "z2"), ("PBS",))}
@@ -272,7 +284,7 @@ def test_build_apparatus_takes_any_integer_id():
 
 def test_cold_rebuild_runs_every_detector_check(monkeypatch):
     # nothing under build_apparatus is cached: after cache_clear, apparatuses
-    # 1-6 build their 12 element operators and make all 6 x 4 x 3 label checks
+    # 1-6 build their 12 element operators and read all 6 x 3 quantities' labels
     calls = {"pauli": 0, "eigenvalue": 0}
 
     def counted(key, original):
@@ -284,13 +296,15 @@ def test_cold_rebuild_runs_every_detector_check(monkeypatch):
     for i in range(1, 7):
         build_apparatus(i)  # warm, as certify is before it times a cold rebuild
     monkeypatch.setattr(observables, "_pauli_matrix", counted("pauli", observables._pauli_matrix))
-    monkeypatch.setattr(optics, "_eigenvalue_on", counted("eigenvalue", optics._eigenvalue_on))
+    monkeypatch.setattr(
+        optics, "_basis_eigenvalues", counted("eigenvalue", optics._basis_eigenvalues)
+    )
     build_apparatus.cache_clear()
     try:
         assert [build_apparatus(i).id for i in range(1, 7)] == [1, 2, 3, 4, 5, 6]
     finally:
         build_apparatus.cache_clear()
-    assert calls == {"pauli": 12, "eigenvalue": 72}
+    assert calls == {"pauli": 12, "eigenvalue": 18}
 
 
 @pytest.mark.parametrize(
