@@ -64,8 +64,9 @@ def text_verify(payload) -> list[str]:
 
 def run_lhv(args):
     c = lhv.contradiction_certificate()
-    expected = (len(lhv.CONSTRAINTS) - 1, lhv.LHV_BOUND, +1)
-    ok = (c.satisfied_max, c.mermin_max, c.parity_product) == expected
+    n = lhv.QUANTUM_VALUE  # scan against the coset bound, and the parity proof closing
+    expected = (n - lhv.FEWEST_VIOLATED, lhv.LHV_BOUND, 2 * lhv.FEWEST_SATISFIED - n, +1)
+    ok = (c.satisfied_max, c.mermin_max, c.mermin_min, c.parity_product) == expected
     return c.to_dict(), int(not ok)
 
 

@@ -17,16 +17,18 @@ The nine predicted product constraints cannot all hold.  Mermin's parity
 proof finds, by Gaussian elimination over GF(2), a set y of rows in which
 every element appears an even number of times, so that their products
 multiply to +1 under any assignment, while their required products multiply
-to -1; for this table y is all nine rows.  The full scan checks each of the
-2^12 = 4096 assignments once and confirms at most 8 of 9 constraints are
-satisfiable.  An assignment's Bell-Mermin value is 2*count - 9, so the scan's
-extreme counts cap the local-realistic value at 7 against the quantum value 9.
+to -1; for this table y is all nine rows.  The same elimination gives the
+coset bound: at least 1 row is always violated, 0 always satisfied, so the
+local-realistic value runs from -9 to ``LHV_BOUND`` = 7 against the quantum 9.
+The full scan re-derives both, reading each of the 2^12 = 4096 assignments
+once through per-row readers: its extreme counts give the values 2*count - 9.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -105,10 +107,6 @@ ROW_APPARATUS_PAIRS: dict[int, tuple[int, int]] = {
     c.id: (_reading_apparatus(c, 1), _reading_apparatus(c, 2)) for c in CONSTRAINTS
 }
 
-#: Brute-force maximum of the Bell-Mermin value over all assignments,
-#: re-derived by contradiction_certificate() and asserted in the tests.
-LHV_BOUND = 7
-
 #: Quantum value of the same quantity on the doubly entangled state: every row holds.
 QUANTUM_VALUE = len(CONSTRAINTS)
 
@@ -122,7 +120,7 @@ class LhvAssignment:
     def __post_init__(self):
         if len(self.values) != len(ELEMENTS):
             raise ValueError(f"expected {len(ELEMENTS)} values, got {len(self.values)}")
-        if any(v not in (-1, 1) for v in self.values):
+        if self.values.count(1) + self.values.count(-1) != len(self.values):
             raise ValueError("assignment values must be +1 or -1")
 
     def __getitem__(self, name: str) -> int:
@@ -145,11 +143,18 @@ def constraint_product(assignment: LhvAssignment, constraint: LhvConstraint) -> 
     return product
 
 
+#: Each row's reader of ``LhvAssignment.values`` (2+ indices, so it reads a tuple) and sign.
+assert all(len(c.variables) >= 2 for c in CONSTRAINTS)
+_ROW_READERS = tuple(
+    (operator.itemgetter(*(_ELEMENT_INDEX[n] for n in c.variables)), c.required_product)
+    for c in CONSTRAINTS
+)
+
+
 def check(assignment: LhvAssignment) -> tuple[tuple[bool, ...], int]:
-    """Per-constraint satisfaction vector and the count of satisfied rows."""
-    flags = tuple(
-        constraint_product(assignment, c) == c.required_product for c in CONSTRAINTS
-    )
+    """Per-constraint satisfaction vector and the count of satisfied rows (by row reader)."""
+    values = assignment.values
+    flags = tuple([math.prod(read(values)) == required for read, required in _ROW_READERS])
     return flags, sum(flags)
 
 
@@ -165,17 +170,11 @@ def mermin_value(assignment: LhvAssignment) -> int:
     )
 
 
-def parity_vector(constraints: Sequence[LhvConstraint]) -> tuple[int, ...] | None:
-    """Mermin's parity proof over GF(2): y with yA = 0 and y.b = 1, one bit per row; or None.
-
-    A is the rows' incidence matrix over their elements, b their sign bits
-    (1 for a required -1).  Under any assignment the rows of such a y
-    multiply to +1, as each element appears in an even number of them, yet
-    they require -1.  Rows that reduce to zero against the earlier pivots
-    span every y with yA = 0, so one has y.b = 1 exactly when some y does.
-    """
+def _left_null_space(constraints: Sequence[LhvConstraint]) -> list[tuple[int, int]]:
+    """A basis of {y : yA = 0} over GF(2), as (row mask of y, y.b); see ``parity_vector``."""
     columns: dict[str, int] = {}
     pivots: dict[int, tuple[int, int, int]] = {}  # leading bit -> (bits, sign, rows)
+    basis = []
     for i, constraint in enumerate(constraints):
         bits, sign, rows = 0, int(constraint.required_product == -1), 1 << i
         for name in constraint.variables:
@@ -188,14 +187,49 @@ def parity_vector(constraints: Sequence[LhvConstraint]) -> tuple[int, ...] | Non
             pivot_bits, pivot_sign, pivot_rows = pivots[lead]
             bits, sign, rows = bits ^ pivot_bits, sign ^ pivot_sign, rows ^ pivot_rows
         else:
-            if sign:
-                return tuple(rows >> j & 1 for j in range(len(constraints)))
+            basis.append((rows, sign))
+    return basis
+
+
+def parity_vector(constraints: Sequence[LhvConstraint]) -> tuple[int, ...] | None:
+    """Mermin's parity proof over GF(2): y with yA = 0 and y.b = 1, one bit per row; or None.
+
+    A is the rows' incidence matrix over their elements, b their sign bits
+    (1 for a required -1).  Under any assignment the rows of such a y
+    multiply to +1, as each element appears in an even number of them, yet
+    they require -1.  Rows that reduce to zero against the earlier pivots
+    span every y with yA = 0, so one has y.b = 1 exactly when some y does.
+    """
+    for rows, sign in _left_null_space(constraints):
+        if sign:
+            return tuple(rows >> j & 1 for j in range(len(constraints)))
     return None
+
+
+def coset_bound(constraints: Sequence[LhvConstraint]) -> tuple[int, int]:
+    """Fewest violated and fewest satisfied rows over all assignments, from GF(2) algebra.
+
+    An assignment x (bit 1 for a value -1) violates the rows Ax + b, so these are
+    the distances from b and from b + 1...1 to the column space of A: the fewest
+    bits of a word e with y.e = y.b (y.b + y.1...1) for every y with yA = 0.
+    """
+    basis = _left_null_space(constraints)
+    return tuple(
+        min(e.bit_count() for e in range(1 << len(constraints)) if all(
+            (y & e).bit_count() % 2 == (sign + flip * y.bit_count()) % 2 for y, sign in basis))
+        for flip in (0, 1)
+    )
 
 
 def parity_argument() -> tuple[int, ...] | None:
     """y of the nine rows (all nine): their products are +1, their requirements -1."""
     return parity_vector(CONSTRAINTS)
+
+
+#: The table's fewest violated (1) and fewest satisfied (0) rows, from the coset bound.
+FEWEST_VIOLATED, FEWEST_SATISFIED = coset_bound(CONSTRAINTS)
+#: Largest local-realistic Bell-Mermin value, 9 - 2*1 = 7; the scan re-derives it.
+LHV_BOUND = QUANTUM_VALUE - 2 * FEWEST_VIOLATED
 
 
 @dataclass(frozen=True)
@@ -244,10 +278,10 @@ class ContradictionCertificate:
 def contradiction_certificate() -> ContradictionCertificate:
     """Scan all 4096 assignments; report the best witness and the parity proof.
 
-    Each assignment is checked once.  Ties on the satisfied count keep the
-    first witness in enumeration order, so the result is deterministic.  The
-    Bell-Mermin extremes come from the extreme counts, as a value is always
-    2*count - 9 (``mermin_value``).
+    Each assignment is built, validated and checked (by ``check``'s row readers)
+    once.  Ties on the satisfied count keep the first witness in enumeration
+    order, so the result is deterministic.  The Bell-Mermin extremes come from
+    the extreme counts, as a value is always 2*count - 9 (``mermin_value``).
     """
     best_count, worst_count, best_witness = -1, len(CONSTRAINTS), None
     for assignment in enumerate_assignments():

@@ -451,6 +451,21 @@ def test_lhv_exits_1_when_the_certificate_is_off(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["satisfied_max"] == 9
 
 
+@pytest.mark.parametrize(
+    "field, value", [("satisfied_max", 7), ("mermin_max", 5), ("mermin_min", -7)]
+)
+def test_lhv_exits_1_when_the_scan_and_the_coset_bound_disagree(monkeypatch, field, value):
+    certificate = dataclasses.replace(lhv.contradiction_certificate(), **{field: value})
+    monkeypatch.setattr(lhv, "contradiction_certificate", lambda: certificate)
+    assert cli.run_lhv(None)[1] == 1
+
+
+@pytest.mark.parametrize("name", ["FEWEST_VIOLATED", "FEWEST_SATISFIED", "LHV_BOUND"])
+def test_lhv_exits_1_when_the_coset_bound_is_off(monkeypatch, name):
+    monkeypatch.setattr(lhv, name, getattr(lhv, name) + 1)
+    assert cli.run_lhv(None)[1] == 1
+
+
 def test_bell_accepts_one_shot():
     result = run_cli("bell", "--shots", "1", "--format", "json")
     assert result.returncode == 0

@@ -21,6 +21,7 @@ from hyperbell.lhv import (
     check,
     constraint_product,
     contradiction_certificate,
+    coset_bound,
     enumerate_assignments,
     mermin_value,
     parity_argument,
@@ -114,6 +115,22 @@ def test_assignment_validation():
         LhvAssignment((1,) * 11)
     with pytest.raises(ValueError):
         LhvAssignment((1,) * 11 + (0,))
+    # a value is accepted exactly when `v in (-1, 1)` holds (equality, not
+    # hashing): an unhashable value is a ValueError too, never a TypeError
+    probes = (1, -1, True, 1.0, 0, 2, -2, None, "1", 1.5, math.nan, [1])
+    old_rule = [probe in (-1, 1) for probe in probes]
+    assert old_rule == [True] * 4 + [False] * 8
+    for probe, accepted in zip(probes, old_rule):
+        for at in (0, 6, 11):
+            values = (1,) * at + (probe,) + (1,) * (11 - at)
+            if accepted:
+                assert LhvAssignment(values).values == values
+            else:
+                with pytest.raises(ValueError, match=r"^assignment values must be \+1 or -1$"):
+                    LhvAssignment(values)
+    for length in (11, 13):
+        with pytest.raises(ValueError, match=rf"^expected 12 values, got {length}$"):
+            LhvAssignment((1,) * length)
 
 
 def test_enumeration_count_order_distinct():
@@ -146,6 +163,14 @@ def test_no_assignment_satisfies_all_nine():
     assert best_value == LHV_BOUND == 7
     assert worst_value == -9
     assert QUANTUM_VALUE == 9
+
+
+def test_check_flags_match_the_oracle_rows_over_all_assignments():
+    # check reads rows through index readers; the oracle multiplies by name
+    for assignment in enumerate_assignments():
+        values = dict(zip(ELEMENTS, assignment.values))
+        flags = tuple(math.prod(values[n] for n in v) == s for v, s in ORACLE_CONSTRAINTS)
+        assert check(assignment) == (flags, flags.count(True))
 
 
 def test_value_count_relation_over_all_assignments():
@@ -241,13 +266,50 @@ def test_gf2_parity_proof_of_other_tables(table):
     assert _solves_parity(table, y)
 
 
+def _flipped(row):
+    table = list(ORACLE_CONSTRAINTS)
+    variables, sign = table[row]
+    table[row] = (variables, -sign)
+    return table
+
+
+def _fewest_violated_and_satisfied(table):
+    """Brute force over every assignment of the table's names."""
+    names = sorted({name for variables, _ in table for name in variables})
+    counts = []
+    for bits in itertools.product((1, -1), repeat=len(names)):
+        values = dict(zip(names, bits))
+        counts.append([math.prod(values[n] for n in v) == s for v, s in table].count(True))
+    return len(table) - max(counts), min(counts)
+
+
+@pytest.mark.parametrize(
+    "table, expected",
+    [(ORACLE_CONSTRAINTS, (1, 0)), (PERES_MERMIN, (1, 1)), (GHZ_MERMIN, (1, 1))]
+    + [(_flipped(row), None) for row in range(9)],
+    ids=["paper", "peres-mermin", "ghz-mermin"] + [f"row-{row + 1}-flipped" for row in range(9)],
+)
+def test_coset_bound_equals_brute_force(table, expected):
+    # fewest violated rows: distance from b to the column space of A;
+    # fewest satisfied rows: distance from b + 1...1
+    bound = coset_bound(_constraints(table))
+    assert bound == _fewest_violated_and_satisfied(table)
+    if expected is not None:
+        assert bound == expected
+    else:
+        assert bound[0] == 0  # a flipped sign makes the table satisfiable
+
+
+def test_lhv_bound_comes_from_the_coset_bound():
+    assert (lhv.FEWEST_VIOLATED, lhv.FEWEST_SATISFIED) == coset_bound(CONSTRAINTS) == (1, 0)
+    assert type(LHV_BOUND) is int and LHV_BOUND == QUANTUM_VALUE - 2 == 7
+
+
 @pytest.mark.parametrize("row", range(9))
 def test_gf2_parity_proof_fails_with_one_sign_flipped(row):
     # all nine rows are the only y with yA = 0, and a flipped sign makes y.b = 0:
     # the flipped table has a local-realistic model, which the scan confirms
-    table = list(ORACLE_CONSTRAINTS)
-    variables, sign = table[row]
-    table[row] = (variables, -sign)
+    table = _flipped(row)
     assert parity_vector(_constraints(table)) is None
     satisfiable = any(
         all(math.prod(dict(zip(ELEMENTS, bits))[n] for n in v) == s for v, s in table)
@@ -334,6 +396,7 @@ def test_lhv_runs_without_numpy():
         "import hyperbell\n"
         "import hyperbell.lhv\n"
         "assert hyperbell.lhv.contradiction_certificate().satisfied_max == 8\n"
+        "assert hyperbell.lhv.LHV_BOUND == 7\n"
         "assert sys.modules['numpy'] is None\n"
     )
     env = os.environ.copy()
