@@ -20,8 +20,9 @@ multiply to +1 under any assignment, while their required products multiply
 to -1; for this table y is all nine rows.  The same elimination gives the
 coset bound: at least 1 row is always violated, 0 always satisfied, so the
 local-realistic value runs from -9 to ``LHV_BOUND`` = 7 against the quantum 9.
-The full scan re-derives both, reading each of the 2^12 = 4096 assignments
-once through per-row readers: its extreme counts give the values 2*count - 9.
+The full scan re-derives both, reading each of the 2^12 = 4096 value tuples
+once through per-row readers into a histogram of satisfied counts: its extreme
+counts give the values 2*count - 9.
 """
 
 from __future__ import annotations
@@ -130,10 +131,14 @@ class LhvAssignment:
         return dict(zip(ELEMENTS, self.values))
 
 
+def _value_tuples() -> Iterator[tuple[int, ...]]:
+    """All 4096 value tuples, lexicographic with +1 before -1 (all-+1 first)."""
+    return itertools.product((1, -1), repeat=len(ELEMENTS))
+
+
 def enumerate_assignments() -> Iterator[LhvAssignment]:
-    """All 4096 assignments, lexicographic with +1 before -1 (all-+1 first)."""
-    for values in itertools.product((1, -1), repeat=len(ELEMENTS)):
-        yield LhvAssignment(values)
+    """All 4096 assignments, in ``_value_tuples`` order."""
+    return map(LhvAssignment, _value_tuples())
 
 
 def constraint_product(assignment: LhvAssignment, constraint: LhvConstraint) -> int:
@@ -151,10 +156,14 @@ _ROW_READERS = tuple(
 )
 
 
+def _satisfied(values: tuple[int, ...]) -> list[bool]:
+    """Whether each row holds on a tuple of values in ELEMENTS order, by row reader."""
+    return [math.prod(read(values)) == required for read, required in _ROW_READERS]
+
+
 def check(assignment: LhvAssignment) -> tuple[tuple[bool, ...], int]:
-    """Per-constraint satisfaction vector and the count of satisfied rows (by row reader)."""
-    values = assignment.values
-    flags = tuple([math.prod(read(values)) == required for read, required in _ROW_READERS])
+    """Per-constraint satisfaction vector and the count of satisfied rows."""
+    flags = tuple(_satisfied(assignment.values))
     return flags, sum(flags)
 
 
@@ -236,7 +245,10 @@ LHV_BOUND = QUANTUM_VALUE - 2 * FEWEST_VIOLATED
 class ContradictionCertificate:
     """Outcome of the exhaustive scan plus the structural parity argument.
 
-    ``parity_rows`` are the ids of the rows y selects, in row order.
+    ``satisfied_histogram[k]`` is the number of assignments that satisfy
+    exactly k rows; its total is the number scanned.  ``witness`` is the
+    first assignment with ``satisfied_max`` rows.  ``parity_rows`` are the
+    ids of the rows y selects, in row order.
     """
 
     satisfied_max: int
@@ -244,6 +256,7 @@ class ContradictionCertificate:
     parity_rows: tuple[int, ...]
     mermin_max: int
     mermin_min: int
+    satisfied_histogram: tuple[int, ...]
 
     @property
     def parity_product(self) -> int:
@@ -254,7 +267,7 @@ class ContradictionCertificate:
         flags, count = check(self.witness)
         return {
             "element_order": list(ELEMENTS),
-            "assignments_scanned": 2 ** len(ELEMENTS),
+            "assignments_scanned": sum(self.satisfied_histogram),
             "satisfied_max": self.satisfied_max,
             "mermin_max": self.mermin_max,
             "mermin_min": self.mermin_min,
@@ -276,25 +289,28 @@ class ContradictionCertificate:
 
 
 def contradiction_certificate() -> ContradictionCertificate:
-    """Scan all 4096 assignments; report the best witness and the parity proof.
+    """Scan all 4096 value tuples; report the histogram, the witness and the parity proof.
 
-    Each assignment is built, validated and checked (by ``check``'s row readers)
-    once.  Ties on the satisfied count keep the first witness in enumeration
-    order, so the result is deterministic.  The Bell-Mermin extremes come from
-    the extreme counts, as a value is always 2*count - 9 (``mermin_value``).
+    Each tuple, in ``enumerate_assignments`` order, is read once by ``check``'s
+    row rule and tallied by its satisfied count.  Ties on the count keep the
+    first tuple, so the witness is deterministic; only it is built as a
+    (validated) ``LhvAssignment``.  The Bell-Mermin extremes come from the
+    extreme counts, as a value is always 2*count - 9 (``mermin_value``).
     """
-    best_count, worst_count, best_witness = -1, len(CONSTRAINTS), None
-    for assignment in enumerate_assignments():
-        _, count = check(assignment)
+    histogram = [0] * (len(CONSTRAINTS) + 1)
+    best_count, best_values = -1, ()
+    for values in _value_tuples():
+        count = _satisfied(values).count(True)
+        histogram[count] += 1
         if count > best_count:
-            best_count, best_witness = count, assignment
-        worst_count = min(worst_count, count)
-    assert best_witness is not None
+            best_count, best_values = count, values
+    worst_count = next(count for count, n in enumerate(histogram) if n)
     y = parity_argument()
     return ContradictionCertificate(
         satisfied_max=best_count,
-        witness=best_witness,
+        witness=LhvAssignment(best_values),
         parity_rows=tuple(c.id for c, bit in zip(CONSTRAINTS, y) if bit),
         mermin_max=2 * best_count - len(CONSTRAINTS),
         mermin_min=2 * worst_count - len(CONSTRAINTS),
+        satisfied_histogram=tuple(histogram),
     )

@@ -148,19 +148,6 @@ def bell_mermin_operator() -> MerminOperator:
     return MerminOperator(Operator(matrix, kind="hermitian"))
 
 
-def qudit_relabel(state: StateVector) -> np.ndarray:
-    """Coefficients c[j, k] of a 16-dim state over four-level labels per photon.
-
-    Labels per photon: |H,u> -> 0, |H,d> -> 1, |V,u> -> 2, |V,d> -> 3, so the
-    flat two-photon index is 4*j + k and the grid is a plain reshape.  For the
-    doubly entangled state the nonzero entries are c[0,3] = c[3,0] = +1/2 and
-    c[1,2] = c[2,1] = -1/2.
-    """
-    if state.dim != 16:
-        raise ValueError("qudit relabeling is defined for 16-dim states")
-    return state.amps.reshape(4, 4).copy()
-
-
 def build_bell_states(basis: str) -> dict[str, StateVector]:
     """The four maximally entangled states of a chosen pair of qubits.
 

@@ -21,11 +21,11 @@ quantities, read off B M B^dagger, each quantity's operator M conjugated once
 by the detector basis B, which must come out diagonal with +-1 entries; the
 four detectors must carry four distinct sign pairs of the two elements.  A
 pair of apparatuses, one per photon, has 16 joint detector patterns; their
-Born distribution is computed for a pure state and for a density matrix, and
-``readout_table`` gives every quantity's value on each pattern.  The
-density-matrix Born rule takes a stack of pattern bras, so several settings
-share one computation and one check; the sampler builds the nine rows' |Psi>
-distributions this way, once, and mixes in white noise without it.
+Born distribution is computed for a density matrix, and ``readout_table``
+gives every quantity's value on each pattern.  The Born rule takes a stack of
+pattern bras, so several settings share one computation and one check; the
+sampler builds the nine rows' |Psi> distributions this way, once, and mixes
+in white noise without it.
 """
 
 from __future__ import annotations
@@ -181,22 +181,6 @@ def _check_sides(a1: ApparatusSpec, a2: ApparatusSpec) -> None:
             f"apparatus pair must act on photons (1, 2); got "
             f"({a1.id} on photon {a1.photon}, {a2.id} on photon {a2.photon})"
         )
-
-
-def joint_distribution(
-    a1: ApparatusSpec, a2: ApparatusSpec, state: StateVector
-) -> np.ndarray:
-    """Born probabilities p[d1, d2] of a pure state over the 4 x 4 detector patterns."""
-    _check_sides(a1, a2)
-    if state.dim != 16:
-        raise ValueError("pair measurement expects the 16-dim two-photon state")
-    grid = state.amps.reshape(4, 4)
-    amplitudes = a1.basis.conj() @ grid @ a2.basis.conj().T
-    probs = np.abs(amplitudes) ** 2
-    total = probs.sum()
-    if abs(total - 1.0) >= 1e-9:
-        raise AssertionError(f"pattern distribution sums to {total!r}")
-    return probs / total
 
 
 def pattern_bras(a1: ApparatusSpec, a2: ApparatusSpec) -> np.ndarray:

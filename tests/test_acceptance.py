@@ -25,7 +25,6 @@ from hyperbell.observables import (
     build_bell_states,
     doubly_entangled_state,
     element_operator,
-    qudit_relabel,
     verify_eigenequations,
 )
 from hyperbell.optics import (
@@ -50,6 +49,8 @@ from hyperbell.experiment import (
     violation_flag,
     visibility_sweep,
 )
+
+from reference import qudit_relabel
 
 PSI = doubly_entangled_state()
 

