@@ -15,10 +15,12 @@ summed once from its pair's |Psi> distribution, built by the general Born
 rule, and the detector maps' pattern values; a visibility then costs its
 nine p+, mixed and checked.  A point estimate mixes them in plain floats and
 draws them by nine scalar binomial draws in row order from the generator of
-its seed; a sweep mixes its (points x 9) table in one array expression and
-draws it in one binomial call on ``default_rng(seed)``, the same stream as
-the point draws run in grid order, with O and SE as column operations below
-2**25 shots.
+its seed; a sweep mixes its (points x 9) table in one array expression,
+clipped only when some p+ lies outside [0, 1], and draws it in one binomial
+call on ``default_rng(seed)``, the same stream as the point draws run in grid
+order.  Below 2**25 shots its O is one in-order running sum of the nine
+terms per point and its SE a few in-place column operations; its exact
+column is V times <Psi|O|Psi>, computed once per process.
 ``sample_pair_counts`` (``simulate``) draws all 16 pattern counts of any
 density matrix, as its fifteen quantities need them.  Estimates are read off
 the counts, so cost and memory do not grow with the shot count.  All
@@ -31,7 +33,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -235,9 +237,16 @@ def _plus_probabilities(v: float) -> list[float]:
 def _plus_table(v: np.ndarray) -> np.ndarray:
     """``_plus_probabilities`` of every V in ``v`` as one (len(v) x 9) expression, same bits."""
     plus_psi, uniform, _ = _row_tables()[2]
-    probs = np.multiply.outer(v, plus_psi) + np.multiply.outer(1.0 - v, uniform)
-    _check_plus(probs.min(initial=0.0), probs.max(initial=1.0))  # an empty grid passes
-    return probs.clip(0.0, 1.0)
+    probs = np.multiply.outer(v, plus_psi)
+    probs += np.multiply.outer(1.0 - v, uniform)
+    # the initial values let an empty grid pass, and make low < 0 or high > 1
+    # exactly when some p+ lies outside [0, 1], the only case clip changes
+    low = np.minimum.reduce(probs, axis=None, initial=0.0)
+    high = np.maximum.reduce(probs, axis=None, initial=1.0)
+    _check_plus(low, high)
+    if low < 0.0 or high > 1.0:
+        probs.clip(0.0, 1.0, out=probs)
+    return probs
 
 
 def _plus_counts(v: float, shots: int, binomial) -> list[int]:
@@ -259,6 +268,12 @@ def _sample_point(shots_per_setting, visibility, seed) -> tuple[int, list[int]]:
 
 
 _ROW_SIGNS = tuple(c.required_product for c in CONSTRAINTS)
+
+
+@lru_cache(maxsize=None)
+def _exact_mermin() -> float:
+    """<Psi|O|Psi>, 9.0, computed once per process: a sweep's exact column is V times it."""
+    return exact_expectation("O", _noise_terms()[0])
 
 
 def _mermin_value(plus: Sequence[int], shots: int) -> tuple[float, float]:
@@ -417,28 +432,38 @@ def visibility_sweep(
     drawn in one ``binomial`` call on ``default_rng(seed)``; numpy draws an
     array argument element by element in C order, as a scalar draw, so the
     counts equal ``_plus_counts`` run point by point in grid order on that
-    generator.  O and SE are column operations below ``_COLUMN_SHOTS`` and
-    ``_mermin_value`` per row from it on, with the same bits either way: the
-    rows of ``grid[:k]`` are the first k rows of ``grid``, and a one-point
-    sweep equals ``estimate_mermin(shots_per_setting, v, seed)`` bit for bit.
-    The exact column is V times <Psi|O|Psi>, 9.0, read off the cached
-    projector and correctly rounded: tr(rho O) is linear in V.
+    generator.  Below ``_COLUMN_SHOTS`` O is one ``np.add.accumulate`` of the
+    nine terms per row, left to right as ``_mermin_value`` adds them, and SE
+    is formed in place in its column; from it on, ``_mermin_value`` runs per
+    row.  The bits are the same either way: the rows of ``grid[:k]`` are the
+    first k rows of ``grid``, and a one-point sweep equals
+    ``estimate_mermin(shots_per_setting, v, seed)`` bit for bit.  The exact
+    column is V times ``_exact_mermin()``, <Psi|O|Psi> = 9.0 computed once
+    per process, correctly rounded: tr(rho O) is linear in V.
     """
     shots = _sweep_shot_count(shots_per_setting)
     seed = _seed(seed)
     v = np.array(_visibilities(grid), dtype=float)
-    columns = np.full((len(v), 4), np.nan)
-    exact = exact_expectation("O", _noise_terms()[0])
-    columns[:, :2] = np.multiply.outer(v, (1.0, exact))
-    if shots:
+    columns = np.empty((len(v), 4))
+    columns[:, 0] = v
+    np.multiply(v, _exact_mermin(), out=columns[:, 1])
+    if not shots:
+        columns[:, 2:] = np.nan
+    else:
         plus = np.random.default_rng(seed).binomial(shots, _plus_table(v))
         if shots >= _COLUMN_SHOTS:
             columns[:, 2:] = np.reshape([_mermin_value(p, shots) for p in plus.tolist()], (-1, 2))
         else:  # _mermin_value as column operations, the terms added left to right
-            terms = (2 * plus - shots) / shots * _row_tables()[2][2]
-            columns[:, 2] = reduce(operator.add, terms.T, 0.0)
-            spread = (plus * (shots - plus)).sum(axis=1)
-            columns[:, 3] = 2.0 * np.sqrt(spread / (shots - 1)) / shots
+            terms = (2 * plus - shots) / shots
+            terms *= _row_tables()[2][2]
+            estimate, std_error = columns[:, 2], columns[:, 3]
+            # the running sum starts at t0, not 0.0 + t0, so it differs only in
+            # being -0.0 when every term is; + 0.0 makes that 0.0, as in _mermin_value
+            np.add(np.add.accumulate(terms, axis=1)[:, -1], 0.0, out=estimate)
+            np.divide((plus * (shots - plus)).sum(axis=1), shots - 1, out=std_error)
+            np.sqrt(std_error, out=std_error)
+            std_error *= 2.0
+            std_error /= shots
     columns.setflags(write=False)
     return SweepTable(columns)
 

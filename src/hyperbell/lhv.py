@@ -17,9 +17,11 @@ The nine predicted product constraints cannot all hold.  Mermin's parity
 proof finds, by Gaussian elimination over GF(2), a set y of rows in which
 every element appears an even number of times, so that their products
 multiply to +1 under any assignment, while their required products multiply
-to -1; for this table y is all nine rows.  The same elimination gives the
-coset bound: at least 1 row is always violated, 0 always satisfied, so the
-local-realistic value runs from -9 to ``LHV_BOUND`` = 7 against the quantum 9.
+to -1; for this table y is all nine rows.  The same elimination spans the
+null space that MacWilliams' identity turns into the coset bound: every
+assignment violates an odd number of rows, so at least 1 row is always
+violated, 0 always satisfied, and the local-realistic value runs from -9 to
+``LHV_BOUND`` = 7 against the quantum 9.
 The full scan re-derives both, reading each of the 2^12 = 4096 value tuples
 once through per-row readers into a histogram of satisfied counts: its extreme
 counts give the values 2*count - 9.
@@ -215,19 +217,35 @@ def parity_vector(constraints: Sequence[LhvConstraint]) -> tuple[int, ...] | Non
     return None
 
 
+def coset_weights(constraints: Sequence[LhvConstraint]) -> list[int]:
+    """How many words of the coset b + col(A) have each weight 0..m, by MacWilliams' identity.
+
+    An assignment x (bit 1 for a value -1) violates the rows Ax + b, a word of
+    this coset, and each word is hit by the same number of assignments.  The
+    words of weight k number the z^k coefficient of
+    (1/|N|) sum over y in N of (-1)^(y.b) (1+z)^(m - wt y) (1-z)^(wt y),
+    N = {y : yA = 0}, spanned by ``_left_null_space``: |N| terms, not 2^m words.
+    """
+    m, null_space = len(constraints), [(0, 0)]
+    for rows, sign in _left_null_space(constraints):
+        null_space += [(y ^ rows, b ^ sign) for y, b in null_space]
+    weights = [0] * (m + 1)
+    for y, b in null_space:
+        w = y.bit_count()
+        for k in range(m + 1):  # z^k of (1+z)^(m-w) (1-z)^w: z^j of the second factor
+            for j in range(k + 1):
+                weights[k] += (-1) ** (b + j) * math.comb(w, j) * math.comb(m - w, k - j)
+    return [n // len(null_space) for n in weights]
+
+
 def coset_bound(constraints: Sequence[LhvConstraint]) -> tuple[int, int]:
     """Fewest violated and fewest satisfied rows over all assignments, from GF(2) algebra.
 
-    An assignment x (bit 1 for a value -1) violates the rows Ax + b, so these are
-    the distances from b and from b + 1...1 to the column space of A: the fewest
-    bits of a word e with y.e = y.b (y.b + y.1...1) for every y with yA = 0.
+    Read off ``coset_weights``: the fewest violated rows are the lowest weight
+    of a coset word, and the fewest satisfied are m minus the highest.
     """
-    basis = _left_null_space(constraints)
-    return tuple(
-        min(e.bit_count() for e in range(1 << len(constraints)) if all(
-            (y & e).bit_count() % 2 == (sign + flip * y.bit_count()) % 2 for y, sign in basis))
-        for flip in (0, 1)
-    )
+    present = [k for k, n in enumerate(coset_weights(constraints)) if n]
+    return present[0], len(constraints) - present[-1]
 
 
 def parity_argument() -> tuple[int, ...] | None:

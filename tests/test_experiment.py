@@ -507,7 +507,19 @@ def test_child_states_equal_numpy_spawn(seed, n):
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     expected = [_mermin_value(_plus_counts(v, 100, gen.binomial), 100) for v in grid]
     table = visibility_sweep(grid, 100, seed)
-    assert [(p.estimate, p.std_error) for p in table] == expected
+    # hex, not ==, so a -0.0 for a 0.0 fails
+    hexed = [(estimate.hex(), std_error.hex()) for estimate, std_error in expected]
+    assert [(p.estimate.hex(), p.std_error.hex()) for p in table] == hexed
+
+
+@pytest.mark.parametrize("shots", [0, 100, 2**25])
+def test_sweep_table_array_is_read_only(shots):
+    # exact-only, column and per-row paths all write the table in place first
+    table = visibility_sweep([0.0, 7 / 9, 1.0], shots, 3)
+    assert not table.columns.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table.columns[0, 2] = 1.0
+    assert not table[1:].columns.flags.writeable
 
 
 def test_estimator_consistency_over_seeds():

@@ -22,6 +22,7 @@ from hyperbell.lhv import (
     constraint_product,
     contradiction_certificate,
     coset_bound,
+    coset_weights,
     enumerate_assignments,
     mermin_value,
     parity_argument,
@@ -291,6 +292,10 @@ GHZ_MERMIN = [
     (("y1", "y2", "x3"), -1),
 ]
 
+# The paper's rows between a consistent row before and a repeat of row 1 after:
+# two independent y with yA = 0, so the left null space has four elements.
+REDUNDANT = [(("z1",), +1)] + ORACLE_CONSTRAINTS + [ORACLE_CONSTRAINTS[0]]
+
 
 @pytest.mark.parametrize("table", [PERES_MERMIN, GHZ_MERMIN], ids=["peres-mermin", "ghz-mermin"])
 def test_gf2_parity_proof_of_other_tables(table):
@@ -322,43 +327,43 @@ def _fewest_violated_and_satisfied(table):
     return len(table) - max(counts), min(counts)
 
 
-def _macwilliams_histogram(table):
-    """Assignments per satisfied count from the weight enumerator of the coset b + col(A).
+def _word_search_bound(table):
+    """Fewest violated and satisfied rows as the distances from b and b + 1...1 to col(A).
 
-    The coset words of weight k number the z^k coefficient of
-    (1/|N|) sum over y in N of (-1)^(y.b) (1+z)^(m - wt y) (1-z)^(wt y), N the
-    left null space of A (MacWilliams); 2^(n - rank A) assignments hit each word.
+    A search over all 2^m words e: the fewest bits of an e with y.e = y.b
+    (y.b + y.1...1) for every y of the left null space's basis.
     """
-    constraints = _constraints(table)
-    m, basis = len(table), lhv._left_null_space(constraints)
-    null_space = {(0, 0)}
-    for rows, sign in basis:
-        null_space |= {(y ^ rows, b ^ sign) for y, b in null_space}
-    words = [0] * (m + 1)
-    for y, b in null_space:
-        w = y.bit_count()
-        for k in range(m + 1):
-            coefficient = sum(
-                (-1) ** j * math.comb(w, j) * math.comb(m - w, k - j) for j in range(k + 1)
-            )
-            words[k] += (-1) ** b * coefficient
-    assert all(n % len(null_space) == 0 for n in words)
+    basis = lhv._left_null_space(_constraints(table))
+    return tuple(
+        min(e.bit_count() for e in range(1 << len(table)) if all(
+            (y & e).bit_count() % 2 == (sign + flip * y.bit_count()) % 2 for y, sign in basis))
+        for flip in (0, 1)
+    )
+
+
+def _macwilliams_histogram(table):
+    """Assignments per satisfied count from ``coset_weights``, the coset's weight enumerator.
+
+    2^(n - rank A) assignments hit each word of weight k, and each satisfies m - k rows.
+    """
+    m, weights = len(table), coset_weights(_constraints(table))
     names = {name for variables, _ in table for name in variables}
-    per_word = 2 ** (len(names) - (m - len(basis)))
-    return [per_word * words[m - count] // len(null_space) for count in range(m + 1)]
+    rank = m - len(lhv._left_null_space(_constraints(table)))
+    return [2 ** (len(names) - rank) * weights[m - count] for count in range(m + 1)]
 
 
 @pytest.mark.parametrize(
     "table, expected",
     [(ORACLE_CONSTRAINTS, (1, 0)), (PERES_MERMIN, (1, 1)), (GHZ_MERMIN, (1, 1))]
-    + [(_flipped(row), None) for row in range(9)],
-    ids=["paper", "peres-mermin", "ghz-mermin"] + [f"row-{row + 1}-flipped" for row in range(9)],
+    + [(REDUNDANT, (1, 0))] + [(_flipped(row), None) for row in range(9)],
+    ids=["paper", "peres-mermin", "ghz-mermin", "redundant"]
+    + [f"row-{row + 1}-flipped" for row in range(9)],
 )
 def test_coset_bound_equals_brute_force(table, expected):
     # fewest violated rows: distance from b to the column space of A;
     # fewest satisfied rows: distance from b + 1...1
     bound = coset_bound(_constraints(table))
-    assert bound == _fewest_violated_and_satisfied(table)
+    assert bound == _fewest_violated_and_satisfied(table) == _word_search_bound(table)
     if expected is not None:
         assert bound == expected
     else:
@@ -367,14 +372,17 @@ def test_coset_bound_equals_brute_force(table, expected):
 
 @pytest.mark.parametrize(
     "table",
-    [ORACLE_CONSTRAINTS, PERES_MERMIN, GHZ_MERMIN] + [_flipped(row) for row in range(9)],
-    ids=["paper", "peres-mermin", "ghz-mermin"] + [f"row-{row + 1}-flipped" for row in range(9)],
+    [ORACLE_CONSTRAINTS, PERES_MERMIN, GHZ_MERMIN, REDUNDANT] + [_flipped(row) for row in range(9)],
+    ids=["paper", "peres-mermin", "ghz-mermin", "redundant"]
+    + [f"row-{row + 1}-flipped" for row in range(9)],
 )
 def test_macwilliams_histogram_equals_brute_force(table):
     assert _macwilliams_histogram(table) == _brute_force_histogram(table)
 
 
 def test_lhv_bound_comes_from_the_coset_bound():
+    # every assignment violates an odd number of rows: C(9, k) coset words of odd weight k
+    assert coset_weights(CONSTRAINTS) == [math.comb(9, k) * (k % 2) for k in range(10)]
     assert (lhv.FEWEST_VIOLATED, lhv.FEWEST_SATISFIED) == coset_bound(CONSTRAINTS) == (1, 0)
     assert type(LHV_BOUND) is int and LHV_BOUND == QUANTUM_VALUE - 2 == 7
 
@@ -395,9 +403,8 @@ def test_gf2_parity_proof_fails_with_one_sign_flipped(row):
 def test_gf2_parity_proof_finds_y_among_redundant_rows():
     # a consistent row before and a repeated row after: y is still found, and
     # it is a genuine solution, not the repeat (which pairs to yA = 0, y.b = 0)
-    table = [(("z1",), +1)] + ORACLE_CONSTRAINTS + [ORACLE_CONSTRAINTS[0]]
-    y = parity_vector(_constraints(table))
-    assert y is not None and _solves_parity(table, y)
+    y = parity_vector(_constraints(REDUNDANT))
+    assert y is not None and _solves_parity(REDUNDANT, y)
     assert parity_vector(_constraints([(("a", "b"), -1), (("a", "b"), -1)])) is None
 
 

@@ -206,6 +206,11 @@ def test_column_shot_bound_keeps_the_counts_exact():
     assert 9 * (n // 2) * (n - n // 2) < 2**53 and 2 * n < 2**63
 
 
+def _bits(*values: float) -> list[str]:
+    """The floats' hex forms: unlike ==, they tell -0.0 from 0.0."""
+    return [x.hex() for x in values]
+
+
 @settings(deadline=None, max_examples=60)
 @given(grids(), sweep_shots, seeds)
 def test_batched_sweep_equals_points_one_at_a_time(grid, shots, seed):
@@ -218,7 +223,7 @@ def test_batched_sweep_equals_points_one_at_a_time(grid, shots, seed):
         assert point.visibility == v
         assert point.exact == v * exact_expectation("O", noisy_state(1.0))
         assert abs(point.exact - exact_expectation("O", noisy_state(v))) <= 1e-12
-        assert (point.estimate, point.std_error) == expected
+        assert _bits(point.estimate, point.std_error) == _bits(*expected)
 
 
 @settings(deadline=None, max_examples=60)
@@ -226,7 +231,7 @@ def test_batched_sweep_equals_points_one_at_a_time(grid, shots, seed):
 def test_one_point_sweep_is_the_point_estimate_of_the_same_seed(v, shots, seed):
     (point,) = visibility_sweep([v], shots, seed)
     single = estimate_mermin(shots, v, seed)
-    assert (point.estimate, point.std_error) == (single.estimate, single.std_error)
+    assert _bits(point.estimate, point.std_error) == _bits(single.estimate, single.std_error)
 
 
 @settings(deadline=None, max_examples=60)

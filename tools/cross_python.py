@@ -2,7 +2,8 @@
 
 Runs ``json.dumps(contradiction_certificate().to_dict(), indent=2) + "\\n"``
 from ``src/`` under each of python3.10 to python3.13 found on PATH, checks
-``LHV_BOUND == 7`` and the scan's satisfied-count histogram there, and
+``LHV_BOUND == 7``, the coset bound ``(FEWEST_VIOLATED, FEWEST_SATISFIED) ==
+(1, 0)`` and the scan's satisfied-count histogram there, and
 compares the bytes with ``tests/golden/lhv.json``
 (what ``hyperbell lhv --format json`` prints).  Stdlib only; ``hyperbell.lhv``
 needs no numpy.
@@ -34,6 +35,8 @@ print({MARKER!r}, platform.python_version(), flush=True)
 sys.path.insert(0, {str(ROOT / "src")!r})
 from hyperbell import lhv
 assert type(lhv.LHV_BOUND) is int and lhv.LHV_BOUND == 7, lhv.LHV_BOUND
+bound = lhv.FEWEST_VIOLATED, lhv.FEWEST_SATISFIED
+assert bound == (1, 0), bound
 certificate = lhv.contradiction_certificate()
 histogram = certificate.satisfied_histogram
 assert histogram == (16, 0, 576, 0, 2016, 0, 1344, 0, 144, 0), histogram
@@ -61,7 +64,8 @@ def run(version: str, golden: bytes) -> tuple[str, str]:
         return "FAIL", f"Python {ran} ({exe}): exit {result.returncode}: {reason}"
     if dump != golden:
         return "FAIL", f"Python {ran} ({exe}): bytes differ from {GOLDEN.relative_to(ROOT)}"
-    return "pass", f"Python {ran} ({exe}): {len(dump)} bytes equal, LHV_BOUND 7, histogram equal"
+    checks = "LHV_BOUND 7, coset bound (1, 0), histogram equal"
+    return "pass", f"Python {ran} ({exe}): {len(dump)} bytes equal, {checks}"
 
 
 def main() -> int:
