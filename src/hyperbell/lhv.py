@@ -22,16 +22,16 @@ null space that MacWilliams' identity turns into the coset bound: every
 assignment violates an odd number of rows, so at least 1 row is always
 violated, 0 always satisfied, and the local-realistic value runs from -9 to
 ``LHV_BOUND`` = 7 against the quantum 9.
-The full scan re-derives both, reading each of the 2^12 = 4096 value tuples
-once through per-row readers into a histogram of satisfied counts: its extreme
-counts give the values 2*count - 9.
+The full scan re-derives both over the 2^12 = 4096 assignments as 12-bit masks
+x (bit 11 - j set when element j is -1, in enumeration order): x violates row
+(mask, sign) when (x & mask).bit_count() + sign is odd.  Its histogram of
+satisfied counts has the extreme counts that give the values 2*count - 9.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -150,22 +150,9 @@ def constraint_product(assignment: LhvAssignment, constraint: LhvConstraint) -> 
     return product
 
 
-#: Each row's reader of ``LhvAssignment.values`` (2+ indices, so it reads a tuple) and sign.
-assert all(len(c.variables) >= 2 for c in CONSTRAINTS)
-_ROW_READERS = tuple(
-    (operator.itemgetter(*(_ELEMENT_INDEX[n] for n in c.variables)), c.required_product)
-    for c in CONSTRAINTS
-)
-
-
-def _satisfied(values: tuple[int, ...]) -> list[bool]:
-    """Whether each row holds on a tuple of values in ELEMENTS order, by row reader."""
-    return [math.prod(read(values)) == required for read, required in _ROW_READERS]
-
-
 def check(assignment: LhvAssignment) -> tuple[tuple[bool, ...], int]:
     """Per-constraint satisfaction vector and the count of satisfied rows."""
-    flags = tuple(_satisfied(assignment.values))
+    flags = tuple(constraint_product(assignment, c) == c.required_product for c in CONSTRAINTS)
     return flags, sum(flags)
 
 
@@ -306,29 +293,42 @@ class ContradictionCertificate:
         }
 
 
-def contradiction_certificate() -> ContradictionCertificate:
-    """Scan all 4096 value tuples; report the histogram, the witness and the parity proof.
+#: Each row as (mask of its elements, sign bit): bit 11 - j for element j, sign 1 for -1.
+_ROW_MASKS = tuple(
+    (sum(1 << 11 - _ELEMENT_INDEX[n] for n in c.variables), int(c.required_product == -1))
+    for c in CONSTRAINTS
+)
 
-    Each tuple, in ``enumerate_assignments`` order, is read once by ``check``'s
-    row rule and tallied by its satisfied count.  Ties on the count keep the
-    first tuple, so the witness is deterministic; only it is built as a
-    (validated) ``LhvAssignment``.  The Bell-Mermin extremes come from the
-    extreme counts, as a value is always 2*count - 9 (``mermin_value``).
-    """
-    histogram = [0] * (len(CONSTRAINTS) + 1)
-    best_count, best_values = -1, ()
-    for values in _value_tuples():
-        count = _satisfied(values).count(True)
+
+def _scan(row_masks: Sequence[tuple[int, int]], n: int) -> tuple[list[int], int]:
+    """Assignments x = 0 .. 2^n - 1 per satisfied count, and the first x with the most."""
+    m = len(row_masks)
+    histogram, best_count, best = [0] * (m + 1), -1, 0
+    for x in range(1 << n):
+        count = m - sum((x & mask).bit_count() + sign & 1 for mask, sign in row_masks)
         histogram[count] += 1
         if count > best_count:
-            best_count, best_values = count, values
-    worst_count = next(count for count, n in enumerate(histogram) if n)
+            best_count, best = count, x
+    return histogram, best
+
+
+def contradiction_certificate() -> ContradictionCertificate:
+    """Scan all 4096 assignments as masks; report the histogram, the witness and the parity proof.
+
+    Mask x is the x-th assignment of ``enumerate_assignments``, and a row's
+    parity on it says whether the row is violated.  Ties on the satisfied
+    count keep the first mask, so the witness is deterministic; only it is
+    built as an ``LhvAssignment``.  A Bell-Mermin value is always 2*count - 9
+    (``mermin_value``), so the extremes come from the extreme counts.
+    """
+    histogram, best = _scan(_ROW_MASKS, len(ELEMENTS))
+    counts = [count for count, n in enumerate(histogram) if n]
     y = parity_argument()
     return ContradictionCertificate(
-        satisfied_max=best_count,
-        witness=LhvAssignment(best_values),
+        satisfied_max=counts[-1],
+        witness=LhvAssignment(tuple(-1 if best >> 11 - j & 1 else 1 for j in range(12))),
         parity_rows=tuple(c.id for c, bit in zip(CONSTRAINTS, y) if bit),
-        mermin_max=2 * best_count - len(CONSTRAINTS),
-        mermin_min=2 * worst_count - len(CONSTRAINTS),
+        mermin_max=2 * counts[-1] - len(CONSTRAINTS),
+        mermin_min=2 * counts[0] - len(CONSTRAINTS),
         satisfied_histogram=tuple(histogram),
     )

@@ -167,7 +167,8 @@ def test_no_assignment_satisfies_all_nine():
 
 
 def test_check_flags_match_the_oracle_rows_over_all_assignments():
-    # check reads rows through index readers; the oracle multiplies by name
+    # check multiplies the library's rows through constraint_product; the oracle
+    # multiplies its own transcription of the rows by name
     for assignment in enumerate_assignments():
         values = dict(zip(ELEMENTS, assignment.values))
         flags = tuple(math.prod(values[n] for n in v) == s for v, s in ORACLE_CONSTRAINTS)
@@ -225,9 +226,19 @@ def test_histogram_total_and_witness_in_enumeration_order():
     certificate = contradiction_certificate()
     assert sum(certificate.satisfied_histogram) == 4096
     assert certificate.to_dict()["assignments_scanned"] == 4096
+    # the first assignment with 8 rows; a scan that keeps the last tie (>=) misses it
     first = next(i for i, a in enumerate(enumerate_assignments()) if mermin_value(a) == 7)
     assert first == 60
     assert certificate.witness == list(enumerate_assignments())[first]
+
+
+def test_mask_bits_are_the_enumeration_order_and_the_row_parities_are_check():
+    # bit 11 - j of index i is set exactly when element j of the i-th assignment
+    # is -1, and a row's mask parity plus its sign bit is even exactly when it holds
+    for i, assignment in enumerate(enumerate_assignments()):
+        assert [i >> 11 - j & 1 for j in range(12)] == [v == -1 for v in assignment.values]
+        parities = [(i & mask).bit_count() + sign & 1 for mask, sign in lhv._ROW_MASKS]
+        assert tuple(p == 0 for p in parities) == check(assignment)[0]
 
 
 def test_certificate_serialization():
@@ -311,14 +322,23 @@ def _flipped(row):
     return table
 
 
-def _brute_force_histogram(table):
-    """Assignments of the table's names per satisfied count, by trying every one."""
-    names = sorted({name for variables, _ in table for name in variables})
-    histogram = [0] * (len(table) + 1)
+def _names(table):
+    return sorted({name for variables, _ in table for name in variables})
+
+
+def _brute_force_counts(table):
+    """Satisfied rows of every assignment of the table's sorted names, +1 before -1."""
+    names, counts = _names(table), []
     for bits in itertools.product((1, -1), repeat=len(names)):
         values = dict(zip(names, bits))
-        histogram[[math.prod(values[n] for n in v) == s for v, s in table].count(True)] += 1
-    return histogram
+        counts.append([math.prod(values[n] for n in v) == s for v, s in table].count(True))
+    return counts
+
+
+def _brute_force_histogram(table):
+    """Assignments of the table's names per satisfied count, by trying every one."""
+    counts = _brute_force_counts(table)
+    return [counts.count(k) for k in range(len(table) + 1)]
 
 
 def _fewest_violated_and_satisfied(table):
@@ -378,6 +398,27 @@ def test_coset_bound_equals_brute_force(table, expected):
 )
 def test_macwilliams_histogram_equals_brute_force(table):
     assert _macwilliams_histogram(table) == _brute_force_histogram(table)
+
+
+def _row_masks(table):
+    """Each row as (mask, sign bit), the first of the sorted names the highest bit."""
+    bit = {name: 1 << j for j, name in enumerate(reversed(_names(table)))}
+    return [(sum(bit[n] for n in v), int(s == -1)) for v, s in table]
+
+
+@pytest.mark.parametrize(
+    "table",
+    [PERES_MERMIN, GHZ_MERMIN, REDUNDANT] + [_flipped(row) for row in range(9)],
+    ids=["peres-mermin", "ghz-mermin", "redundant"]
+    + [f"row-{row + 1}-flipped" for row in range(9)],
+)
+def test_mask_scan_equals_brute_force_and_macwilliams(table):
+    # the certificate's scan on other tables: its histogram by brute force and
+    # by the coset's weight enumerator, and its witness the first maximal assignment
+    histogram, best = lhv._scan(_row_masks(table), len(_names(table)))
+    assert histogram == _brute_force_histogram(table) == _macwilliams_histogram(table)
+    counts = _brute_force_counts(table)
+    assert best == counts.index(max(counts))
 
 
 def test_lhv_bound_comes_from_the_coset_bound():

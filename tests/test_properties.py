@@ -258,7 +258,14 @@ def test_mermin_value_adds_the_signed_row_means_left_to_right(drawn):
 
 
 #: The builtin sum() calls allowed in src/, by module.function; each adds ints.
-INTEGER_SUMS = {"lhv.check", "lhv.mermin_value", "lhv.ContradictionCertificate.to_dict"}
+#: "lhv" alone is that module's top level, where ``_ROW_MASKS`` adds a row's element bits.
+INTEGER_SUMS = {
+    "lhv",
+    "lhv._scan",
+    "lhv.check",
+    "lhv.mermin_value",
+    "lhv.ContradictionCertificate.to_dict",
+}
 
 
 def _builtin_sum_calls(node, scope):

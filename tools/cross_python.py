@@ -3,8 +3,9 @@
 Runs ``json.dumps(contradiction_certificate().to_dict(), indent=2) + "\\n"``
 from ``src/`` under each of python3.10 to python3.13 found on PATH, checks
 ``LHV_BOUND == 7``, the coset bound ``(FEWEST_VIOLATED, FEWEST_SATISFIED) ==
-(1, 0)`` and the scan's satisfied-count histogram there, and
-compares the bytes with ``tests/golden/lhv.json``
+(1, 0)`` and the scan's satisfied-count histogram there, the histogram also
+against the coset's weight enumerator (16 assignments per coset word of
+``coset_weights``), and compares the bytes with ``tests/golden/lhv.json``
 (what ``hyperbell lhv --format json`` prints).  Stdlib only; ``hyperbell.lhv``
 needs no numpy.
 
@@ -40,6 +41,9 @@ assert bound == (1, 0), bound
 certificate = lhv.contradiction_certificate()
 histogram = certificate.satisfied_histogram
 assert histogram == (16, 0, 576, 0, 2016, 0, 1344, 0, 144, 0), histogram
+weights = lhv.coset_weights(lhv.CONSTRAINTS)
+m = len(lhv.CONSTRAINTS)
+assert all(histogram[m - k] == 16 * w for k, w in enumerate(weights)), weights
 sys.stdout.write(json.dumps(certificate.to_dict(), indent=2) + "\\n")
 """
 
@@ -64,7 +68,7 @@ def run(version: str, golden: bytes) -> tuple[str, str]:
         return "FAIL", f"Python {ran} ({exe}): exit {result.returncode}: {reason}"
     if dump != golden:
         return "FAIL", f"Python {ran} ({exe}): bytes differ from {GOLDEN.relative_to(ROOT)}"
-    checks = "LHV_BOUND 7, coset bound (1, 0), histogram equal"
+    checks = "LHV_BOUND 7, coset bound (1, 0), histogram equal, and 16 x coset weights"
     return "pass", f"Python {ran} ({exe}): {len(dump)} bytes equal, {checks}"
 
 
