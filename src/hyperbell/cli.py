@@ -3,11 +3,13 @@
 ``_COMMANDS`` lists the six commands (verify, lhv, mermin, simulate, sweep,
 bell), each with its help line, runner and renderers.  An input argparse
 rejects is one ``hyperbell: error: <message>`` line and exit 2.  ``_check``
-then passes every input once through the library's own validator; its
-``ValueError`` becomes the same line and exit.  The runner returns the
-payload (the JSON-ready result) and the exit code.  JSON is
-``json.dumps(payload, indent=2)`` for every command; a text or CSV renderer
-only formats its command's payload.
+then passes every input once through the library's own check in ``inputs``
+(an apparatus pair through ``optics``); its ``ValueError`` becomes the same
+line and exit.  Only a runner that computes imports numpy and the modules
+built on it, so ``lhv`` and a bad shots, seed, visibility or grid never load
+numpy.  The runner returns the payload (the JSON-ready result) and the exit
+code.  JSON is ``json.dumps(payload, indent=2)`` for every command; a text or
+CSV renderer only formats its command's payload.
 
 All randomness flows from --seed (default 12345, fixed, never entropy); a
 given command line produces identical bytes on stdout and in --output files.
@@ -23,10 +25,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import experiment, lhv, observables, optics
-from .hilbert import ATOL, StateVector
+from . import inputs, lhv
 
 OUTPUT_DIR_ENV = "HYPERBELL_OUTPUT_DIR"
 
@@ -40,12 +39,14 @@ def _json(payload) -> list[str]:
 
 
 def run_verify(args):
+    from . import observables
     checks = observables.verify_eigenequations()
     payload = [{"id": c.id, "eigenvalue": c.eigenvalue, "residual": c.residual} for c in checks]
     return payload, int(not all(c.passed for c in checks))
 
 
 def text_verify(payload) -> list[str]:
+    from . import hilbert, observables
     rows = observables.CONSTRAINT_ROWS
     checks = [observables.EigenCheck(label=rows[r["id"] - 1].label, **r) for r in payload]
     failed = [c.id for c in checks if not c.passed]
@@ -57,8 +58,8 @@ def text_verify(payload) -> list[str]:
             f"{c.residual:>10.3e}  {'PASS' if c.passed else 'FAIL'}"
             for c in checks
         ),
-        f"FAILED rows: {failed} (residual >= {ATOL:g})"
-        if failed else f"all {len(rows)} relations hold (residual < {ATOL:g})",
+        f"FAILED rows: {failed} (residual >= {hilbert.ATOL:g})"
+        if failed else f"all {len(rows)} relations hold (residual < {hilbert.ATOL:g})",
     ]
 
 
@@ -98,6 +99,7 @@ def text_lhv(payload) -> list[str]:
 
 
 def run_mermin(args):
+    from . import experiment
     # a one-point sweep is estimate_mermin at the same seed, with sweep's exact value
     point = experiment.visibility_sweep([args.visibility], args.shots, args.seed)[0]
     return {
@@ -126,6 +128,7 @@ def text_mermin(payload) -> list[str]:
 
 
 def run_simulate(args):
+    from . import experiment
     pair, shots = args.apparatus_pair, args.shots
     estimates = experiment.estimate_pair(*pair, args.visibility, shots, args.seed)
     return {
@@ -158,6 +161,7 @@ def csv_simulate(payload) -> list[str]:
 
 
 def run_sweep(args):
+    from . import experiment
     rows = experiment.sweep_table(experiment.visibility_sweep(args.grid, args.shots, args.seed))
     return {"shots_per_setting": args.shots, "seed": args.seed, "rows": rows}, 0
 
@@ -186,10 +190,12 @@ def csv_sweep(payload) -> list[str]:
 
 
 def run_bell(args):
+    import numpy as np
+    from . import hilbert, observables, optics
     rng = np.random.default_rng(args.seed)
     if args.state == "random":
         raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        state = StateVector(raw / np.linalg.norm(raw))
+        state = hilbert.StateVector(raw / np.linalg.norm(raw))
     else:
         state = observables.build_bell_states("pol-path")[args.state]
     return {
@@ -230,14 +236,14 @@ _COMMANDS = {
 }
 
 _FLAGS = {
-    "shots": dict(type=int, default=experiment.DEFAULT_SHOTS),
-    "seed": dict(type=int, default=experiment.DEFAULT_SEED),
+    "shots": dict(type=int, default=inputs.DEFAULT_SHOTS),
+    "seed": dict(type=int, default=inputs.DEFAULT_SEED),
     "visibility": dict(type=float, default=1.0),
     "apparatus-pair": dict(nargs=2, type=int, required=True, metavar=("A1", "A2"),
                            help="photon-1 apparatus id and photon-2 apparatus id"),
-    "grid": dict(nargs="+", type=float, default=experiment.DEFAULT_GRID,
+    "grid": dict(nargs="+", type=float, default=inputs.DEFAULT_GRID,
                  help="visibility grid points in [0, 1]"),
-    "state": dict(choices=(*optics.BELL_LABELS, "random"), default="phi+"),
+    "state": dict(choices=(*inputs.BELL_LABELS, "random"), default="phi+"),
 }
 
 
@@ -271,19 +277,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check(args: argparse.Namespace) -> None:
-    """Pass each input through the library's own validator; raises its ``ValueError``."""
+    """Pass each input through the library's own check; raises its ``ValueError``."""
     if "shots" in args and args.command == "sweep":
-        experiment._sweep_shot_count(args.shots)
+        inputs._sweep_shot_count(args.shots)
     elif "shots" in args:
         # A standard error needs two shots; bell reports counts only.
-        optics._shot_count(args.shots, 1 if args.command == "bell" else 2)
+        inputs._shot_count(args.shots, 1 if args.command == "bell" else 2)
     if "seed" in args:
-        experiment._seed(args.seed)
+        inputs._seed(args.seed)
     if "visibility" in args:
-        args.visibility = experiment._visibility(args.visibility)
+        args.visibility = inputs._visibility(args.visibility)
     if "grid" in args:
-        experiment._visibilities(args.grid)
+        inputs._visibilities(args.grid)
     if "apparatus_pair" in args:
+        from . import optics
         optics._check_sides(*map(optics.build_apparatus, args.apparatus_pair))
 
 

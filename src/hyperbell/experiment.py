@@ -24,13 +24,13 @@ column is V times <Psi|O|Psi>, computed once per process.
 ``sample_pair_counts`` (``simulate``) draws all 16 pattern counts of any
 density matrix, as its fifteen quantities need them.  Estimates are read off
 the counts, so cost and memory do not grow with the shot count.  All
-randomness flows from one seed.
+randomness flows from one seed.  Shots, seeds and visibilities are checked
+by ``inputs``, whose ``DEFAULT_GRID`` and ``MAX_SHOTS`` are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,47 +38,18 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from . import inputs
 from .hilbert import ATOL
+from .inputs import DEFAULT_GRID, DEFAULT_SEED, MAX_SHOTS
 from .lhv import CONSTRAINTS, LHV_BOUND, ROW_APPARATUS_PAIRS
-from .observables import (
-    CONSTRAINT_ROWS,
-    bell_mermin_operator,
-    doubly_entangled_state,
-)
-# MAX_SHOTS, the largest shot count the samplers accept, is re-exported here.
-from .optics import MAX_SHOTS, _integer, _shot_count, born_distributions, build_apparatus
-from .optics import pattern_bras, pattern_distribution, readout_table
-
-#: Fixed default seed used whenever the caller does not pass one.
-DEFAULT_SEED = 12345
-
-#: Default shots per measurement setting (std error about 3e-3 per term).
-DEFAULT_SHOTS = 100_000
-
-#: Default visibility grid for the sweep; brackets the 7/9 threshold with the
-#: exact crossing point included.
-DEFAULT_GRID: tuple[float, ...] = (
-    0.0, 0.2, 0.4, 0.6, 0.7, 0.75, 0.77, 7.0 / 9.0, 0.78, 0.8, 0.9, 1.0,
-)
+from .observables import CONSTRAINT_ROWS, bell_mermin_operator, doubly_entangled_state
+from .optics import born_distributions, build_apparatus, pattern_bras, pattern_distribution
+from .optics import readout_table
 
 #: Width of the "boundary" band around the LHV bound in the violation flag.
 BOUNDARY_ATOL = 1e-9
 
 Quantity = Union[int, str]  # constraint-row id 1..9 or "O"
-
-
-def _seed(seed) -> int:
-    """``seed`` as a plain int in [0, 2**64 - 1], the range a command-line seed may take."""
-    return _integer(seed, 0, 2**64 - 1, "seed must be an integer in [0, 2**64 - 1]")
-
-
-def _visibility(value) -> float:
-    """``value`` as a float in [0, 1]; bools and non-numbers raise ``ValueError`` naming it."""
-    # An exact float is tested first, so the common case skips the numbers.Real ABC check.
-    real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not real or not 0 <= value <= 1:
-        raise ValueError(f"visibility must be a number in [0, 1], got {value!r}")
-    return float(value) + 0.0  # -0.0 becomes 0.0, so -0 and 0 give the same bytes
 
 
 @lru_cache(maxsize=None)
@@ -93,23 +64,11 @@ def _noise_terms() -> tuple[np.ndarray, np.ndarray]:
 
 def noisy_state(visibility: float) -> np.ndarray:
     """rho = V |Psi><Psi| + (1-V) I/16 as a read-only 16 x 16 density matrix."""
-    v = _visibility(visibility)
+    v = inputs._visibility(visibility)
     projector, identity = _noise_terms()
     rho = v * projector + (1.0 - v) / 16.0 * identity
     rho.setflags(write=False)
     return rho
-
-
-def _visibilities(values: Sequence[float]) -> list[float]:
-    """An iterable grid, not text, as a list of floats checked by ``_visibility``."""
-    if not isinstance(values, (str, bytes, bytearray)):
-        try:
-            points = iter(values)
-        except TypeError:
-            pass
-        else:
-            return [_visibility(x) for x in points]
-    raise ValueError(f"visibility grid must be an iterable of numbers, got {values!r}")
 
 
 def _quantity_matrix(quantity: Quantity) -> np.ndarray:
@@ -124,7 +83,7 @@ def _quantity_key(quantity) -> Quantity:
     if isinstance(quantity, str) and quantity == "O":
         return quantity
     rows = len(CONSTRAINTS)
-    return _integer(quantity, 1, rows, f"quantity must be a row id 1..{rows} or 'O'")
+    return inputs._integer(quantity, 1, rows, f"quantity must be a row id 1..{rows} or 'O'")
 
 
 def exact_expectation(quantity: Quantity, density: np.ndarray) -> float:
@@ -170,7 +129,7 @@ def sample_pair_counts(
     One multinomial draw over the pair's Born distribution of ``density``,
     whatever the shot count.
     """
-    count = _shot_count(shots)
+    count = inputs._shot_count(shots)
     probs = pattern_distribution(build_apparatus(a1_id), build_apparatus(a2_id), density)
     return rng.multinomial(count, probs.ravel()).reshape(4, 4)
 
@@ -262,9 +221,9 @@ def _plus_counts(v: float, shots: int, binomial) -> list[int]:
 
 def _sample_point(shots_per_setting, visibility, seed) -> tuple[int, list[int]]:
     """Checked shots (at least 2, for a standard error) and n+ of the nine rows at V."""
-    gen = np.random.default_rng(_seed(seed))
-    shots = _shot_count(shots_per_setting, 2)
-    return shots, _plus_counts(_visibility(visibility), shots, gen.binomial)
+    gen = np.random.default_rng(inputs._seed(seed))
+    shots = inputs._shot_count(shots_per_setting, 2)
+    return shots, _plus_counts(inputs._visibility(visibility), shots, gen.binomial)
 
 
 _ROW_SIGNS = tuple(c.required_product for c in CONSTRAINTS)
@@ -329,8 +288,8 @@ def estimate_pair(
     ``seed`` and ``shots`` are taken as by ``estimate_rows``.
     """
     a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
-    rng = np.random.default_rng(_seed(seed))
-    shots = _shot_count(shots, 2)
+    rng = np.random.default_rng(inputs._seed(seed))
+    shots = inputs._shot_count(shots, 2)
     counts = sample_pair_counts(a1_id, a2_id, noisy_state(visibility), shots, rng)
     quantities = readout_table(a1, a2)
     for name1 in a1.value_names:
@@ -414,12 +373,6 @@ class SweepTable(Sequence[SweepPoint]):
         return f"SweepTable({list(self)!r})"
 
 
-def _sweep_shot_count(shots) -> int:
-    """Shots per setting of a sweep: 0 (exact values only) or an integer in [2, 2**63 - 1]."""
-    rule = "shots must be 0 or an integer in [2, 2**63 - 1]"
-    return _integer(shots, 0, 0, rule) if shots == 0 else _integer(shots, 2, MAX_SHOTS, rule)
-
-
 def visibility_sweep(
     grid: Sequence[float],
     shots_per_setting: int = 0,
@@ -441,9 +394,9 @@ def visibility_sweep(
     column is V times ``_exact_mermin()``, <Psi|O|Psi> = 9.0 computed once
     per process, correctly rounded: tr(rho O) is linear in V.
     """
-    shots = _sweep_shot_count(shots_per_setting)
-    seed = _seed(seed)
-    v = np.array(_visibilities(grid), dtype=float)
+    shots = inputs._sweep_shot_count(shots_per_setting)
+    seed = inputs._seed(seed)
+    v = np.array(inputs._visibilities(grid), dtype=float)
     columns = np.empty((len(v), 4))
     columns[:, 0] = v
     np.multiply(v, _exact_mermin(), out=columns[:, 1])

@@ -15,7 +15,6 @@ here; anything else is plain numpy on ``.amps`` and ``.matrix``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,19 +25,6 @@ ATOL = 1e-12
 
 #: Dimensions of one qubit, one photon and both photons.
 VALID_DIMS = (2, 4, 16)
-
-
-class BasisIndex(NamedTuple):
-    """Bit labels (pol1, path1, pol2, path2) of one 16-dim product ket."""
-
-    p1pol: int
-    p1path: int
-    p2pol: int
-    p2path: int
-
-    @property
-    def flat(self) -> int:
-        return 8 * self.p1pol + 4 * self.p1path + 2 * self.p2pol + self.p2path
 
 
 def _frozen_array(values, shape_check) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import ATOL, BasisIndex, Operator, StateVector
+from .hilbert import ATOL, Operator, StateVector
 from .lhv import CONSTRAINTS, ELEMENT_PAULI, element_photon
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -54,13 +54,7 @@ def doubly_entangled_state() -> StateVector:
     +1/2 at flat indices 3, 6, 9, 12.
     """
     amps = np.zeros(16, dtype=np.complex128)
-    for bits, sign in (
-        ((0, 0, 1, 1), +1),  # |H,u ; V,d>
-        ((0, 1, 1, 0), -1),  # |H,d ; V,u>
-        ((1, 0, 0, 1), -1),  # |V,u ; H,d>
-        ((1, 1, 0, 0), +1),  # |V,d ; H,u>
-    ):
-        amps[BasisIndex(*bits).flat] = 0.5 * sign
+    amps[[3, 6, 9, 12]] = 0.5, -0.5, -0.5, 0.5  # |H,u;V,d>, |H,d;V,u>, |V,u;H,d>, |V,d;H,u>
     return StateVector(amps)
 
 
@@ -149,19 +143,15 @@ def bell_mermin_operator() -> MerminOperator:
 
 
 def build_bell_states(basis: str) -> dict[str, StateVector]:
-    """The four maximally entangled states of a chosen pair of qubits.
+    """The four Bell states of one photon's polarization and path; ``basis`` must be "pol-path".
 
-    basis="pol-path": one photon's polarization entangled with its own path,
-        psi+- = (|H,d> +- |V,u>)/sqrt(2), phi+- = (|H,u> +- |V,d>)/sqrt(2).
-        These are joint eigenvectors of (z z', x x') with eigenvalues
-        phi+ (+1,+1), phi- (+1,-1), psi+ (-1,+1), psi- (-1,-1).
-    basis="polarization": the two photons' polarization qubits,
-        psi+- = (|H,V> +- |V,H>)/sqrt(2), phi+- = (|H,H> +- |V,V>)/sqrt(2).
+    psi+- = (|H,d> +- |V,u>)/sqrt(2), phi+- = (|H,u> +- |V,d>)/sqrt(2).  These
+    are joint eigenvectors of (z z', x x') with eigenvalues phi+ (+1,+1),
+    phi- (+1,-1), psi+ (-1,+1), psi- (-1,-1).
     """
-    if basis not in ("pol-path", "polarization"):
+    if basis != "pol-path":
         raise ValueError(f"unknown Bell basis {basis!r}")
-    # In both cases the 4-dim index is 2*(first qubit) + (second qubit) and
-    # the paired kets sit at indices (1, 2) for psi and (0, 3) for phi.
+    # The 4-dim index is 2*pol + path; psi pairs the kets at (1, 2) and phi those at (0, 3).
     inv = 1.0 / np.sqrt(2.0)
     states = {}
     for label, (i, j) in (("psi", (1, 2)), ("phi", (0, 3))):

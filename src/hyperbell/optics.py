@@ -25,18 +25,20 @@ Born distribution is computed for a density matrix, and ``readout_table``
 gives every quantity's value on each pattern.  The Born rule takes a stack of
 pattern bras, so several settings share one computation and one check; the
 sampler builds the nine rows' |Psi> distributions this way, once, and mixes
-in white noise without it.
+in white noise without it.  Apparatus ids and shot counts are checked by
+``inputs``, which also holds ``BELL_LABELS``.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import inputs
 from .hilbert import ATOL, Operator, StateVector
+from .inputs import BELL_LABELS
 from .lhv import APPARATUSES, element_photon
 from .observables import element_operator
 
@@ -45,28 +47,6 @@ COMMUTATOR_ATOL = 1e-13
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 _EYE2 = np.eye(2, dtype=np.complex128)
-
-#: Largest shot count of one setting; ``Generator.binomial`` and ``multinomial`` count in int64.
-MAX_SHOTS = 2**63 - 1
-
-
-def _integer(value, low: int, high: int, rule: str) -> int:
-    """Any integer but a bool in [low, high] as a plain int; else ``ValueError`` naming it."""
-    if not isinstance(value, bool):
-        try:
-            number = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if low <= number <= high:
-                return number
-    raise ValueError(f"{rule}, got {value!r}")
-
-
-def _shot_count(shots, minimum: int = 1) -> int:
-    """``shots`` as a plain int in [minimum, 2**63 - 1]; bools and non-integers are rejected."""
-    rule = f"shots must be an integer in [{minimum}, 2**63 - 1]"
-    return _integer(shots, minimum, MAX_SHOTS, rule)
 
 
 def element_unitary(kind: str) -> Operator:
@@ -135,8 +115,8 @@ def build_apparatus(apparatus_id: int) -> ApparatusSpec:
     The id is any integer 1..6 but not a bool; the spec stores it as a plain
     int.  The cache is typed, so ``True`` or ``1.0`` never reaches id 1's entry.
     """
-    count = len(APPARATUSES)
-    apparatus_id = _integer(apparatus_id, 1, count, f"apparatus id must be an integer 1..{count}")
+    n = len(APPARATUSES)
+    apparatus_id = inputs._integer(apparatus_id, 1, n, f"apparatus id must be an integer 1..{n}")
     (name_a, name_b), chain = APPARATUSES[apparatus_id]
     photon = element_photon(name_a)
 
@@ -230,9 +210,6 @@ def readout_table(a1: ApparatusSpec, a2: ApparatusSpec) -> dict[str, np.ndarray]
     return table
 
 
-#: Label order used by the Bell discriminator.
-BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
-
 #: The Bell state of each sign pair (z z', x x') on apparatus 5's detectors.
 _BELL_SIGNS = {(1, 1): "phi+", (1, -1): "phi-", (-1, 1): "psi+", (-1, -1): "psi-"}
 
@@ -252,9 +229,9 @@ def bell_histogram(
     """Label counts over ``shots`` Bell discriminations of the same input.
 
     The counts are one multinomial draw over the Bell-basis probabilities;
-    ``shots`` is checked by ``_shot_count``.
+    ``shots`` is checked by ``inputs._shot_count``.
     """
-    count = _shot_count(shots)
+    count = inputs._shot_count(shots)
     probs = bell_probabilities(state)
     weights = np.array([probs[label] for label in BELL_LABELS])
     counts = rng.multinomial(count, weights / weights.sum())

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hyperbell import cli, experiment, lhv, observables, optics
+from hyperbell import cli, experiment, inputs, lhv, observables, optics
 from hyperbell.hilbert import ATOL
 
 REPO = Path(__file__).resolve().parent.parent
@@ -295,7 +295,7 @@ def test_help_still_prints_usage(capsys):
 
 def test_sweep_rejects_bad_grid():
     result = run_cli("sweep", "--grid", "0.5", "1.5", "--shots", "10")
-    message = library_message(experiment._visibilities, [0.5, 1.5])
+    message = library_message(inputs._visibilities, [0.5, 1.5])
     assert_usage_error(result.returncode, result.stdout, result.stderr, message)
 
 
@@ -379,10 +379,10 @@ def test_unwritable_output_is_a_usage_error():
 def test_shot_count_beyond_int64_rejected(args):
     result = run_cli(*args, "--shots", "99999999999999999999")
     if args[0] == "sweep":
-        message = library_message(experiment._sweep_shot_count, 99999999999999999999)
+        message = library_message(inputs._sweep_shot_count, 99999999999999999999)
     else:
         minimum = 1 if args[0] == "bell" else 2
-        message = library_message(optics._shot_count, 99999999999999999999, minimum)
+        message = library_message(inputs._shot_count, 99999999999999999999, minimum)
     assert_usage_error(result.returncode, result.stdout, result.stderr, message)
 
 
@@ -397,9 +397,9 @@ def test_shot_count_beyond_int64_rejected(args):
 def test_one_shot_rejected_where_a_standard_error_is_reported(args):
     result = run_cli(*args, "--shots", "1")
     if args[0] == "sweep":
-        message = library_message(experiment._sweep_shot_count, 1)
+        message = library_message(inputs._sweep_shot_count, 1)
     else:
-        message = library_message(optics._shot_count, 1, 2)
+        message = library_message(inputs._shot_count, 1, 2)
     assert_usage_error(result.returncode, result.stdout, result.stderr, message)
     assert run_cli(*args, "--shots", "2").returncode == 0
 
@@ -410,15 +410,15 @@ _A = optics.build_apparatus
 @pytest.mark.parametrize(
     "argv, validate, bad",
     [
-        (["mermin", "--shots", "1"], optics._shot_count, (1, 2)),
-        (["simulate", "--apparatus-pair", "1", "4", "--shots", "1"], optics._shot_count, (1, 2)),
-        (["sweep", "--shots", "1"], experiment._sweep_shot_count, (1,)),
-        (["mermin", "--shots", str(2**64)], optics._shot_count, (2**64, 2)),
-        (["bell", "--shots", str(2**64)], optics._shot_count, (2**64, 1)),
-        (["mermin", "--visibility", "1.5"], experiment._visibility, (1.5,)),
-        (["sweep", "--grid", "0.5", "1.5"], experiment._visibilities, ([0.5, 1.5],)),
-        (["mermin", "--seed", "-3"], experiment._seed, (-3,)),
-        (["bell", "--seed", str(2**64)], experiment._seed, (2**64,)),
+        (["mermin", "--shots", "1"], inputs._shot_count, (1, 2)),
+        (["simulate", "--apparatus-pair", "1", "4", "--shots", "1"], inputs._shot_count, (1, 2)),
+        (["sweep", "--shots", "1"], inputs._sweep_shot_count, (1,)),
+        (["mermin", "--shots", str(2**64)], inputs._shot_count, (2**64, 2)),
+        (["bell", "--shots", str(2**64)], inputs._shot_count, (2**64, 1)),
+        (["mermin", "--visibility", "1.5"], inputs._visibility, (1.5,)),
+        (["sweep", "--grid", "0.5", "1.5"], inputs._visibilities, ([0.5, 1.5],)),
+        (["mermin", "--seed", "-3"], inputs._seed, (-3,)),
+        (["bell", "--seed", str(2**64)], inputs._seed, (2**64,)),
         (["simulate", "--apparatus-pair", "1", "9"], _A, (9,)),
         (["simulate", "--apparatus-pair", "7", "4"], _A, (7,)),
         (["simulate", "--apparatus-pair", "4", "2"], optics._check_sides, (_A(4), _A(2))),
@@ -428,6 +428,38 @@ def test_usage_error_quotes_the_library_message(capsys, argv, validate, bad):
     code = cli.main(argv)
     out, err = capsys.readouterr()
     assert_usage_error(code, out, err, library_message(validate, *bad))
+
+
+def test_lhv_and_input_usage_errors_run_without_numpy():
+    # the CLI imports numpy only in the runners that compute: `import
+    # hyperbell.cli`, lhv in both formats, and each shots, seed, visibility and
+    # grid usage error above run in a process where importing numpy fails
+    cases = test_usage_error_quotes_the_library_message.pytestmark[0].args[1]
+    errors = [(argv, library_message(validate, *bad)) for argv, validate, bad in cases
+              if validate.__module__ == inputs.__name__]
+    assert len(errors) == 9
+    golden = REPO / "tests" / "golden"
+    expected = [(0, (golden / name).read_bytes().decode("utf-8"), "")
+                for name in ("lhv.txt", "lhv.json")]
+    expected += [(2, "", f"hyperbell: error: {message}\n") for _, message in errors]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from hyperbell import cli\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        runs.append((cli.main(argv), out.getvalue(), err.getvalue()))\n"
+        "assert sys.modules['numpy'] is None\n"
+        "assert not {'hyperbell.hilbert', 'hyperbell.optics'} & set(sys.modules)\n"
+        "sys.stdout.write(json.dumps(runs))\n"
+    )
+    argvs = [["lhv"], ["lhv", "--format", "json"], *(argv for argv, _ in errors)]
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                            capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    assert [tuple(run) for run in json.loads(result.stdout)] == expected
 
 
 def test_verify_exits_1_when_a_relation_fails(monkeypatch, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hyperbell import cli
+from hyperbell import cli, inputs
 from hyperbell.hilbert import ATOL, StateVector
 from hyperbell.lhv import CONSTRAINTS
 from hyperbell.observables import (
@@ -26,7 +26,6 @@ from hyperbell.experiment import (
     SweepTable,
     _mermin_value,
     _plus_counts,
-    _visibility,
     counted_mean,
     estimate_mermin,
     estimate_pair,
@@ -264,9 +263,9 @@ def test_visibility_takes_any_real_number_as_a_float():
     class Ratio(float):
         pass
 
-    assert type(_visibility(1)) is float
-    assert type(_visibility(Ratio(0.5))) is float and _visibility(Ratio(0.5)) == 0.5
-    assert math.copysign(1.0, _visibility(-0.0)) == 1.0
+    assert type(inputs._visibility(1)) is float
+    assert type(inputs._visibility(Ratio(0.5))) is float and inputs._visibility(Ratio(0.5)) == 0.5
+    assert math.copysign(1.0, inputs._visibility(-0.0)) == 1.0
     assert np.array_equal(noisy_state(np.float32(0.5)), noisy_state(0.5))
     assert estimate_mermin(100, Fraction(9, 10), 1) == estimate_mermin(100, 0.9, 1)
     assert visibility_sweep([np.int64(1)], 100, 1) == visibility_sweep([1.0], 100, 1)

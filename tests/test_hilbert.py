@@ -4,9 +4,15 @@ import itertools
 import numpy as np
 import pytest
 
-from hyperbell.hilbert import ATOL, BasisIndex, Operator, StateVector, expectation
+from hyperbell.hilbert import ATOL, Operator, StateVector, expectation
 from hyperbell.lhv import ELEMENTS, element_photon
-from hyperbell.observables import SIGMA_X, SIGMA_Z, element_operator, element_operator_16
+from hyperbell.observables import (
+    SIGMA_X,
+    SIGMA_Z,
+    doubly_entangled_state,
+    element_operator,
+    element_operator_16,
+)
 
 EYE2 = np.eye(2)
 
@@ -16,10 +22,16 @@ def identity(dim):
 
 
 def test_basis_index_bijective():
-    # bit labels in (pol1, path1, pol2, path2) order count the flat index up
-    flats = [BasisIndex(*bits).flat for bits in itertools.product((0, 1), repeat=4)]
+    # bit labels in (pol1, path1, pol2, path2) order count the flat index
+    # 8*pol1 + 4*path1 + 2*pol2 + path2 up, so the polarization singlet on
+    # (pol1, pol2) times the path singlet on (path1, path2), reshaped, is |Psi>
+    # with its amplitudes at the flat indices 3, 6, 9 and 12
+    flats = [8 * a + 4 * b + 2 * c + d for a, b, c, d in itertools.product((0, 1), repeat=4)]
     assert flats == list(range(16))
-    assert BasisIndex(0, 0, 1, 1).flat == 3
+    singlet = np.array([[0.0, 1.0], [-1.0, 0.0]]) / np.sqrt(2.0)
+    product = np.einsum("ac,bd->abcd", singlet, singlet).reshape(16)
+    np.testing.assert_allclose(doubly_entangled_state().amps, product, rtol=0, atol=ATOL)
+    assert np.flatnonzero(product).tolist() == [3, 6, 9, 12]
 
 
 def test_state_validation():
@@ -63,7 +75,8 @@ def test_tensor_basis_kets():
     np.testing.assert_allclose(product.amps, [1, 0, 0, 0])
     for bits in itertools.product((0, 1), repeat=4):
         ket = functools.reduce(np.kron, [EYE2[b] for b in bits])
-        np.testing.assert_array_equal(ket, np.eye(16)[BasisIndex(*bits).flat])
+        flat = 8 * bits[0] + 4 * bits[1] + 2 * bits[2] + bits[3]
+        np.testing.assert_array_equal(ket, np.eye(16)[flat])
 
 
 def test_tensor_identity():

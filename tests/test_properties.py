@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperbell
+from hyperbell import inputs
 from hyperbell.experiment import (
     MAX_SHOTS,
     ROW_APPARATUS_PAIRS,
@@ -36,7 +37,6 @@ from hyperbell.experiment import (
     _plus_probabilities,
     _plus_table,
     _row_tables,
-    _visibilities,
     estimate_mermin,
     exact_expectation,
     noisy_state,
@@ -142,7 +142,7 @@ def test_sampled_mixture_is_the_born_rule_of_the_noisy_state(drawn):
     # diag(K rho K^dagger) for rho = noisy_state(V)
     values, terms, _ = _row_tables()
     plus_psi, uniform = np.array(terms).T
-    for v in _visibilities([*EDGE_VISIBILITIES, *drawn]):
+    for v in inputs._visibilities([*EDGE_VISIBILITIES, *drawn]):
         rows = _plus_probabilities(v)
         reference = (v * plus_psi + (1.0 - v) * uniform).clip(0.0, 1.0)
         assert [p.hex() for p in rows] == [p.hex() for p in reference.tolist()]
@@ -297,6 +297,6 @@ def test_batched_born_rule_takes_an_empty_stack():
     # min() on an empty array
     probs = born_distributions(np.empty((0, 16), complex), noisy_state(0.5))
     assert probs.shape == (0, 16)
-    assert _visibilities(()) == []
+    assert inputs._visibilities(()) == []
     for shots in (0, 100):
         assert len(visibility_sweep((), shots)) == 0

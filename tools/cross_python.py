@@ -7,8 +7,11 @@ from ``src/`` under each of python3.10 to python3.13 found on PATH, checks
 satisfied-count histogram there, the histogram also
 against the coset's weight enumerator (16 assignments per coset word of
 ``coset_weights``), and compares the bytes with ``tests/golden/lhv.json``
-(what ``hyperbell lhv --format json`` prints).  Stdlib only; ``hyperbell.lhv``
-needs no numpy.
+(what ``hyperbell lhv --format json`` prints).  It then runs the CLI itself,
+``hyperbell.cli.main`` on ``lhv`` and ``lhv --format json``, and compares
+each output with its golden file and its exit code with 0.  Stdlib only: the
+probe blocks numpy, since neither ``hyperbell.lhv`` nor the CLI's ``lhv``
+needs it.
 
     python3 tools/cross_python.py
 
@@ -19,6 +22,7 @@ ran and every one that ran passed, 1 when one failed, 2 when none ran.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -26,16 +30,20 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "golden" / "lhv.json"
+GOLDEN = ROOT / "tests" / "golden"
+#: What the probe prints, in order, and the golden file each must equal.
+OUTPUTS = (("certificate JSON", "lhv.json"), ("CLI lhv", "lhv.txt"),
+           ("CLI lhv --format json", "lhv.json"))
 VERSIONS = ("3.10", "3.11", "3.12", "3.13")
 MARKER = "hyperbell-cross-python"
 
 # -I ignores PYTHONPATH and user site-packages, so only src/ supplies hyperbell.
 PROBE = f"""
-import json, platform, sys
+import contextlib, io, json, platform, sys
 print({MARKER!r}, platform.python_version(), flush=True)
+sys.modules["numpy"] = None
 sys.path.insert(0, {str(ROOT / "src")!r})
-from hyperbell import lhv
+from hyperbell import cli, lhv
 assert type(lhv.LHV_BOUND) is int and lhv.LHV_BOUND == 7, lhv.LHV_BOUND
 bound = lhv.FEWEST_VIOLATED, lhv.FEWEST_SATISFIED
 assert bound == (1, 0), bound
@@ -46,11 +54,18 @@ assert histogram == (16, 0, 576, 0, 2016, 0, 1344, 0, 144, 0), histogram
 weights = lhv.coset_weights(lhv.CONSTRAINTS)
 m = len(lhv.CONSTRAINTS)
 assert all(histogram[m - k] == 16 * w for k, w in enumerate(weights)), weights
-sys.stdout.write(json.dumps(certificate.to_dict(), indent=2) + "\\n")
+outputs = [json.dumps(certificate.to_dict(), indent=2) + "\\n"]
+for argv in (["lhv"], ["lhv", "--format", "json"]):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+    outputs.append(buffer.getvalue())
+sys.stdout.write(json.dumps(outputs))
 """
 
 
-def run(version: str, golden: bytes) -> tuple[str, str]:
+def run(version: str, goldens: list[str]) -> tuple[str, str]:
     """(status, detail) of one interpreter: status is pass, FAIL or did not run."""
     exe = shutil.which(f"python{version}")
     if exe is None:
@@ -68,17 +83,20 @@ def run(version: str, golden: bytes) -> tuple[str, str]:
         return "did not run", f"{exe} started Python {ran}"
     if result.returncode != 0:
         return "FAIL", f"Python {ran} ({exe}): exit {result.returncode}: {reason}"
-    if dump != golden:
-        return "FAIL", f"Python {ran} ({exe}): bytes differ from {GOLDEN.relative_to(ROOT)}"
+    outputs = json.loads(dump)
+    for (what, name), output, golden in zip(OUTPUTS, outputs, goldens):
+        if output != golden:
+            return "FAIL", f"Python {ran} ({exe}): {what} differs from tests/golden/{name}"
     checks = "LHV_BOUND 7, coset bound (1, 0), witness 60, histogram equal, and 16 x coset weights"
-    return "pass", f"Python {ran} ({exe}): {len(dump)} bytes equal, {checks}"
+    equal = ", ".join(f"{what} ({len(output)} chars)" for (what, _), output in zip(OUTPUTS, outputs))
+    return "pass", f"Python {ran} ({exe}), numpy blocked: {checks}; equal to golden: {equal}"
 
 
 def main() -> int:
-    golden = GOLDEN.read_bytes()
+    goldens = [(GOLDEN / name).read_bytes().decode("utf-8") for _, name in OUTPUTS]
     statuses = []
     for version in VERSIONS:
-        status, detail = run(version, golden)
+        status, detail = run(version, goldens)
         statuses.append(status)
         print(f"python{version}: {status}: {detail}")
     ran = [s for s in statuses if s != "did not run"]

@@ -25,7 +25,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LHV = "src/hyperbell/lhv.py"
+INPUTS = "src/hyperbell/inputs.py"
+EXPERIMENT = "src/hyperbell/experiment.py"
 T = "tests/test_lhv.py::"
+E = "tests/test_experiment.py::"
+P = "tests/test_properties.py::"
+C = "tests/test_cli.py::"
 G = "tests/test_golden.py::test_stdout_bytes_match_golden"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
@@ -107,6 +112,106 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             T + "test_coset_bound_equals_brute_force[paper]",
             T + "test_coset_bound_equals_brute_force[ghz-mermin]",
         ),
+    ),
+    (
+        LHV,
+        "int(constraint.required_product == -1), 1 << i",
+        "int(constraint.required_product == -1) ^ (i == 8), 1 << i",
+        (
+            T + "test_parity_argument_structural",
+            T + "test_lhv_bound_comes_from_the_coset_bound",
+            T + "test_coset_bound_equals_brute_force[paper]",
+            "tests/test_acceptance.py::test_criterion_4_parity_certificate",
+        ),
+    ),
+    (
+        LHV,
+        "mermin_max=2 * counts[-1]",
+        "mermin_max=2 * counts[0]",
+        (
+            T + "test_certificate_matches_oracle",
+            C + "test_lhv_json_roundtrip",
+            G + "[lhv.json]",
+            G + "[lhv.txt]",
+        ),
+    ),
+    (
+        LHV,
+        "mermin_min=2 * counts[0]",
+        "mermin_min=2 * counts[-1]",
+        (
+            T + "test_certificate_matches_oracle",
+            C + "test_lhv_json_roundtrip",
+            G + "[lhv.json]",
+        ),
+    ),
+    (
+        INPUTS,
+        "if not isinstance(value, bool):",
+        "if True:",
+        (
+            E + "test_samplers_reject_bad_shot_counts[sample_pair_counts-True]",
+            E + "test_sweep_rejects_bad_seeds[True-0]",
+            "tests/test_optics.py::test_build_apparatus_rejects_bad_id",
+        ),
+    ),
+    (
+        INPUTS,
+        "if low <= number <= high:",
+        "if low <= number < high:",
+        (
+            C + "test_sweep_at_zero_shots_is_the_exact_only_table",
+            G + "[sweep_exact.txt]",
+            G + "[simulate_5_6_v0.9.txt]",
+        ),
+    ),
+    (
+        INPUTS,
+        "return float(value) + 0.0",
+        "return float(value)",
+        (
+            E + "test_visibility_takes_any_real_number_as_a_float",
+            C + "test_negative_zero_visibility_prints_as_zero[argv0---visibility-json]",
+            C + "test_negative_zero_visibility_prints_as_zero[argv2---grid-text]",
+        ),
+    ),
+    (
+        INPUTS,
+        "(str, bytes, bytearray)",
+        "(bytes, bytearray)",
+        (E + "test_sweep_rejects_a_grid_that_is_text_or_not_iterable['0.5']",),
+    ),
+    (
+        EXPERIMENT,
+        "_COLUMN_SHOTS = 2**25",
+        "_COLUMN_SHOTS = 2**40",
+        (
+            P + "test_column_shot_bound_keeps_the_counts_exact",
+            C + "test_sweep_row_is_the_mermin_estimate_of_the_same_seed[0.8-1000000000000-5]",
+            G + "[mermin_v0.8_1e12_seed5.txt]",
+        ),
+    ),
+    (
+        EXPERIMENT,
+        "np.add.accumulate(terms, axis=1)[:, -1]",
+        "terms.sum(axis=1)",
+        (
+            E + "test_child_states_equal_numpy_spawn[12345-1000]",
+            G + "[sweep.json]",
+            G + "[sweep_scan_shots100_seed7.json]",
+        ),
+    ),
+    (
+        EXPERIMENT,
+        "    _check_plus(low, high)\n",
+        "",
+        (P + "test_sampled_mixture_is_checked",),
+    ),
+    (
+        EXPERIMENT,
+        "probs.clip(0.0, 1.0, out=probs)",
+        "pass",
+        (P + "test_sweep_table_mixes_and_clips_as_the_point_floats",),
     ),
 )
 
