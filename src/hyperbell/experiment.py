@@ -20,11 +20,12 @@ clipped only when some p+ lies outside [0, 1], and draws it in one binomial
 call on ``default_rng(seed)``, the same stream as the point draws run in grid
 order.  Below 2**25 shots its O is one in-order running sum of the nine
 terms per point and its SE a few in-place column operations; its exact
-column is V times <Psi|O|Psi>, computed once per process.
-``sample_pair_counts`` (``simulate``) draws all 16 pattern counts of any
-density matrix, as its fifteen quantities need them.  Estimates are read off
-the counts, so cost and memory do not grow with the shot count.  All
-randomness flows from one seed.  Shots, seeds and visibilities are checked
+column is V times <Psi|O|Psi>, computed once per process.  Its rows are
+``SweepPoint``s read by index off one array; ``sweep_table`` adds the LHV
+bound to each JSON row.  ``sample_pair_counts`` (``simulate``) draws all 16
+pattern counts of any density matrix, as its fifteen quantities need them.
+Estimates are read off the counts, so cost and memory do not grow with the
+shot count.  All randomness flows from one seed.  Shots, seeds and visibilities are checked
 by ``inputs``, whose ``DEFAULT_GRID`` and ``MAX_SHOTS`` are re-exported here.
 """
 
@@ -330,7 +331,6 @@ class SweepPoint:
     estimate: float | None
     std_error: float | None
     violated: str
-    lhv_bound: float = float(LHV_BOUND)
 
 
 class SweepTable(Sequence[SweepPoint]):
@@ -338,9 +338,8 @@ class SweepTable(Sequence[SweepPoint]):
 
     Columns are (visibility, exact, estimate, std_error), with NaN where a
     point was not sampled; the row reports those as None.  A kept sweep costs
-    32 bytes per point rather than an object and three floats.  A slice is a
-    table over the same array, and two tables are equal when their columns
-    are, NaN matching NaN.
+    32 bytes per point rather than an object and three floats.  Rows are read
+    by integer index or by iteration; compare ``list(table)``.
     """
 
     __slots__ = ("columns",)
@@ -351,9 +350,7 @@ class SweepTable(Sequence[SweepPoint]):
     def __len__(self) -> int:
         return len(self.columns)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SweepTable(self.columns[index])
+    def __getitem__(self, index) -> SweepPoint:
         v, exact, estimate, std_error = self.columns[operator.index(index)].tolist()
         sampled = not math.isnan(estimate)
         return SweepPoint(
@@ -363,14 +360,6 @@ class SweepTable(Sequence[SweepPoint]):
             std_error=std_error if sampled else None,
             violated=violation_flag(exact),
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, SweepTable):
-            return NotImplemented
-        return np.array_equal(self.columns, other.columns, equal_nan=True)
-
-    def __repr__(self) -> str:
-        return f"SweepTable({list(self)!r})"
 
 
 def visibility_sweep(
@@ -429,7 +418,7 @@ def sweep_table(points: Sequence[SweepPoint]) -> list[dict]:
             "exact_O": p.exact,
             "est_O": p.estimate,
             "std_err": p.std_error,
-            "lhv_bound": p.lhv_bound,
+            "lhv_bound": float(LHV_BOUND),
             "violated": p.violated,
         }
         for p in points

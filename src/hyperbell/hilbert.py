@@ -6,10 +6,11 @@ before path, so the flat index of a product ket is
 
     index = 8*pol1 + 4*path1 + 2*pol2 + path2      (H = u = 0, V = d = 1).
 
-A ``StateVector`` always has unit norm and an ``Operator`` is always Hermitian
-or unitary: each checks its invariant at construction and is immutable after
-it, so no consumer checks again.  ``expectation`` is the one product defined
-here; anything else is plain numpy on ``.amps`` and ``.matrix``.
+A ``StateVector`` (unit norm) and an ``Operator`` (Hermitian) live on one
+photon (4 dims) or both (16); each checks its invariant at construction and
+is immutable after it, so no consumer checks again.  ``expectation`` is the
+one product defined here; anything else is plain numpy on ``.amps`` and
+``.matrix``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 # Tolerance for all exact-algebra assertions (normalization, Hermiticity,
-# unitarity, eigenvalue residuals).  Well above double-precision noise at
+# orthonormality, eigenvalue residuals).  Well above double-precision noise at
 # dimension 16.
 ATOL = 1e-12
 
-#: Dimensions of one qubit, one photon and both photons.
-VALID_DIMS = (2, 4, 16)
+#: Dimensions of one photon and of both photons.
+VALID_DIMS = (4, 16)
 
 
 def _frozen_array(values, shape_check) -> np.ndarray:
@@ -38,7 +39,7 @@ def _frozen_array(values, shape_check) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateVector:
-    """A unit-norm ket over 2-, 4- or 16-dim factors of the two-photon space."""
+    """A unit-norm ket of one photon (4 dims) or of both (16)."""
 
     amps: np.ndarray
 
@@ -60,14 +61,9 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Operator:
-    """A square matrix whose kind is "hermitian" or "unitary".
-
-    The kind is validated at construction: hermitian requires M = M^dagger and
-    unitary requires M^dagger M = 1, both to within ATOL.
-    """
+    """A Hermitian matrix, M = M^dagger to within ATOL, checked at construction."""
 
     matrix: np.ndarray
-    kind: str
 
     def __post_init__(self):
         def check(arr):
@@ -78,15 +74,8 @@ class Operator:
 
         arr = _frozen_array(self.matrix, check)
         object.__setattr__(self, "matrix", arr)
-        if self.kind == "hermitian":
-            if np.abs(arr - arr.conj().T).max() >= ATOL:
-                raise ValueError("operator labeled hermitian is not self-adjoint")
-        elif self.kind == "unitary":
-            eye = np.eye(arr.shape[0])
-            if np.abs(arr.conj().T @ arr - eye).max() >= ATOL:
-                raise ValueError("operator labeled unitary fails U^dagger U = 1")
-        else:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
+        if np.abs(arr - arr.conj().T).max() >= ATOL:
+            raise ValueError("operator is not self-adjoint")
 
     @property
     def dim(self) -> int:
@@ -95,8 +84,6 @@ class Operator:
 
 def expectation(op: Operator, s: StateVector) -> float:
     """Real expectation value <s|op|s> of a Hermitian operator."""
-    if op.kind != "hermitian":
-        raise ValueError("expectation requires an operator of kind 'hermitian'")
     if op.dim != s.dim:
         raise ValueError(f"dimension mismatch: operator {op.dim}, state {s.dim}")
     value = complex(np.vdot(s.amps, op.matrix @ s.amps))

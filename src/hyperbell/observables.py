@@ -9,9 +9,10 @@ polarization factor (written x_i, z_i) and on the path factor (written x_i',
 z_i').  Products measured jointly by a single apparatus, such as z1z1' or
 z2x2', are treated as observables in their own right; each is the Kronecker
 product of its Pauli string in ``lhv.ELEMENT_PAULI``.  The nine products of
-``lhv.CONSTRAINTS`` have |Psi> as an exact eigenvector; their signed sum is a
-Bell-Mermin style operator whose quantum value is 9 against a local-realistic
-ceiling of 7.
+``lhv.CONSTRAINTS`` have |Psi> as an exact eigenvector, each with its row's
+required product as eigenvalue; their signed sum is a Bell-Mermin style
+operator whose quantum value is 9 against a local-realistic ceiling of 7.  A
+``ConstraintRow`` is an ``lhv.LhvConstraint`` that also gives its operator.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import ATOL, Operator, StateVector
-from .lhv import CONSTRAINTS, ELEMENT_PAULI, element_photon
+from .lhv import CONSTRAINTS, ELEMENT_PAULI, LhvConstraint, element_photon
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
@@ -38,12 +39,12 @@ def element_operator(name: str) -> Operator:
     """4-dim realization of a named element on its photon's pol (x) path space."""
     photon = element_photon(name)
     letters = ELEMENT_PAULI[name][2 * photon - 2 : 2 * photon]
-    return Operator(_pauli_matrix(letters), kind="hermitian")
+    return Operator(_pauli_matrix(letters))
 
 
 def element_operator_16(name: str) -> Operator:
     """16-dim realization of a named element, identity on the other photon."""
-    return Operator(_pauli_matrix(ELEMENT_PAULI[name]), kind="hermitian")
+    return Operator(_pauli_matrix(ELEMENT_PAULI[name]))
 
 
 def doubly_entangled_state() -> StateVector:
@@ -58,26 +59,12 @@ def doubly_entangled_state() -> StateVector:
     return StateVector(amps)
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
-    """One perfect-correlation relation: a product of locality groups.
-
-    ``groups`` lists the elements of reality multiplied together, one name per
-    group (a group is everything one apparatus reads as a single value).  The
-    16-dim realization has |Psi> as an eigenvector with the stated eigenvalue.
-    """
-
-    id: int
-    groups: tuple[str, ...]
-    eigenvalue: int
-
-    @property
-    def label(self) -> str:
-        return ".".join(self.groups)
+class ConstraintRow(LhvConstraint):
+    """A row of ``lhv.CONSTRAINTS`` that also gives its 16-dim operator."""
 
     def operator(self) -> Operator:
         """The row's read-only 16-dim product operator, built once per process."""
-        return _product_operator(self.groups)
+        return _product_operator(self.variables)
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,7 +73,7 @@ def _product_operator(names: tuple[str, ...]) -> Operator:
     matrix = np.eye(16, dtype=np.complex128)
     for name in names:
         matrix = matrix @ element_operator_16(name).matrix
-    return Operator(matrix, kind="hermitian")
+    return Operator(matrix)
 
 
 #: The nine constraint rows; eigenvalue pattern (-,-,-,-,+,+,+,+,-).
@@ -100,7 +87,6 @@ class EigenCheck:
     """Result of checking row_op|Psi> = eigenvalue * |Psi> for one row."""
 
     id: int
-    label: str
     eigenvalue: int
     residual: float
 
@@ -117,8 +103,8 @@ def verify_eigenequations() -> list[EigenCheck]:
     psi = doubly_entangled_state().amps
     checks = []
     for row in CONSTRAINT_ROWS:
-        residual = float(np.abs(row.operator().matrix @ psi - row.eigenvalue * psi).max())
-        checks.append(EigenCheck(row.id, row.label, row.eigenvalue, residual))
+        residual = float(np.abs(row.operator().matrix @ psi - row.required_product * psi).max())
+        checks.append(EigenCheck(row.id, row.required_product, residual))
     return checks
 
 
@@ -138,8 +124,8 @@ def bell_mermin_operator() -> MerminOperator:
     """The signed sum O, built once per process; its matrix is read-only."""
     matrix = np.zeros((16, 16), dtype=np.complex128)
     for row in CONSTRAINT_ROWS:
-        matrix += row.eigenvalue * row.operator().matrix
-    return MerminOperator(Operator(matrix, kind="hermitian"))
+        matrix += row.required_product * row.operator().matrix
+    return MerminOperator(Operator(matrix))
 
 
 def build_bell_states(basis: str) -> dict[str, StateVector]:

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import inputs
-from .hilbert import ATOL, Operator, StateVector
+from .hilbert import ATOL, StateVector
 from .inputs import BELL_LABELS
 from .lhv import APPARATUSES, element_photon
 from .observables import element_operator
@@ -49,8 +49,11 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2
 _EYE2 = np.eye(2, dtype=np.complex128)
 
 
-def element_unitary(kind: str) -> Operator:
-    """Single-photon unitary of one element kind of the table: "BS", "HWP45" or "PBS"."""
+def element_unitary(kind: str) -> np.ndarray:
+    """Read-only 4 x 4 unitary of an element kind: "BS", "HWP45" or "PBS".
+
+    ``build_apparatus`` checks that each chain's basis is orthonormal.
+    """
     if kind == "BS":
         matrix = np.kron(_EYE2, _HADAMARD)
     elif kind == "HWP45":
@@ -62,7 +65,8 @@ def element_unitary(kind: str) -> Operator:
         matrix[3, 2] = matrix[2, 3] = 1.0
     else:
         raise ValueError(f"unknown element kind {kind!r}")
-    return Operator(matrix, kind="unitary")
+    matrix.setflags(write=False)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ def _chain_basis(element_kinds: tuple[str, ...]) -> np.ndarray:
     """Detector basis of an element chain: row d is U^dagger |port d>."""
     unitary = np.eye(4, dtype=np.complex128)
     for kind in element_kinds:
-        unitary = element_unitary(kind).matrix @ unitary
+        unitary = element_unitary(kind) @ unitary
     # U^dagger e_d is the d-th column of U^dagger, i.e. conj of U's d-th row.
     return unitary.conj()
 

@@ -233,8 +233,8 @@ def test_samplers_take_integral_shot_counts():
     assert rows == estimate_rows(100, 0.9, 1)
     assert all(type(row.shots) is int for row in rows)
     assert estimate_mermin(np.uint16(100), 0.9, 1) == estimate_mermin(100, 0.9, 1)
-    assert visibility_sweep([0.9], np.int32(100), 1) == visibility_sweep([0.9], 100, 1)
-    assert visibility_sweep([0.9], np.int64(0)) == visibility_sweep([0.9], 0)
+    assert list(visibility_sweep([0.9], np.int32(100), 1)) == list(visibility_sweep([0.9], 100, 1))
+    assert list(visibility_sweep([0.9], np.int64(0))) == list(visibility_sweep([0.9], 0))
 
 
 VISIBILITY_USERS = {
@@ -268,7 +268,7 @@ def test_visibility_takes_any_real_number_as_a_float():
     assert math.copysign(1.0, inputs._visibility(-0.0)) == 1.0
     assert np.array_equal(noisy_state(np.float32(0.5)), noisy_state(0.5))
     assert estimate_mermin(100, Fraction(9, 10), 1) == estimate_mermin(100, 0.9, 1)
-    assert visibility_sweep([np.int64(1)], 100, 1) == visibility_sweep([1.0], 100, 1)
+    assert list(visibility_sweep([np.int64(1)], 100, 1)) == list(visibility_sweep([1.0], 100, 1))
 
 
 def test_estimates_deterministic_for_fixed_seed():
@@ -371,7 +371,7 @@ def test_sweep_flags_spec_grid():
     points = visibility_sweep([0.7, 0.75, 7 / 9, 0.8, 1.0], shots_per_setting=0)
     assert [p.violated for p in points] == ["no", "no", "boundary", "yes", "yes"]
     assert points[-1].exact == pytest.approx(9.0, abs=ATOL)
-    assert all(p.lhv_bound == 7.0 for p in points)
+    assert all(row["lhv_bound"] == 7.0 for row in sweep_table(points))
     assert all(p.estimate is None and p.std_error is None for p in points)
 
 
@@ -428,34 +428,29 @@ def test_sweep_of_an_empty_grid_is_an_empty_table():
         visibility_sweep((), 1)
 
 
-def test_sweep_table_slices_to_a_table():
+def test_sweep_table_reads_rows_by_integer_index():
     table = visibility_sweep([0.1, 0.5, 0.8, 1.0], shots_per_setting=100, seed=2)
-    head = table[0:2]
-    assert isinstance(head, SweepTable)
-    assert list(head) == list(table)[:2]
-    assert list(table[::-1]) == list(table)[::-1]
-    assert table[1:1] == visibility_sweep((), 0)
+    assert isinstance(table, SweepTable) and not hasattr(table, "__dict__")
+    assert [table[i] for i in range(4)] == list(table)
     assert table[-1] == table[3] and table[np.int64(2)] == table[2]
     with pytest.raises(IndexError):
         table[4]
+    with pytest.raises(TypeError):
+        table[0:2]  # a slice of rows is list(table)[0:2]
 
 
 def test_sweep_table_compares_by_value():
     grid = [0.2, 7 / 9, 0.9]
-    assert visibility_sweep(grid, 100, seed=4) == visibility_sweep(grid, 100, seed=4)
-    assert visibility_sweep(grid, 100, seed=4) != visibility_sweep(grid, 100, seed=5)
-    # NaN columns of unsampled points compare equal
-    assert visibility_sweep(grid, 0) == visibility_sweep(grid, 0)
-    assert visibility_sweep(grid, 0) != visibility_sweep(grid, 100, seed=4)
-    assert visibility_sweep(grid, 0) != visibility_sweep(grid[:2], 0)
-    assert visibility_sweep(grid, 0) != list(visibility_sweep(grid, 0))
 
+    def rows(*args, **kwargs):
+        return list(visibility_sweep(grid, *args, **kwargs))
 
-def test_sweep_table_repr_lists_its_rows():
-    table = visibility_sweep([0.5, 1.0], shots_per_setting=0)
-    assert repr(table) == f"SweepTable({list(table)!r})"
-    assert "SweepPoint(visibility=0.5, exact=4.5, estimate=None" in repr(table)
-    assert not hasattr(table, "__dict__")
+    assert rows(100, seed=4) == rows(100, seed=4)
+    assert rows(100, seed=4) != rows(100, seed=5)
+    # unsampled points read None, so they compare equal
+    assert rows(0) == rows(0)
+    assert rows(0) != rows(100, seed=4)
+    assert rows(0) != list(visibility_sweep(grid[:2], 0))
 
 
 def test_sweep_rejects_bad_grid():
@@ -477,7 +472,7 @@ def test_sweep_takes_a_tuple_list_or_array_grid():
     grid = [0.5, 7 / 9, 1.0]
     expected = visibility_sweep(grid, 100, seed=3)
     for same in (tuple(grid), np.array(grid), iter(grid)):
-        assert visibility_sweep(same, 100, seed=3) == expected
+        assert list(visibility_sweep(same, 100, seed=3)) == list(expected)
 
 
 @pytest.mark.parametrize("shots", [0, 100])
@@ -518,7 +513,6 @@ def test_sweep_table_array_is_read_only(shots):
     assert not table.columns.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table.columns[0, 2] = 1.0
-    assert not table[1:].columns.flags.writeable
 
 
 def test_estimator_consistency_over_seeds():

@@ -18,7 +18,7 @@ EYE2 = np.eye(2)
 
 
 def identity(dim):
-    return Operator(np.eye(dim), kind="hermitian")
+    return Operator(np.eye(dim))
 
 
 def test_basis_index_bijective():
@@ -38,13 +38,18 @@ def test_state_validation():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 0.0, 0.0]))  # dim 3 not allowed
     with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0]))  # norm 2: every state has unit norm
+        StateVector(np.ones(4))  # norm 2: every state has unit norm
     with pytest.raises(ValueError):
-        StateVector(np.array([np.nan, 0.0]))
+        StateVector(np.array([np.nan, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         StateVector(np.eye(8)[0])  # dim 8 is no factor of the two-photon space
     with pytest.raises(ValueError):
-        Operator(np.eye(8), kind="hermitian")
+        Operator(np.eye(8))
+    # one qubit is a factor of a photon, but no state or operator lives on it
+    with pytest.raises(ValueError):
+        StateVector(EYE2[0])
+    with pytest.raises(ValueError):
+        Operator(EYE2)
 
 
 def test_states_are_immutable():
@@ -53,18 +58,17 @@ def test_states_are_immutable():
         ket.amps[0] = 1.0
 
 
-def test_operator_kind_validation():
-    with pytest.raises(ValueError):
-        Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), kind="hermitian")
-    with pytest.raises(ValueError):
-        Operator(np.array([[1.0, 0.0], [0.0, 2.0]]), kind="unitary")
-    with pytest.raises(ValueError):
-        Operator(np.eye(2), kind="selfadjoint")
-    # every operator is hermitian or unitary; there is no unchecked kind
-    with pytest.raises(ValueError):
-        Operator(np.eye(2), kind="general")
+def test_operator_must_be_hermitian():
+    with pytest.raises(ValueError, match="not self-adjoint"):
+        Operator(np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), EYE2))
+    # unitary is not enough: the cyclic shift of the four one-photon kets
+    with pytest.raises(ValueError, match="not self-adjoint"):
+        Operator(np.roll(np.eye(4), 1, axis=0))
+    # Hermitian is enough, whether or not the matrix is also unitary
+    assert Operator(np.diag([1.0, 2.0, 3.0, 4.0])).dim == 4
+    # every operator is Hermitian; there is no kind to name
     with pytest.raises(TypeError):
-        Operator(np.eye(2))
+        Operator(np.eye(4), kind="hermitian")
 
 
 def test_tensor_basis_kets():
@@ -99,21 +103,19 @@ def test_tensor_overflow_rejected():
     with pytest.raises(ValueError):
         StateVector(np.kron(np.eye(16)[0], EYE2[0]))
     with pytest.raises(ValueError):
-        Operator(np.kron(np.eye(16), EYE2), kind="hermitian")
+        Operator(np.kron(np.eye(16), EYE2))
 
 
 def test_expectation_identity_and_rejections():
     state = StateVector(np.full(4, 0.5, dtype=complex))
     assert expectation(identity(4), state) == pytest.approx(1.0, abs=ATOL)
     with pytest.raises(ValueError):
-        expectation(Operator(np.eye(4), kind="unitary"), state)  # kind 'unitary' rejected
-    with pytest.raises(ValueError):
         expectation(identity(16), state)  # dimension mismatch
 
 
 @pytest.mark.parametrize("theta", [np.pi / 7, 1.0, 2.5])
 def test_expectation_global_phase_invariant(theta):
-    op = Operator(np.kron(SIGMA_Z, SIGMA_X), kind="hermitian")
+    op = Operator(np.kron(SIGMA_Z, SIGMA_X))
     rng = np.random.default_rng(3)
     raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     state = StateVector(raw / np.linalg.norm(raw))
@@ -131,8 +133,7 @@ def test_commutators():
 
 
 def test_adjoint_and_matmul():
-    hadamard = Operator(
-        np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2), kind="unitary"
-    )
-    adjoint = Operator(hadamard.matrix.conj().T, kind="unitary")
-    np.testing.assert_allclose(adjoint.matrix @ hadamard.matrix, np.eye(2), atol=ATOL)
+    # a Hadamard on polarization, identity on path: Hermitian and unitary
+    hadamard = Operator(np.kron(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2), EYE2))
+    adjoint = Operator(hadamard.matrix.conj().T)
+    np.testing.assert_allclose(adjoint.matrix @ hadamard.matrix, np.eye(4), atol=ATOL)

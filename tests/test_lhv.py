@@ -24,8 +24,9 @@ from hyperbell.lhv import (
     parity_argument,
     parity_vector,
 )
+from hyperbell.experiment import noisy_state
 from hyperbell.observables import CONSTRAINT_ROWS
-from hyperbell.optics import build_apparatus
+from hyperbell.optics import build_apparatus, pattern_distribution
 
 from reference import (
     LhvAssignment,
@@ -543,3 +544,59 @@ def test_lhv_runs_without_numpy():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
+
+
+def _strategy_pattern_counts(masks) -> list[list[int]]:
+    """Per row, how many of ``masks`` fire each detector pattern 4*d1 + d2 of its pair.
+
+    A mask is a deterministic local strategy: each apparatus fires the
+    detector whose map carries its two elements' values (bit 11 - j set when
+    element j is -1).
+    """
+    def detector(apparatus, x):
+        spec = build_apparatus(apparatus)
+        names = spec.observable_a, spec.observable_b
+        values = tuple(-1 if x >> 11 - ELEMENTS.index(n) & 1 else 1 for n in names)
+        return [labels[:2] for labels in spec.detector_map].index(values)
+
+    tables = []
+    for constraint in CONSTRAINTS:
+        a1, a2 = ROW_APPARATUS_PAIRS[constraint.id]
+        counts = [0] * 16
+        for x in masks:
+            counts[4 * detector(a1, x) + detector(a2, x)] += 1
+        tables.append(counts)
+    return tables
+
+
+def test_a_local_model_gives_every_pairs_full_statistics_up_to_7_9():
+    # the 144 masks that violate exactly one row, mixed uniformly, give each
+    # row's pair its Born distribution at V = 7/9: 16 of 144 on a pattern
+    # |Psi> fires with probability 1/8, 2 of 144 on one it never fires; all
+    # 4096 masks give the uniform V = 0 data; so 9V/7 on the first and
+    # 1 - 9V/7 on the second reproduce noisy_state(V) for every V <= 7/9
+    one_violated = [
+        x for x in range(4096)
+        if sum((x & mask).bit_count() + sign & 1 for mask, sign in lhv._ROW_MASKS) == 1
+    ]
+    assert len(one_violated) == 144
+    tables = _strategy_pattern_counts(one_violated)
+    uniform = _strategy_pattern_counts(range(4096))
+    assert {count for counts in uniform for count in counts} == {256}
+    pairs = [ROW_APPARATUS_PAIRS[c.id] for c in CONSTRAINTS]
+
+    def born(v):
+        rho = noisy_state(v)
+        return [
+            pattern_distribution(build_apparatus(a1), build_apparatus(a2), rho).reshape(16).tolist()
+            for a1, a2 in pairs
+        ]
+
+    for counts, psi in zip(tables, born(1.0), strict=True):
+        assert sorted(set(psi)) == [0.0, 0.125]
+        assert counts == [16 if p else 2 for p in psi]
+    for v in (0.0, 0.3, 0.5, 0.7, 7 / 9):
+        w = 9 * v / 7
+        for counts, flat, probs in zip(tables, uniform, born(v), strict=True):
+            model = [w * c / 144 + (1 - w) * u / 4096 for c, u in zip(counts, flat)]
+            assert max(abs(m - p) for m, p in zip(model, probs)) < 1e-15

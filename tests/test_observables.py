@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -6,7 +7,7 @@ import pytest
 
 from hyperbell import experiment
 from hyperbell.hilbert import ATOL, StateVector, expectation
-from hyperbell.lhv import CONSTRAINTS, ELEMENT_PAULI, ELEMENTS, element_photon
+from hyperbell.lhv import CONSTRAINTS, ELEMENT_PAULI, ELEMENTS, LhvConstraint, element_photon
 from hyperbell.observables import (
     CONSTRAINT_ROWS,
     ConstraintRow,
@@ -79,7 +80,7 @@ def test_local_observable_validation():
 @pytest.mark.parametrize("name", sorted(SINGLES))
 def test_observables_are_hermitian_involutions(name):
     op = element_operator_16(name)
-    assert op.kind == "hermitian"
+    np.testing.assert_array_equal(op.matrix, op.matrix.conj().T)
     np.testing.assert_array_equal(op.matrix, single_qubit_matrix(name))
     np.testing.assert_allclose(op.matrix @ op.matrix, np.eye(16), atol=ATOL)
 
@@ -151,7 +152,7 @@ def test_eigenequations_all_nine():
 
 def test_eigenvalue_parity_structure():
     # product of the first eight eigenvalues is +1, the ninth is -1
-    eigenvalues = [row.eigenvalue for row in CONSTRAINT_ROWS]
+    eigenvalues = [row.required_product for row in CONSTRAINT_ROWS]
     assert np.prod(eigenvalues[:8]) == 1
     assert eigenvalues[8] == -1
 
@@ -159,7 +160,7 @@ def test_eigenvalue_parity_structure():
 def test_row_expectations_match_eigenvalues():
     for row in CONSTRAINT_ROWS:
         assert expectation(row.operator(), PSI) == pytest.approx(
-            row.eigenvalue, abs=ATOL
+            row.required_product, abs=ATOL
         )
 
 
@@ -171,7 +172,7 @@ def test_rows_pairwise_commute():
 
 def test_mermin_operator_on_psi():
     m = bell_mermin_operator()
-    assert m.realization.kind == "hermitian"
+    np.testing.assert_array_equal(m.realization.matrix, m.realization.matrix.conj().T)
     assert expectation(m.realization, PSI) == pytest.approx(9.0, abs=ATOL)
     image = m.realization.matrix @ PSI.amps
     assert np.abs(image - 9.0 * PSI.amps).max() < ATOL
@@ -188,7 +189,7 @@ def test_mermin_operator_trace_and_product_ket():
 
 def test_mermin_terms_carry_row_signs():
     # O is the sum of the row operators, each signed by its eigenvalue on |Psi>
-    rebuilt = sum(row.eigenvalue * row.operator().matrix for row in CONSTRAINT_ROWS)
+    rebuilt = sum(row.required_product * row.operator().matrix for row in CONSTRAINT_ROWS)
     np.testing.assert_allclose(rebuilt, bell_mermin_operator().realization.matrix, atol=ATOL)
 
 
@@ -297,6 +298,14 @@ def test_row_operator_is_built_once_read_only_from_the_table(constraint):
     assert experiment._quantity_matrix(constraint.id) is op.matrix
     assert not op.matrix.flags.writeable
     assert op.matrix.tobytes() == kron_product(constraint.variables).tobytes()
+
+
+def test_constraint_rows_are_the_lhv_rows():
+    # a row adds its operator to the table's row and restates no field
+    assert dataclasses.fields(ConstraintRow) == dataclasses.fields(LhvConstraint)
+    for row, constraint in zip(CONSTRAINT_ROWS, CONSTRAINTS, strict=True):
+        assert isinstance(row, LhvConstraint)
+        assert dataclasses.astuple(row) == dataclasses.astuple(constraint)
 
 
 def test_mermin_operator_is_built_once_read_only_from_the_table():

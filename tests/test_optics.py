@@ -61,7 +61,7 @@ EYE4 = np.eye(4)
 
 
 def test_bs_acts_on_path_only():
-    bs = element_unitary("BS").matrix
+    bs = element_unitary("BS")
     # |u> -> (|u>+|d>)/sqrt2 for both polarizations
     np.testing.assert_allclose(bs @ EYE4[0], [INV, INV, 0, 0], atol=ATOL)
     np.testing.assert_allclose(bs @ EYE4[2], [0, 0, INV, INV], atol=ATOL)
@@ -70,14 +70,14 @@ def test_bs_acts_on_path_only():
 
 
 def test_hwp_acts_on_polarization_only():
-    hwp = element_unitary("HWP45").matrix
+    hwp = element_unitary("HWP45")
     # |V> -> (|H>-|V>)/sqrt2, path untouched
     np.testing.assert_allclose(hwp @ EYE4[2], [INV, 0, -INV, 0], atol=ATOL)
     np.testing.assert_allclose(hwp @ EYE4[0], [INV, 0, INV, 0], atol=ATOL)
 
 
 def test_pbs_port_convention():
-    pbs = element_unitary("PBS").matrix
+    pbs = element_unitary("PBS")
     # H transmits keeping its path, V reflects swapping u <-> d, no phase
     np.testing.assert_allclose(pbs @ EYE4[0], EYE4[0], atol=ATOL)
     np.testing.assert_allclose(pbs @ EYE4[1], EYE4[1], atol=ATOL)
@@ -88,7 +88,28 @@ def test_pbs_port_convention():
 @pytest.mark.parametrize("kind", ["BS", "HWP45", "PBS"])
 def test_every_element_is_unitary(kind):
     u = element_unitary(kind)
-    np.testing.assert_allclose(u.matrix.conj().T @ u.matrix, np.eye(4), atol=ATOL)
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=ATOL)
+    assert not u.flags.writeable
+
+
+def test_a_chain_that_is_not_unitary_is_rejected(monkeypatch):
+    # the orthonormality check of build_apparatus is the run-time guard on
+    # every element: a PBS that sends |V,d> nowhere leaves apparatus 4 (PBS
+    # alone) a singular basis
+    unitary = optics.element_unitary
+
+    def element(kind):
+        matrix = np.zeros((4, 4), dtype=complex)
+        matrix[0, 0] = matrix[1, 1] = matrix[3, 2] = 1.0
+        return matrix if kind == "PBS" else unitary(kind)
+
+    monkeypatch.setattr(optics, "element_unitary", element)
+    build_apparatus.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="^apparatus 4: basis is not orthonormal"):
+            build_apparatus(4)
+    finally:
+        build_apparatus.cache_clear()  # keep no spec built from the bad PBS
 
 
 def test_element_validation():

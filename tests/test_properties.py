@@ -239,7 +239,7 @@ def test_one_point_sweep_is_the_point_estimate_of_the_same_seed(v, shots, seed):
 def test_sweep_rows_of_a_grid_prefix_are_its_first_rows(grid, shots, seed):
     table = visibility_sweep(grid, shots, seed)
     for k in range(len(grid) + 1):
-        assert visibility_sweep(grid[:k], shots, seed) == table[:k]
+        assert list(visibility_sweep(grid[:k], shots, seed)) == list(table)[:k]
 
 
 @settings(deadline=None, max_examples=200)

@@ -9,9 +9,17 @@ tests passes; it survives otherwise.  Stdlib only, apart from pytest itself.
 
     python3 tools/mutants.py
 
-Prints one line per mutant: ``killed``, ``SURVIVED`` or ``ERROR`` (its old
-text is not found exactly once, or pytest could not run its tests).  Exit 0
-when every mutant is killed, 1 otherwise.
+Prints one line per mutant, with one of four statuses:
+
+- ``killed``;
+- ``collection error``: the mutant broke the import of a named test's
+  module, the other named tests ran, and none of them passed;
+- ``SURVIVED``: a named test passed;
+- ``ERROR``: its old text is not found exactly once, or no named test ran.
+
+pytest runs nothing when a named test's module fails to import, so the named
+tests of the other modules are then run on their own.  Exit 0 when no mutant
+survives or ends in ``ERROR``, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -27,10 +35,12 @@ ROOT = Path(__file__).resolve().parents[1]
 LHV = "src/hyperbell/lhv.py"
 INPUTS = "src/hyperbell/inputs.py"
 EXPERIMENT = "src/hyperbell/experiment.py"
+OPTICS = "src/hyperbell/optics.py"
 T = "tests/test_lhv.py::"
 E = "tests/test_experiment.py::"
 P = "tests/test_properties.py::"
 C = "tests/test_cli.py::"
+O = "tests/test_optics.py::"
 G = "tests/test_golden.py::test_stdout_bytes_match_golden"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
@@ -213,11 +223,28 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "pass",
         (P + "test_sweep_table_mixes_and_clips_as_the_point_floats",),
     ),
+    (
+        OPTICS,
+        "matrix[3, 2] = matrix[2, 3] = 1.0",
+        "matrix[3, 2] = 1.0",
+        (
+            O + "test_pbs_port_convention",
+            O + "test_every_element_is_unitary[PBS]",
+            O + "test_apparatus_soundness[4]",
+        ),
+    ),
+    (
+        OPTICS,
+        "    if np.abs(gram - np.eye(4)).max() >= ATOL:\n"
+        '        raise AssertionError(f"apparatus {apparatus_id}: basis is not orthonormal")\n',
+        "",
+        (O + "test_a_chain_that_is_not_unitary_is_rejected",),
+    ),
 )
 
 
-def run_tests(tree: Path, ids) -> tuple[int, set[str], str]:
-    """(pytest exit code, ids reported passed, last output line) for ``ids`` in ``tree``."""
+def run_tests(tree: Path, ids) -> tuple[int, set[str], set[str], str]:
+    """(pytest exit code, ids passed, modules that failed to import, last line) for ``ids``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(tree / "src"), os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
@@ -226,7 +253,28 @@ def run_tests(tree: Path, ids) -> tuple[int, set[str], str]:
     )
     lines = result.stdout.strip().splitlines()
     passed = {line.split()[1] for line in lines if line.startswith("PASSED ")}
-    return result.returncode, passed, lines[-1] if lines else result.stderr.strip()
+    # a collection error is reported against the module, with no "::" in its id
+    broken = {line.split()[1] for line in lines
+              if line.startswith("ERROR ") and "::" not in line.split()[1]}
+    return result.returncode, passed, broken, lines[-1] if lines else result.stderr.strip()
+
+
+def audit(tree: Path, tests) -> tuple[str, str]:
+    """(status, detail) of the mutant applied in ``tree``, from its named ``tests``."""
+    code, passed, broken, last = run_tests(tree, tests)
+    status = "killed"
+    if code == 4 and broken:
+        tests = [test for test in tests if test.split("::")[0] not in broken]
+        if not tests:
+            return "ERROR", f"no named test ran: {sorted(broken)} failed to import"
+        status = "collection error"
+        code, passed, _, last = run_tests(tree, tests)
+        last = f"{sorted(broken)} failed to import; {last}"
+    if code in (1, 2) and not passed & set(tests):
+        return status, last
+    if code in (0, 1):
+        return "SURVIVED", f"passed: {sorted(passed & set(tests))}"
+    return "ERROR", f"pytest exit {code}: {last}"
 
 
 def main() -> int:
@@ -235,11 +283,11 @@ def main() -> int:
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_out"))
         every = sorted({test for *_, tests in MUTANTS for test in tests})
-        code, passed, last = run_tests(tree, every)
+        code, passed, _, last = run_tests(tree, every)
         if code != 0 or passed != set(every):
             print(f"unmutated tree: the named tests do not all pass: {last}")
             return 1
-        survivors = 0
+        failures = 0
         for number, (name, old, new, tests) in enumerate(MUTANTS, 1):
             path = tree / name
             text = path.read_text(encoding="utf-8")
@@ -248,19 +296,13 @@ def main() -> int:
             else:
                 path.write_text(text.replace(old, new), encoding="utf-8")
                 try:
-                    code, passed, last = run_tests(tree, tests)
+                    status, detail = audit(tree, tests)
                 finally:
                     path.write_text(text, encoding="utf-8")
-                if code in (1, 2) and not passed & set(tests):
-                    status, detail = "killed", last
-                elif code in (0, 1):
-                    status, detail = "SURVIVED", f"passed: {sorted(passed & set(tests))}"
-                else:
-                    status, detail = "ERROR", f"pytest exit {code}: {last}"
-            survivors += status != "killed"
+            failures += status in ("SURVIVED", "ERROR")
             print(f"{number}. {name}: {old!r} -> {new!r}: {status}: {detail}")
-        print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
-    return int(survivors > 0)
+        print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return int(failures > 0)
 
 
 if __name__ == "__main__":
