@@ -159,13 +159,19 @@ def csv_simulate(payload) -> list[str]:
     ]
 
 
+SWEEP_COLUMNS = ("v", "exact_O", "est_O", "std_err", "lhv_bound", "violated")
+
+
+def sweep_rows(points) -> list[dict]:
+    """JSON-ready rows of sweep points, keyed by ``SWEEP_COLUMNS``; None where not sampled."""
+    return [dict(zip(SWEEP_COLUMNS, (p.visibility, p.exact, p.estimate, p.std_error,
+                                     float(lhv.LHV_BOUND), p.violated))) for p in points]
+
+
 def run_sweep(args):
     from . import experiment
-    rows = experiment.sweep_table(experiment.visibility_sweep(args.grid, args.shots, args.seed))
+    rows = sweep_rows(experiment.visibility_sweep(args.grid, args.shots, args.seed))
     return {"shots_per_setting": args.shots, "seed": args.seed, "rows": rows}, 0
-
-
-SWEEP_COLUMNS = ("v", "exact_O", "est_O", "std_err", "lhv_bound", "violated")
 
 
 def _sweep_cells(payload, missing: str) -> list:

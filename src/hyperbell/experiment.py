@@ -21,9 +21,9 @@ call on ``default_rng(seed)``, the same stream as the point draws run in grid
 order.  Below 2**25 shots its O is one in-order running sum of the nine
 terms per point and its SE a few in-place column operations; its exact
 column is V times <Psi|O|Psi>, computed once per process.  Its rows are
-``SweepPoint``s read by index off one array; ``sweep_table`` adds the LHV
-bound to each JSON row.  ``sample_pair_counts`` (``simulate``) draws all 16
-pattern counts of any density matrix, as its fifteen quantities need them.
+``SweepPoint``s read by index off one array; the CLI writes each as a JSON
+row.  ``sample_pair_counts`` (``simulate``) draws all 16 pattern counts of
+any density matrix, as its fifteen quantities need them.
 Estimates are read off the counts, so cost and memory do not grow with the
 shot count.  All randomness flows from one seed.  Shots, seeds and visibilities are checked
 by ``inputs``, whose ``DEFAULT_GRID`` and ``MAX_SHOTS`` are re-exported here.
@@ -72,28 +72,19 @@ def noisy_state(visibility: float) -> np.ndarray:
     return rho
 
 
-def _quantity_matrix(quantity: Quantity) -> np.ndarray:
-    """Read-only matrix of a constraint row or of O; each is built once per process."""
-    if quantity == "O":
-        return bell_mermin_operator().realization.matrix
-    return CONSTRAINT_ROWS[quantity - 1].operator().matrix
-
-
-def _quantity_key(quantity) -> Quantity:
-    """'O', or a row id 1..9 as a plain int; bools and other types are rejected."""
-    if isinstance(quantity, str) and quantity == "O":
-        return quantity
-    rows = len(CONSTRAINTS)
-    return inputs._integer(quantity, 1, rows, f"quantity must be a row id 1..{rows} or 'O'")
-
-
 def exact_expectation(quantity: Quantity, density: np.ndarray) -> float:
     """tr(rho Q) of a constraint row or of O; exact to working precision.
 
     ``quantity`` is "O" or a row id 1..9 of any integer type except bool;
-    ``density`` must be 16 x 16.  Anything else raises ``ValueError``.
+    ``density`` must be 16 x 16.  Anything else raises ``ValueError``.  Each
+    quantity's matrix is built once per process.
     """
-    matrix = _quantity_matrix(_quantity_key(quantity))
+    if isinstance(quantity, str) and quantity == "O":
+        matrix = bell_mermin_operator().realization.matrix
+    else:
+        rows = len(CONSTRAINTS)
+        row = inputs._integer(quantity, 1, rows, f"quantity must be a row id 1..{rows} or 'O'")
+        matrix = CONSTRAINT_ROWS[row - 1].operator().matrix
     rho = np.asarray(density)
     if rho.shape != (16, 16):
         raise ValueError(f"density must be a 16 x 16 matrix, got shape {rho.shape}")
@@ -408,18 +399,3 @@ def visibility_sweep(
             std_error /= shots
     columns.setflags(write=False)
     return SweepTable(columns)
-
-
-def sweep_table(points: Sequence[SweepPoint]) -> list[dict]:
-    """JSON-ready rows, one dict per point; None where a point was not sampled."""
-    return [
-        {
-            "v": p.visibility,
-            "exact_O": p.exact,
-            "est_O": p.estimate,
-            "std_err": p.std_error,
-            "lhv_bound": float(LHV_BOUND),
-            "violated": p.violated,
-        }
-        for p in points
-    ]

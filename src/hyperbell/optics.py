@@ -46,27 +46,24 @@ from .observables import element_operator
 COMMUTATOR_ATOL = 1e-13
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-_EYE2 = np.eye(2, dtype=np.complex128)
+_UNITARIES = {
+    "BS": np.kron(np.eye(2), _HADAMARD),
+    "HWP45": np.kron(_HADAMARD, np.eye(2)),
+    # |H,u> -> |H,u>, |H,d> -> |H,d>, |V,u> -> |V,d>, |V,d> -> |V,u>
+    "PBS": np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]],
+}
+for _unitary in _UNITARIES.values():
+    _unitary.setflags(write=False)
 
 
 def element_unitary(kind: str) -> np.ndarray:
-    """Read-only 4 x 4 unitary of an element kind: "BS", "HWP45" or "PBS".
+    """Read-only 4 x 4 unitary of an element kind: "BS", "HWP45" or "PBS", built at import.
 
     ``build_apparatus`` checks that each chain's basis is orthonormal.
     """
-    if kind == "BS":
-        matrix = np.kron(_EYE2, _HADAMARD)
-    elif kind == "HWP45":
-        matrix = np.kron(_HADAMARD, _EYE2)
-    elif kind == "PBS":
-        # |H,u> -> |H,u>, |H,d> -> |H,d>, |V,u> -> |V,d>, |V,d> -> |V,u>
-        matrix = np.zeros((4, 4), dtype=np.complex128)
-        matrix[0, 0] = matrix[1, 1] = 1.0
-        matrix[3, 2] = matrix[2, 3] = 1.0
-    else:
+    if kind not in _UNITARIES:
         raise ValueError(f"unknown element kind {kind!r}")
-    matrix.setflags(write=False)
-    return matrix
+    return _UNITARIES[kind]
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from hyperbell.experiment import (
     exact_expectation,
     noisy_state,
     sample_pair_counts,
-    sweep_table,
     violation_flag,
     visibility_sweep,
 )
@@ -143,7 +142,7 @@ def test_criterion_5_visibility_threshold():
         assert abs(threshold - 7.0) < 1e-12
         assert violation_flag(threshold) == "boundary"
         points = visibility_sweep(DEFAULT_GRID, shots_per_setting=0)
-        table = cli.csv_sweep({"rows": sweep_table(points)})
+        table = cli.csv_sweep({"rows": cli.sweep_rows(points)})
         flags = {line.split(",")[0]: line.split(",")[5] for line in table[1:]}
         assert flags["0.77"] == "no"
         assert flags["0.78"] == "yes"

@@ -33,7 +33,6 @@ from hyperbell.experiment import (
     exact_expectation,
     noisy_state,
     sample_pair_counts,
-    sweep_table,
     violation_flag,
     visibility_sweep,
 )
@@ -371,7 +370,7 @@ def test_sweep_flags_spec_grid():
     points = visibility_sweep([0.7, 0.75, 7 / 9, 0.8, 1.0], shots_per_setting=0)
     assert [p.violated for p in points] == ["no", "no", "boundary", "yes", "yes"]
     assert points[-1].exact == pytest.approx(9.0, abs=ATOL)
-    assert all(row["lhv_bound"] == 7.0 for row in sweep_table(points))
+    assert all(row["lhv_bound"] == 7.0 for row in cli.sweep_rows(points))
     assert all(p.estimate is None and p.std_error is None for p in points)
 
 
@@ -388,7 +387,7 @@ def test_sweep_crossing_in_default_grid():
 
 def _sweep_csv(points) -> list[str]:
     """The CLI's CSV lines for a sweep table."""
-    return cli.csv_sweep({"rows": sweep_table(points)})
+    return cli.csv_sweep({"rows": cli.sweep_rows(points)})
 
 
 def test_sweep_with_sampling_and_csv():
@@ -403,7 +402,7 @@ def test_sweep_with_sampling_and_csv():
     again = _sweep_csv(visibility_sweep([0.0, 0.5, 1.0], shots_per_setting=3000, seed=5))
     assert again == lines
 
-    rows = sweep_table(points)
+    rows = cli.sweep_rows(points)
     assert rows[0]["violated"] == "no"
     assert rows[2]["est_O"] == pytest.approx(9.0, abs=ATOL)
 
@@ -411,7 +410,7 @@ def test_sweep_with_sampling_and_csv():
 def test_sweep_csv_exact_only_leaves_columns_empty():
     points = visibility_sweep([0.5], shots_per_setting=0)
     assert _sweep_csv(points)[1] == "0.5,4.5,,,7,no"
-    assert cli.text_sweep({"rows": sweep_table(points)})[1].split() == [
+    assert cli.text_sweep({"rows": cli.sweep_rows(points)})[1].split() == [
         "0.5", "4.5", "-", "-", "7", "no",
     ]
 

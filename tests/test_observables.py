@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hyperbell import experiment
+from hyperbell import experiment, observables
 from hyperbell.hilbert import ATOL, StateVector, expectation
 from hyperbell.lhv import CONSTRAINTS, ELEMENT_PAULI, ELEMENTS, LhvConstraint, element_photon
 from hyperbell.observables import (
@@ -295,7 +295,11 @@ def test_row_operator_is_built_once_read_only_from_the_table(constraint):
     assert op is row.operator()
     # keyed on the element names alone
     assert op is ConstraintRow(0, tuple(constraint.variables), +1).operator()
-    assert experiment._quantity_matrix(constraint.id) is op.matrix
+    # exact_expectation reads the row's cached matrix: no cache miss, the same value
+    rho = experiment.noisy_state(0.5)
+    misses = observables._product_operator.cache_info().misses
+    assert experiment.exact_expectation(constraint.id, rho) == np.vdot(op.matrix, rho).real
+    assert observables._product_operator.cache_info().misses == misses
     assert not op.matrix.flags.writeable
     assert op.matrix.tobytes() == kron_product(constraint.variables).tobytes()
 
@@ -311,7 +315,10 @@ def test_constraint_rows_are_the_lhv_rows():
 def test_mermin_operator_is_built_once_read_only_from_the_table():
     m = bell_mermin_operator()
     assert m is bell_mermin_operator()
-    assert experiment._quantity_matrix("O") is m.realization.matrix
+    rho = experiment.noisy_state(0.5)
+    misses = bell_mermin_operator.cache_info().misses
+    assert experiment.exact_expectation("O", rho) == np.vdot(m.realization.matrix, rho).real
+    assert bell_mermin_operator.cache_info().misses == misses
     assert not m.realization.matrix.flags.writeable
     expected = np.zeros((16, 16), dtype=np.complex128)
     for constraint in CONSTRAINTS:

@@ -225,8 +225,8 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     ),
     (
         OPTICS,
-        "matrix[3, 2] = matrix[2, 3] = 1.0",
-        "matrix[3, 2] = 1.0",
+        "np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]]",
+        "np.eye(4, dtype=np.complex128)[[0, 1, 3, 3]]",
         (
             O + "test_pbs_port_convention",
             O + "test_every_element_is_unitary[PBS]",
