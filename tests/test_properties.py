@@ -13,7 +13,9 @@ drawn and summed one at a time on one generator, against the point estimate
 of the same seed, and against the sweeps of its grid's prefixes, at shot
 counts on both sides of the column path's bound.  The Bell-Mermin sum of the
 row counts is pinned to a plain left-to-right float sum, whatever the Python,
-and every builtin ``sum`` in src/ to a known integer sum.
+and every builtin ``sum`` in src/ to a known integer sum.  A sampled value is
+checked against its exact law: a whole number M of agreeing shots, drawn as
+Binomial(9n, (1 + V)/2).
 """
 
 import ast
@@ -256,6 +258,77 @@ def test_mermin_value_adds_the_signed_row_means_left_to_right(drawn):
     spread = sum(p * (n - p) for p in plus)
     assert std_error == 2.0 * math.sqrt(spread / (n - 1)) / n
 
+
+
+# -- the exact law of a sampled verdict ----------------------------------------
+# Under white noise every row agrees with its required sign with chance
+# (1 + V)/2, so the number M of agreeing shots over the nine rows is
+# Binomial(9n, (1 + V)/2) and the sampled value is O = 2M/n - 9.
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(st.integers(2, 10**6), sweep_shots), visibilities, grids(), seeds)
+def test_a_sampled_value_counts_whole_agreeing_shots(shots, v, grid, seed):
+    values = [estimate_mermin(shots, v, seed).estimate]
+    values += [point.estimate for point in visibility_sweep(grid, shots, seed)]
+    for value in values:
+        agreeing = (value + 9.0) * shots / 2
+        assert abs(agreeing - round(agreeing)) <= 1e-9 * shots
+        assert -1e-9 * shots <= agreeing <= 9 * shots + 1e-9 * shots
+
+
+def test_each_row_agrees_with_its_sign_with_chance_half_of_one_plus_v():
+    # a test oracle only: the sampler reads p+ off the detector maps, not the signs
+    for v in np.linspace(0.0, 1.0, 1001).tolist() + [7.0 / 9.0]:
+        for (plus_psi, uniform), c in zip(_row_tables()[1], CONSTRAINTS, strict=True):
+            assert abs(v * plus_psi + (1.0 - v) * uniform - (1 + c.required_product * v) / 2) <= 1e-15
+
+
+def _binomial_cdf(trials: int, p: float) -> list[float]:
+    """P(M <= m) for m = 0 .. trials under Binomial(trials, p), summed from math.lgamma."""
+    log_p, log_q, top = math.log(p), math.log1p(-p), math.lgamma(trials + 1)
+    cdf, total = [], 0.0
+    for m in range(trials + 1):
+        total += math.exp(top - math.lgamma(m + 1) - math.lgamma(trials - m + 1)
+                          + m * log_p + (trials - m) * log_q)
+        cdf.append(total)
+    return cdf
+
+
+def _largest_cdf_gap(agreeing: list[int], trials: int, p: float) -> float:
+    """Kolmogorov distance between the draws' empirical CDF and Binomial(trials, p)'s."""
+    counts = np.bincount(agreeing, minlength=trials + 1).tolist()
+    below, gap = 0, 0.0
+    for count, exact in zip(counts, _binomial_cdf(trials, p), strict=True):
+        below += count
+        gap = max(gap, abs(below / len(agreeing) - exact))
+    return gap
+
+
+#: (name, shots n, V, seeds, draw): 10 000 values of M from fixed seeds, fixed
+#: before the first run.  Point estimates, one seed each; sweep rows, a
+#: 1000-point grid at one V for each of ten seeds.
+LAW_CASES = (
+    ("estimate_mermin", 100, 0.8, range(10_000),
+     lambda n, v, seed: [estimate_mermin(n, v, seed).estimate]),
+    ("visibility_sweep", 50, 0.9, range(10),
+     lambda n, v, seed: [p.estimate for p in visibility_sweep([v] * 1000, n, seed)]),
+)
+
+
+@pytest.mark.parametrize("case", LAW_CASES, ids=lambda case: case[0])
+def test_agreeing_shots_follow_the_binomial_law(case):
+    # Dvoretzky-Kiefer-Wolfowitz with Massart's constant, for any law:
+    # P(sup |F_N - F| > eps) <= 2 exp(-2 N eps^2), so the bound below fails a
+    # correct sampler with chance at most 1e-6
+    _, shots, v, seeds, draw = case
+    agreeing = [round((o + 9.0) * shots / 2) for seed in seeds for o in draw(shots, v, seed)]
+    bound = math.sqrt(math.log(2 / 1e-6) / (2 * len(agreeing)))
+    assert len(agreeing) == 10_000
+    assert _largest_cdf_gap(agreeing, 9 * shots, (1 + v) / 2) <= bound
+    # and the test has power: a law whose V is off by 0.01 is rejected
+    for wrong in (v - 0.01, v + 0.01):
+        assert _largest_cdf_gap(agreeing, 9 * shots, (1 + wrong) / 2) > bound
 
 #: The builtin sum() calls allowed in src/, by module.function; each adds ints.
 #: "lhv" alone is that module's top level, where ``_ROW_MASKS`` adds a row's element bits.

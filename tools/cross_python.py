@@ -9,9 +9,12 @@ against the coset's weight enumerator (16 assignments per coset word of
 ``coset_weights``), and compares the bytes with ``tests/golden/lhv.json``
 (what ``hyperbell lhv --format json`` prints).  It then runs the CLI itself,
 ``hyperbell.cli.main`` on ``lhv`` and ``lhv --format json``, and compares
-each output with its golden file and its exit code with 0.  Stdlib only: the
-probe blocks numpy, since neither ``hyperbell.lhv`` nor the CLI's ``lhv``
-needs it.
+each output with its golden file and its exit code with 0.  Last it runs four
+usage errors, a bad shot count, grid, seed and a one-shot ``simulate``, and
+compares each one's stderr with the bytes recorded under Python 3.11 in
+``USAGE_ERRORS`` and its exit code with 2.  Stdlib only: the probe blocks
+numpy, since neither ``hyperbell.lhv``, the CLI's ``lhv`` nor its input
+checks need it.
 
     python3 tools/cross_python.py
 
@@ -35,6 +38,17 @@ GOLDEN = ROOT / "tests" / "golden"
 OUTPUTS = (("certificate JSON", "lhv.json"), ("CLI lhv", "lhv.txt"),
            ("CLI lhv --format json", "lhv.json"))
 VERSIONS = ("3.10", "3.11", "3.12", "3.13")
+#: (argv, stderr recorded under Python 3.11) of usage errors; each must exit 2.
+USAGE_ERRORS = (
+    (["mermin", "--shots", "1"],
+     "hyperbell: error: shots must be an integer in [2, 2**63 - 1], got 1\n"),
+    (["sweep", "--grid", "1.5"],
+     "hyperbell: error: visibility must be a number in [0, 1], got 1.5\n"),
+    (["bell", "--seed", "-1"],
+     "hyperbell: error: seed must be an integer in [0, 2**64 - 1], got -1\n"),
+    (["simulate", "--apparatus-pair", "1", "2", "--shots", "1"],
+     "hyperbell: error: shots must be an integer in [2, 2**63 - 1], got 1\n"),
+)
 MARKER = "hyperbell-cross-python"
 
 # -I ignores PYTHONPATH and user site-packages, so only src/ supplies hyperbell.
@@ -61,7 +75,13 @@ for argv in (["lhv"], ["lhv", "--format", "json"]):
         code = cli.main(argv)
     assert code == 0, (argv, code)
     outputs.append(buffer.getvalue())
-sys.stdout.write(json.dumps(outputs))
+errors = []
+for argv in {[argv for argv, _ in USAGE_ERRORS]!r}:
+    buffer = io.StringIO()
+    with contextlib.redirect_stderr(buffer):
+        code = cli.main(argv)
+    errors.append([buffer.getvalue(), code])
+sys.stdout.write(json.dumps([outputs, errors]))
 """
 
 
@@ -83,13 +103,18 @@ def run(version: str, goldens: list[str]) -> tuple[str, str]:
         return "did not run", f"{exe} started Python {ran}"
     if result.returncode != 0:
         return "FAIL", f"Python {ran} ({exe}): exit {result.returncode}: {reason}"
-    outputs = json.loads(dump)
+    outputs, errors = json.loads(dump)
     for (what, name), output, golden in zip(OUTPUTS, outputs, goldens):
         if output != golden:
             return "FAIL", f"Python {ran} ({exe}): {what} differs from tests/golden/{name}"
+    for (argv, expected), (stderr, code) in zip(USAGE_ERRORS, errors):
+        if (stderr, code) != (expected, 2):
+            return "FAIL", f"Python {ran} ({exe}): {' '.join(argv)}: exit {code}, stderr {stderr!r}"
     checks = "LHV_BOUND 7, coset bound (1, 0), witness 60, histogram equal, and 16 x coset weights"
     equal = ", ".join(f"{what} ({len(output)} chars)" for (what, _), output in zip(OUTPUTS, outputs))
-    return "pass", f"Python {ran} ({exe}), numpy blocked: {checks}; equal to golden: {equal}"
+    usage = f"{len(errors)} usage errors equal to the 3.11 stderr, exit 2"
+    return "pass", (f"Python {ran} ({exe}), numpy blocked: {checks}; "
+                    f"equal to golden: {equal}; {usage}")
 
 
 def main() -> int:

@@ -42,6 +42,7 @@ P = "tests/test_properties.py::"
 C = "tests/test_cli.py::"
 O = "tests/test_optics.py::"
 G = "tests/test_golden.py::test_stdout_bytes_match_golden"
+A = "tests/test_acceptance.py::"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     (
@@ -131,7 +132,7 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             T + "test_parity_argument_structural",
             T + "test_lhv_bound_comes_from_the_coset_bound",
             T + "test_coset_bound_equals_brute_force[paper]",
-            "tests/test_acceptance.py::test_criterion_4_parity_certificate",
+            A + "test_criterion_4_parity_certificate",
         ),
     ),
     (
@@ -153,6 +154,17 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             T + "test_certificate_matches_oracle",
             C + "test_lhv_json_roundtrip",
             G + "[lhv.json]",
+        ),
+    ),
+    (
+        LHV,
+        """LhvConstraint(9, ("z1z1'", "x1x1'", "z2x2'", "x2z2'"), -1)""",
+        """LhvConstraint(9, ("z1z1'", "x1x1'", "z2x2'", "x2z2'"), +1)""",
+        (
+            T + "test_parity_argument_structural",
+            T + "test_lhv_bound_comes_from_the_coset_bound",
+            T + "test_no_assignment_satisfies_all_nine",
+            A + "test_criterion_4_parity_certificate",
         ),
     ),
     (
@@ -224,6 +236,26 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         (P + "test_sweep_table_mixes_and_clips_as_the_point_floats",),
     ),
     (
+        EXPERIMENT,
+        "(1.0 - v) / 16.0 * identity",
+        "(1.0 - v) / 15.0 * identity",
+        (
+            E + "test_noisy_state_structure",
+            A + "test_criterion_7_sampling_consistency",
+            G + "[simulate_1_4_v0.9.txt]",
+        ),
+    ),
+    (
+        EXPERIMENT,
+        ".binomial(shots, _plus_table(v))",
+        ".binomial(shots, _plus_table(v).T).T",
+        (
+            P + "test_batched_sweep_equals_points_one_at_a_time",
+            E + "test_child_states_equal_numpy_spawn[12345-1000]",
+            G + "[sweep_scan_shots100_seed7.json]",
+        ),
+    ),
+    (
         OPTICS,
         "np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]]",
         "np.eye(4, dtype=np.complex128)[[0, 1, 3, 3]]",
@@ -231,6 +263,16 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             O + "test_pbs_port_convention",
             O + "test_every_element_is_unitary[PBS]",
             O + "test_apparatus_soundness[4]",
+        ),
+    ),
+    (
+        OPTICS,
+        '_BELL_SIGNS = {(1, 1): "phi+", (1, -1): "phi-",',
+        '_BELL_SIGNS = {(1, 1): "phi-", (1, -1): "phi+",',
+        (
+            A + "test_criterion_8_bell_discrimination",
+            C + "test_bell_eigenstate_histogram",
+            G + "[bell.txt]",
         ),
     ),
     (
