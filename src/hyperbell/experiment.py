@@ -1,32 +1,15 @@
 """Noise model, Monte Carlo correlation estimates, and the visibility sweep.
 
-Noise is isotropic white noise: with visibility V the prepared state is the
-density matrix rho = V |Psi><Psi| + (1-V) I/16.  Every operator of interest is
-traceless, so exact expectations tr(rho Q) scale linearly,
-<Q>(V) = V * <Q>(1); in particular the Bell-Mermin value is 9V and crosses the
-local-realistic ceiling of 7 exactly at V = 7/9.
-
-Shots are iid, so a row's estimate and SE need only n+, its shots at +1, and
-n+ ~ Binomial(n, p+) is the marginal of its detector-pattern counts.  Its
-Born distribution is diag(K rho K^dagger), K = conj(B1) (x) conj(B2); K is
-unitary, so white noise adds exactly (1-V)/16 to every pattern and, over the
-row's k = 8 patterns at +1, p+(V) = V p+_Psi + (1-V) k/16.  Each p+_Psi is
-summed once from its pair's |Psi> distribution, built by the general Born
-rule, and the detector maps' pattern values; a visibility then costs its
-nine p+, mixed and checked.  A point estimate mixes them in plain floats and
-draws them by nine scalar binomial draws in row order from the generator of
-its seed; a sweep mixes its (points x 9) table in one array expression,
-clipped only when some p+ lies outside [0, 1], and draws it in one binomial
-call on ``default_rng(seed)``, the same stream as the point draws run in grid
-order.  Below 2**25 shots its O is one in-order running sum of the nine
-terms per point and its SE a few in-place column operations; its exact
-column is V times <Psi|O|Psi>, computed once per process.  Its rows are
-``SweepPoint``s read by index off one array; the CLI writes each as a JSON
-row.  ``sample_pair_counts`` (``simulate``) draws all 16 pattern counts of
-any density matrix, as its fifteen quantities need them.
-Estimates are read off the counts, so cost and memory do not grow with the
-shot count.  All randomness flows from one seed.  Shots, seeds and visibilities are checked
-by ``inputs``, whose ``DEFAULT_GRID`` and ``MAX_SHOTS`` are re-exported here.
+With visibility V the prepared state is rho = V |Psi><Psi| + (1-V) I/16.
+Every operator of interest is traceless, so <Q>(V) = V * <Q>(1): the
+Bell-Mermin value is 9V and crosses the local-realistic ceiling of 7 exactly
+at V = 7/9.  The row samplers build no rho: a row needs only n+, its shots at
++1, drawn as Binomial(n, p+(V)) with p+(V) = V p+_Psi + (1-V) k/16.  README
+(Conventions, Sampling) derives this and says why a sweep's one array draw
+equals its points drawn one at a time.  ``sample_pair_counts`` (``simulate``)
+draws all 16 pattern counts of any density matrix.  Shots, seeds and
+visibilities are checked by ``inputs``, whose ``DEFAULT_GRID`` and
+``MAX_SHOTS`` are re-exported here.
 """
 
 from __future__ import annotations
@@ -40,12 +23,11 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import inputs
-from .hilbert import ATOL
+from .hilbert import ATOL, check_density
 from .inputs import DEFAULT_GRID, DEFAULT_SEED, MAX_SHOTS
 from .lhv import CONSTRAINTS, LHV_BOUND, ROW_APPARATUS_PAIRS
 from .observables import CONSTRAINT_ROWS, bell_mermin_operator, doubly_entangled_state
-from .optics import born_distributions, build_apparatus, pattern_bras, pattern_distribution
-from .optics import readout_table
+from .optics import build_apparatus, pattern_distribution, readout_table
 
 #: Width of the "boundary" band around the LHV bound in the violation flag.
 BOUNDARY_ATOL = 1e-9
@@ -76,8 +58,8 @@ def exact_expectation(quantity: Quantity, density: np.ndarray) -> float:
     """tr(rho Q) of a constraint row or of O; exact to working precision.
 
     ``quantity`` is "O" or a row id 1..9 of any integer type except bool;
-    ``density`` must be 16 x 16.  Anything else raises ``ValueError``.  Each
-    quantity's matrix is built once per process.
+    ``density`` must be a 16 x 16 state (``hilbert.check_density``).  Anything
+    else raises ``ValueError``.  Each quantity's matrix is built once per process.
     """
     if isinstance(quantity, str) and quantity == "O":
         matrix = bell_mermin_operator().realization.matrix
@@ -88,6 +70,7 @@ def exact_expectation(quantity: Quantity, density: np.ndarray) -> float:
     rho = np.asarray(density)
     if rho.shape != (16, 16):
         raise ValueError(f"density must be a 16 x 16 matrix, got shape {rho.shape}")
+    check_density(rho)
     # Q is Hermitian, so sum_ij conj(Q_ij) rho_ij = sum_ij rho_ij Q_ji = tr(rho Q).
     return float(np.vdot(matrix, rho).real)
 
@@ -147,28 +130,23 @@ def _plus_minus_mean(plus: int, n: int) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def _row_tables() -> tuple[np.ndarray, tuple[tuple[float, float], ...], np.ndarray]:
-    """+-1 values (9, 16) of the rows at their pairs, their (p+_Psi, k/16) as floats,
-    and a (3, 9) array of the same p+_Psi and k/16 and of the rows' required signs.
+def _row_tables() -> tuple[tuple[tuple[float, float], ...], np.ndarray]:
+    """The rows' (p+_Psi, k/16) as floats, and a (3, 9) array of the same
+    p+_Psi and k/16 and of the rows' required signs.
 
-    Row i holds constraint i+1: the product of its variables over the flat
-    patterns 4*d1 + d2, the |Psi> Born distribution of its pair summed over
-    its k patterns at +1, and k/16.  None depends on the visibility, so all
-    are built once, on first use.
+    Column i holds constraint i+1, the quantity ``"*".join(variables)`` of its
+    pair: its |Psi> Born distribution summed over its k patterns at +1, and
+    k/16.  None depends on the visibility, so all are built once, on first use.
     """
-    bras, values = [], []
+    plus_psi, uniform = [], []
     for constraint in CONSTRAINTS:
-        a1_id, a2_id = ROW_APPARATUS_PAIRS[constraint.id]
-        a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
-        table = readout_table(a1, a2)
-        bras.append(pattern_bras(a1, a2))
-        values.append(np.prod([table[name] for name in constraint.variables], axis=0))
-    values, p_psi = np.array(values), born_distributions(np.concatenate(bras), _noise_terms()[0])
-    plus = values > 0
-    columns = np.array([(p_psi * plus).sum(1), plus.sum(1) / 16.0, _ROW_SIGNS])
-    for table in (values, columns):
-        table.setflags(write=False)
-    return values, tuple(zip(*columns[:2].tolist())), columns
+        a1, a2 = map(build_apparatus, ROW_APPARATUS_PAIRS[constraint.id])
+        plus = readout_table(a1, a2)["*".join(constraint.variables)] > 0
+        plus_psi.append((pattern_distribution(a1, a2, _noise_terms()[0]).ravel() * plus).sum())
+        uniform.append(plus.sum() / 16.0)
+    columns = np.array([plus_psi, uniform, _ROW_SIGNS])
+    columns.setflags(write=False)
+    return tuple(zip(*columns[:2].tolist())), columns
 
 
 def _check_plus(low: float, high: float) -> None:
@@ -180,14 +158,14 @@ def _check_plus(low: float, high: float) -> None:
 def _plus_probabilities(v: float) -> list[float]:
     """p+(V) = V p+_Psi + (1-V) k/16 of the nine rows in floats, checked and clipped to [0, 1]."""
     w = 1.0 - v
-    probs = [v * plus_psi + w * uniform for plus_psi, uniform in _row_tables()[1]]
+    probs = [v * plus_psi + w * uniform for plus_psi, uniform in _row_tables()[0]]
     _check_plus(min(probs), max(probs))
     return [0.0 if p < 0.0 else 1.0 if p > 1.0 else p for p in probs]
 
 
 def _plus_table(v: np.ndarray) -> np.ndarray:
     """``_plus_probabilities`` of every V in ``v`` as one (len(v) x 9) expression, same bits."""
-    plus_psi, uniform, _ = _row_tables()[2]
+    plus_psi, uniform, _ = _row_tables()[1]
     probs = np.multiply.outer(v, plus_psi)
     probs += np.multiply.outer(1.0 - v, uniform)
     # the initial values let an empty grid pass, and make low < 0 or high > 1
@@ -200,22 +178,18 @@ def _plus_table(v: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _plus_counts(v: float, shots: int, binomial) -> list[int]:
-    """n+ of the nine rows at V, drawn by a generator's ``binomial`` in row order.
-
-    The point estimates' row sampler.  Nine scalar draws are the same stream
-    as one array draw of the nine rows, without numpy's array-argument checks;
-    ``visibility_sweep`` draws its ``_plus_table`` as one array, equal to this
-    run point by point on one generator.
-    """
-    return [binomial(shots, p) for p in _plus_probabilities(v)]
-
-
 def _sample_point(shots_per_setting, visibility, seed) -> tuple[int, list[int]]:
-    """Checked shots (at least 2, for a standard error) and n+ of the nine rows at V."""
-    gen = np.random.default_rng(inputs._seed(seed))
+    """Checked shots (at least 2, for a standard error) and n+ of the nine rows at V.
+
+    The point estimates' row sampler: nine scalar ``binomial`` draws in row
+    order are the same stream as one array draw of the nine rows, without
+    numpy's array-argument checks; ``visibility_sweep`` draws its
+    ``_plus_table`` as one array, equal to this run point by point on one
+    generator.
+    """
+    binomial = np.random.default_rng(inputs._seed(seed)).binomial
     shots = inputs._shot_count(shots_per_setting, 2)
-    return shots, _plus_counts(inputs._visibility(visibility), shots, gen.binomial)
+    return shots, [binomial(shots, p) for p in _plus_probabilities(inputs._visibility(visibility))]
 
 
 _ROW_SIGNS = tuple(c.required_product for c in CONSTRAINTS)
@@ -275,19 +249,14 @@ def estimate_pair(
 ) -> list[tuple[str, float, float]]:
     """(name, mean, SE) of the fifteen quantities one apparatus pair reads.
 
-    The six local values come first, photon 1 then photon 2, followed by the
-    nine cross products ``name1*name2``; all are read off one count table.
+    They come in ``readout_table``'s order and are all read off one count table.
     ``seed`` and ``shots`` are taken as by ``estimate_rows``.
     """
     a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
     rng = np.random.default_rng(inputs._seed(seed))
     shots = inputs._shot_count(shots, 2)
     counts = sample_pair_counts(a1_id, a2_id, noisy_state(visibility), shots, rng)
-    quantities = readout_table(a1, a2)
-    for name1 in a1.value_names:
-        for name2 in a2.value_names:
-            quantities[f"{name1}*{name2}"] = quantities[name1] * quantities[name2]
-    return [(name, *counted_mean(counts, values)) for name, values in quantities.items()]
+    return [(name, *counted_mean(counts, values)) for name, values in readout_table(a1, a2).items()]
 
 
 def estimate_mermin(
@@ -364,8 +333,8 @@ def visibility_sweep(
     is an integer in [0, 2**64 - 1].  The (points x 9) ``_plus_table`` is
     drawn in one ``binomial`` call on ``default_rng(seed)``; numpy draws an
     array argument element by element in C order, as a scalar draw, so the
-    counts equal ``_plus_counts`` run point by point in grid order on that
-    generator.  Below ``_COLUMN_SHOTS`` O is one ``np.add.accumulate`` of the
+    counts equal the point draws of ``_sample_point`` run in grid order on
+    that generator.  Below ``_COLUMN_SHOTS`` O is one ``np.add.accumulate`` of the
     nine terms per row, left to right as ``_mermin_value`` adds them, and SE
     is formed in place in its column; from it on, ``_mermin_value`` runs per
     row.  The bits are the same either way: the rows of ``grid[:k]`` are the
@@ -388,7 +357,7 @@ def visibility_sweep(
             columns[:, 2:] = np.reshape([_mermin_value(p, shots) for p in plus.tolist()], (-1, 2))
         else:  # _mermin_value as column operations, the terms added left to right
             terms = (2 * plus - shots) / shots
-            terms *= _row_tables()[2][2]
+            terms *= _row_tables()[1][2]
             estimate, std_error = columns[:, 2], columns[:, 3]
             # the running sum starts at t0, not 0.0 + t0, so it differs only in
             # being -0.0 when every term is; + 0.0 makes that 0.0, as in _mermin_value

@@ -8,9 +8,10 @@ before path, so the flat index of a product ket is
 
 A ``StateVector`` (unit norm) and an ``Operator`` (Hermitian) live on one
 photon (4 dims) or both (16); each checks its invariant at construction and
-is immutable after it, so no consumer checks again.  ``expectation`` is the
-one product defined here; anything else is plain numpy on ``.amps`` and
-``.matrix``.
+is immutable after it, so no consumer checks again.  A density matrix stays
+a plain array, which ``check_density`` tests for being a state.
+``expectation`` is the one product defined here; anything else is plain
+numpy on ``.amps`` and ``.matrix``.
 """
 
 from __future__ import annotations
@@ -80,6 +81,17 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def check_density(rho: np.ndarray) -> None:
+    """Raise ``ValueError`` unless a square matrix is a state: Hermitian within ATOL,
+    trace 1 within 1e-9 and no eigenvalue at or below -ATOL (NaN fails every test)."""
+    if not (
+        np.abs(rho - rho.conj().T).max() < ATOL
+        and abs(np.trace(rho) - 1.0) < 1e-9
+        and np.linalg.eigvalsh(rho)[0] > -ATOL
+    ):
+        raise ValueError("density matrix is not a unit-trace positive state")
 
 
 def expectation(op: Operator, s: StateVector) -> float:

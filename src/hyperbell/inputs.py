@@ -55,7 +55,10 @@ def _shot_count(shots, minimum: int = 1) -> int:
 def _sweep_shot_count(shots) -> int:
     """Shots per setting of a sweep: 0 (exact values only) or an integer in [2, 2**63 - 1]."""
     rule = "shots must be 0 or an integer in [2, 2**63 - 1]"
-    return _integer(shots, 0, 0, rule) if shots == 0 else _integer(shots, 2, MAX_SHOTS, rule)
+    count = _integer(shots, 0, MAX_SHOTS, rule)  # first, so no == runs on a non-integer
+    if count == 1:
+        raise ValueError(f"{rule}, got {shots!r}")
+    return count
 
 
 def _seed(seed) -> int:

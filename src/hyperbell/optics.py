@@ -20,13 +20,11 @@ Every detector is mapped to the eigenvalues of the apparatus's three
 quantities, read off B M B^dagger, each quantity's operator M conjugated once
 by the detector basis B, which must come out diagonal with +-1 entries; the
 four detectors must carry four distinct sign pairs of the two elements.  A
-pair of apparatuses, one per photon, has 16 joint detector patterns; their
-Born distribution is computed for a density matrix, and ``readout_table``
-gives every quantity's value on each pattern.  The Born rule takes a stack of
-pattern bras, so several settings share one computation and one check; the
-sampler builds the nine rows' |Psi> distributions this way, once, and mixes
-in white noise without it.  Apparatus ids and shot counts are checked by
-``inputs``, which also holds ``BELL_LABELS``.
+pair of apparatuses, one per photon, has 16 joint detector patterns;
+``pattern_distribution`` is their Born rule for a density matrix, and
+``readout_table`` gives each of the fifteen quantities the pair reads, six
+local values and nine cross products, on each pattern.  Apparatus ids and
+shot counts are checked by ``inputs``, which also holds ``BELL_LABELS``.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import inputs
-from .hilbert import ATOL, StateVector
+from .hilbert import ATOL, StateVector, check_density
 from .inputs import BELL_LABELS
 from .lhv import APPARATUSES, element_photon
 from .observables import element_operator
@@ -164,50 +162,43 @@ def _check_sides(a1: ApparatusSpec, a2: ApparatusSpec) -> None:
         )
 
 
-def pattern_bras(a1: ApparatusSpec, a2: ApparatusSpec) -> np.ndarray:
-    """K = conj(B1) (x) conj(B2): row 4*d1 + d2 is the bra of detector pattern (d1, d2)."""
-    _check_sides(a1, a2)
-    b1, b2 = a1.basis.conj(), a2.basis.conj()
-    return (b1[:, None, :, None] * b2[None, :, None, :]).reshape(16, 16)
-
-
-def born_distributions(bras: np.ndarray, density: np.ndarray) -> np.ndarray:
-    """Born probabilities diag(K rho K^dagger) of m settings at one density matrix.
-
-    ``bras`` stacks the settings' pattern-bra matrices K row-wise, shape
-    (m*16, 16); the result has shape (m, 16), one distribution per setting.
-    Entries may fall below zero by less than ``ATOL`` and each distribution
-    must sum to 1 within 1e-9, or the state is not a unit-trace positive one
-    (``ValueError``; an empty stack passes).  Round-off below zero is then
-    clipped and each distribution renormalized.
-    """
-    rho = np.asarray(density)
-    if rho.shape != (16, 16):
-        raise ValueError("pair measurement expects a 16 x 16 density matrix")
-    raw = ((bras @ rho) * bras.conj()).sum(axis=-1).real.reshape(-1, 16)
-    if raw.size and (raw.min() <= -ATOL or np.abs(raw.sum(axis=-1) - 1.0).max() >= 1e-9):
-        raise ValueError("density matrix is not a unit-trace positive state")
-    probs = np.clip(raw, 0.0, None)
-    return probs / probs.sum(axis=-1, keepdims=True)
-
-
 def pattern_distribution(
     a1: ApparatusSpec, a2: ApparatusSpec, density: np.ndarray
 ) -> np.ndarray:
-    """Born probabilities p[d1, d2] = diag(K rho K^dagger) of a 16 x 16 density matrix."""
-    return born_distributions(pattern_bras(a1, a2), density).reshape(4, 4)
+    """Born probabilities p[d1, d2] = diag(K rho K^dagger), K = conj(B1) (x) conj(B2).
+
+    Row 4*d1 + d2 of K is the bra of detector pattern (d1, d2).  ``density``
+    must be a 16 x 16 state (``hilbert.check_density``), or ``ValueError``;
+    round-off below zero is then clipped and the distribution renormalized.
+    """
+    _check_sides(a1, a2)
+    rho = np.asarray(density)
+    if rho.shape != (16, 16):
+        raise ValueError("pair measurement expects a 16 x 16 density matrix")
+    check_density(rho)
+    b1, b2 = a1.basis.conj(), a2.basis.conj()
+    bras = (b1[:, None, :, None] * b2[None, :, None, :]).reshape(16, 16)
+    probs = np.clip(((bras @ rho) * bras.conj()).sum(axis=-1).real, 0.0, None)
+    return (probs / probs.sum()).reshape(4, 4)
 
 
 def readout_table(a1: ApparatusSpec, a2: ApparatusSpec) -> dict[str, np.ndarray]:
-    """Value of each of the pair's six quantities on the 16 detector patterns.
+    """Value of each of the fifteen quantities a pair reads on its 16 detector patterns.
 
-    Entry 4*d1 + d2 of a photon-1 quantity is its label on detector d1, of a
-    photon-2 quantity its label on detector d2.
+    The six local values come first, photon 1 then photon 2, then the nine
+    cross products ``name1*name2``.  Entry 4*d1 + d2 of a photon-1 quantity
+    is its label on detector d1, of a photon-2 quantity its label on
+    detector d2.
     """
     side1 = np.asarray(a1.detector_map, dtype=np.int64)
     side2 = np.asarray(a2.detector_map, dtype=np.int64)
     table = {name: np.repeat(side1[:, i], 4) for i, name in enumerate(a1.value_names)}
     table.update({name: np.tile(side2[:, i], 4) for i, name in enumerate(a2.value_names)})
+    table.update({
+        f"{name1}*{name2}": table[name1] * table[name2]
+        for name1 in a1.value_names
+        for name2 in a2.value_names
+    })
     return table
 
 

@@ -130,6 +130,22 @@ def test_simulate_anticorrelation():
     assert len(payload["results"]) == 15
 
 
+@pytest.mark.parametrize("constraint", lhv.CONSTRAINTS, ids=lambda c: f"row{c.id}")
+def test_simulate_prints_every_row_at_its_pair(constraint):
+    # at V = 1 the row's pair reads the row, a quantity named by its variables
+    # joined with "*", as its required product on every shot
+    pair = [str(a) for a in lhv.ROW_APPARATUS_PAIRS[constraint.id]]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["simulate", "--apparatus-pair", *pair, "--visibility", "1",
+                         "--format", "json"])
+    assert code == 0
+    by_name = {row["quantity"]: row for row in json.loads(stdout.getvalue())["results"]}
+    row = by_name["*".join(constraint.variables)]
+    assert row["mean"] == constraint.required_product
+    assert row["std_error"] == 0.0
+
+
 def test_simulate_same_seed_identical_bytes():
     args = ("simulate", "--apparatus-pair", "3", "6", "--shots", "500",
             "--seed", "31", "--visibility", "0.8", "--format", "csv")

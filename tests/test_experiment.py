@@ -25,7 +25,7 @@ from hyperbell.experiment import (
     ROW_APPARATUS_PAIRS,
     SweepTable,
     _mermin_value,
-    _plus_counts,
+    _plus_probabilities,
     counted_mean,
     estimate_mermin,
     estimate_pair,
@@ -60,6 +60,28 @@ def test_density_state_validation():
         pattern_distribution(a1, a4, 3 * noisy_state(0.0) - 2 * noisy_state(1.0))
     with pytest.raises(ValueError):
         rho[0, 0] = 1.0  # read-only
+
+
+#: Matrices that are no states: trace 2; unit trace with a negative eigenvalue,
+#: -2 + 3/16 on |Psi>; and unit trace and positive diagonal, but not Hermitian.
+NOT_STATES = {
+    "trace-2": 2 * noisy_state(1.0),
+    "negative": 3 * noisy_state(0.0) - 2 * noisy_state(1.0),
+    "non-hermitian": noisy_state(1.0) + 1e-3j * np.triu(np.ones((16, 16)), 1),
+}
+DENSITY_USERS = {
+    "exact_expectation": lambda rho: exact_expectation("O", rho),
+    "pattern_distribution": lambda rho: pattern_distribution(
+        build_apparatus(1), build_apparatus(4), rho
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_STATES))
+@pytest.mark.parametrize("user", sorted(DENSITY_USERS))
+def test_density_must_be_a_state(user, name):
+    with pytest.raises(ValueError, match="^density matrix is not a unit-trace positive state$"):
+        DENSITY_USERS[user](NOT_STATES[name])
 
 
 def test_noisy_state_structure():
@@ -219,9 +241,12 @@ def test_point_estimators_reject_one_shot_before_drawing(sampler):
         SAMPLERS[sampler](1)
 
 
-@pytest.mark.parametrize("bad", [2.5, 100.0, True, False, "5", None, -1, MAX_SHOTS + 1])
+@pytest.mark.parametrize(
+    "bad", [2.5, 100.0, True, False, "5", None, -1, MAX_SHOTS + 1, np.array([2, 3])]
+)
 @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
 def test_samplers_reject_bad_shot_counts(sampler, bad):
+    # the type is checked first: an array never reaches a comparison with 0
     with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
         SAMPLERS[sampler](bad)
 
@@ -498,7 +523,9 @@ def test_child_states_equal_numpy_spawn(seed, n):
     # cover one and two entropy words and the 64-bit top
     grid = np.linspace(0.0, 1.0, n).tolist()
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    expected = [_mermin_value(_plus_counts(v, 100, gen.binomial), 100) for v in grid]
+    expected = [
+        _mermin_value([gen.binomial(100, p) for p in _plus_probabilities(v)], 100) for v in grid
+    ]
     table = visibility_sweep(grid, 100, seed)
     # hex, not ==, so a -0.0 for a 0.0 fails
     hexed = [(estimate.hex(), std_error.hex()) for estimate, std_error in expected]

@@ -414,10 +414,15 @@ def test_readout_table_consistency():
         for a2_id in (2, 4, 6):
             a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
             table = readout_table(a1, a2)
-            assert list(table) == [*a1.value_names, *a2.value_names]
+            # six local values, photon 1 then photon 2, then the nine cross products
+            assert list(table)[:6] == [*a1.value_names, *a2.value_names]
+            assert len(table) == 15
             for spec in (a1, a2):
                 a, b, ab = spec.value_names
                 assert (table[a] * table[b] == table[ab]).all()
+            for name1 in a1.value_names:
+                for name2 in a2.value_names:
+                    assert (table[f"{name1}*{name2}"] == table[name1] * table[name2]).all()
             # entry 4*d1 + d2 carries detector d1's and detector d2's labels
             for d1 in range(4):
                 for d2 in range(4):

@@ -1,21 +1,21 @@
 """Two code paths compared on random pure and mixed two-photon states.
 
-rho = A A^dagger / tr(A A^dagger) with A a complex 16 x k matrix, k in 1..16;
-k = 1 gives pure states.  The batched Born computation of the nine rows is
-checked against the per-pair one, the detector marginals against no
-signalling, and the correlations read off the detector maps against
-tr(rho Q) from the operators.  Each row's probability of reading +1 is
-checked against (1 + tr(rho R))/2, the sampler's plain-float p+(V) against
-the Born rule of noisy_state(V) and bit for bit against numpy's elementwise
-formula and the sweep's (points x 9) table.  The visibility sweep's one array
-draw and its column operations are checked bit for bit against its points
-drawn and summed one at a time on one generator, against the point estimate
-of the same seed, and against the sweeps of its grid's prefixes, at shot
-counts on both sides of the column path's bound.  The Bell-Mermin sum of the
-row counts is pinned to a plain left-to-right float sum, whatever the Python,
-and every builtin ``sum`` in src/ to a known integer sum.  A sampled value is
-checked against its exact law: a whole number M of agreeing shots, drawn as
-Binomial(9n, (1 + V)/2).
+rho = A A^dagger / tr(A A^dagger) with A a complex 16 x k matrix, k in
+1..16; k = 1 gives pure states.  The Born distribution of each row's pair is
+checked against the pure-state reference over rho's eigenvectors, the
+detector marginals against no signalling, and the correlations read off the
+detector maps against tr(rho Q) from the operators.  Each row's probability
+of reading +1 is checked against (1 + tr(rho R))/2, the sampler's
+plain-float p+(V) against the Born rule of noisy_state(V) and bit for bit
+against numpy's elementwise formula and the sweep's (points x 9) table.  The
+visibility sweep's one array draw and its column operations are checked bit
+for bit against its points drawn and summed one at a time on one generator,
+against the point estimate of the same seed, and against the sweeps of its
+grid's prefixes, at shot counts on both sides of the column path's bound.
+The Bell-Mermin sum of the row counts is pinned to a plain left-to-right
+float sum, whatever the Python, and every builtin ``sum`` in src/ to a known
+integer sum.  A sampled value is checked against its exact law: a whole
+number M of agreeing shots, drawn as Binomial(9n, (1 + V)/2).
 """
 
 import ast
@@ -35,7 +35,6 @@ from hyperbell.experiment import (
     ROW_APPARATUS_PAIRS,
     _COLUMN_SHOTS,
     _mermin_value,
-    _plus_counts,
     _plus_probabilities,
     _plus_table,
     _row_tables,
@@ -44,13 +43,11 @@ from hyperbell.experiment import (
     noisy_state,
     visibility_sweep,
 )
+from hyperbell.hilbert import StateVector
 from hyperbell.lhv import CONSTRAINTS
-from hyperbell.optics import (
-    born_distributions,
-    build_apparatus,
-    pattern_bras,
-    pattern_distribution,
-)
+from hyperbell.optics import build_apparatus, pattern_distribution, readout_table
+
+from reference import joint_distribution
 
 PHOTON1_APPARATUSES = (1, 3, 5)
 PHOTON2_APPARATUSES = (2, 4, 6)
@@ -65,28 +62,38 @@ def density_matrices(draw):
     return rho / np.trace(rho).real
 
 
-def row_bras():
-    """The nine rows' pattern bras K at their pairs, stacked as (144, 16)."""
-    pairs = [ROW_APPARATUS_PAIRS[constraint.id] for constraint in CONSTRAINTS]
-    return np.concatenate(
-        [pattern_bras(build_apparatus(a1), build_apparatus(a2)) for a1, a2 in pairs]
-    )
+def row_pairs():
+    """The nine rows' apparatus pairs, built, in row order."""
+    return [tuple(map(build_apparatus, ROW_APPARATUS_PAIRS[c.id])) for c in CONSTRAINTS]
+
+
+def row_values():
+    """The rows' +-1 values (9, 16), multiplied out from their variables' single values."""
+    return np.array([
+        np.prod([readout_table(a1, a2)[name] for name in constraint.variables], axis=0)
+        for constraint, (a1, a2) in zip(CONSTRAINTS, row_pairs())
+    ])
 
 
 def row_distributions(rho):
-    return born_distributions(row_bras(), rho), _row_tables()[0]
+    """The Born distributions (9, 16) of rho at the rows' pairs, and ``row_values()``."""
+    probs = [pattern_distribution(a1, a2, rho).ravel() for a1, a2 in row_pairs()]
+    return np.array(probs), row_values()
 
 
 @settings(deadline=None)
 @given(density_matrices())
 def test_batched_rows_match_per_pair_distributions(rho):
+    # diag(K rho K^dagger) of each row's pair against the pure-state reference
+    # path, |conj(B1) psi conj(B2)^T|^2, averaged over rho's eigenvectors
     probs, _ = row_distributions(rho)
     assert probs.shape == (9, 16)
     assert (probs >= 0).all()
     assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
-    for constraint, row in zip(CONSTRAINTS, probs):
-        a1_id, a2_id = ROW_APPARATUS_PAIRS[constraint.id]
-        pair = pattern_distribution(build_apparatus(a1_id), build_apparatus(a2_id), rho)
+    weights, vectors = np.linalg.eigh(rho)
+    for (a1, a2), row in zip(row_pairs(), probs):
+        pair = sum(w * joint_distribution(a1, a2, StateVector(v))
+                   for w, v in zip(weights, vectors.T))
         assert np.abs(row - pair.ravel()).max() <= 1e-12
 
 
@@ -142,17 +149,15 @@ def test_sampled_mixture_is_the_born_rule_of_the_noisy_state(drawn):
     # the sampler never builds rho; its plain-float p+(V) must be numpy's
     # elementwise formula bit for bit, and the +1 patterns' share of
     # diag(K rho K^dagger) for rho = noisy_state(V)
-    values, terms, _ = _row_tables()
+    terms, _ = _row_tables()
     plus_psi, uniform = np.array(terms).T
     for v in inputs._visibilities([*EDGE_VISIBILITIES, *drawn]):
         rows = _plus_probabilities(v)
         reference = (v * plus_psi + (1.0 - v) * uniform).clip(0.0, 1.0)
         assert [p.hex() for p in rows] == [p.hex() for p in reference.tolist()]
-        rho = noisy_state(v)
-        for constraint, p, row_values in zip(CONSTRAINTS, rows, values):
-            a1_id, a2_id = ROW_APPARATUS_PAIRS[constraint.id]
-            pair = pattern_distribution(build_apparatus(a1_id), build_apparatus(a2_id), rho)
-            assert abs(p - pair.ravel()[row_values > 0].sum()) <= 1e-12
+        probs, values = row_distributions(noisy_state(v))
+        for p, pair, row in zip(rows, probs, values):
+            assert abs(p - pair[row > 0].sum()) <= 1e-12
 
 
 @settings(deadline=None)
@@ -166,7 +171,7 @@ def test_sweep_table_mixes_and_clips_as_the_point_floats(drawn):
     assert [[p.hex() for p in row] for row in table.tolist()] == [
         [p.hex() for p in _plus_probabilities(v)] for v in grid
     ]
-    assert table[-1].tolist() == [0.0 if p == 0 else 1.0 for p in _row_tables()[2][0]]
+    assert table[-1].tolist() == [0.0 if p == 0 else 1.0 for p in _row_tables()[1][0]]
 
 
 def test_sampled_mixture_is_checked():
@@ -221,7 +226,7 @@ def test_batched_sweep_equals_points_one_at_a_time(grid, shots, seed):
     gen = np.random.default_rng(seed)
     assert len(table) == len(grid)
     for point, v in zip(table, grid):
-        expected = _mermin_value(_plus_counts(v, shots, gen.binomial), shots)
+        expected = _mermin_value([gen.binomial(shots, p) for p in _plus_probabilities(v)], shots)
         assert point.visibility == v
         assert point.exact == v * exact_expectation("O", noisy_state(1.0))
         assert abs(point.exact - exact_expectation("O", noisy_state(v))) <= 1e-12
@@ -280,7 +285,7 @@ def test_a_sampled_value_counts_whole_agreeing_shots(shots, v, grid, seed):
 def test_each_row_agrees_with_its_sign_with_chance_half_of_one_plus_v():
     # a test oracle only: the sampler reads p+ off the detector maps, not the signs
     for v in np.linspace(0.0, 1.0, 1001).tolist() + [7.0 / 9.0]:
-        for (plus_psi, uniform), c in zip(_row_tables()[1], CONSTRAINTS, strict=True):
+        for (plus_psi, uniform), c in zip(_row_tables()[0], CONSTRAINTS, strict=True):
             assert abs(v * plus_psi + (1.0 - v) * uniform - (1 + c.required_product * v) / 2) <= 1e-15
 
 
@@ -366,10 +371,9 @@ def test_builtin_sum_adds_only_integers_in_src():
 
 
 def test_batched_born_rule_takes_an_empty_stack():
-    # zero settings, and a grid of zero visibilities: the checks never call
-    # min() on an empty array
-    probs = born_distributions(np.empty((0, 16), complex), noisy_state(0.5))
-    assert probs.shape == (0, 16)
+    # a grid of zero visibilities: the sweep's (points x 9) p+ table is empty,
+    # and its checks never call min() on an empty array
+    assert _plus_table(np.empty(0)).shape == (0, 9)
     assert inputs._visibilities(()) == []
     for shots in (0, 100):
         assert len(visibility_sweep((), shots)) == 0

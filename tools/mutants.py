@@ -36,6 +36,7 @@ LHV = "src/hyperbell/lhv.py"
 INPUTS = "src/hyperbell/inputs.py"
 EXPERIMENT = "src/hyperbell/experiment.py"
 OPTICS = "src/hyperbell/optics.py"
+HILBERT = "src/hyperbell/hilbert.py"
 T = "tests/test_lhv.py::"
 E = "tests/test_experiment.py::"
 P = "tests/test_properties.py::"
@@ -182,8 +183,9 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "if low <= number <= high:",
         "if low <= number < high:",
         (
-            C + "test_sweep_at_zero_shots_is_the_exact_only_table",
-            G + "[sweep_exact.txt]",
+            O + "test_apparatus_soundness[6]",
+            C + "test_sweep_row_is_the_mermin_estimate_of_the_same_seed"
+            "[0-100-18446744073709551615]",
             G + "[simulate_5_6_v0.9.txt]",
         ),
     ),
@@ -281,6 +283,65 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         '        raise AssertionError(f"apparatus {apparatus_id}: basis is not orthonormal")\n',
         "",
         (O + "test_a_chain_that_is_not_unitary_is_rejected",),
+    ),
+    (
+        OPTICS,
+        "(b1[:, None, :, None] * b2[None, :, None, :])",
+        "(b2[:, None, :, None] * b1[None, :, None, :])",
+        (
+            P + "test_batched_rows_match_per_pair_distributions",
+            E + "test_density_distribution_matches_pure_mixture[0.3]",
+            C + "test_simulate_prints_every_row_at_its_pair[row6]",
+            G + "[mermin.json]",
+        ),
+    ),
+    (
+        OPTICS,
+        'f"{name1}*{name2}": table[name1] * table[name2]',
+        'f"{name2}*{name1}": table[name1] * table[name2]',
+        (
+            E + "test_estimate_pair_quantities",
+            C + "test_simulate_prints_every_row_at_its_pair[row1]",
+            O + "test_readout_table_consistency",
+            G + "[simulate_1_4_v0.9.txt]",
+        ),
+    ),
+    (
+        HILBERT,
+        "        and np.linalg.eigvalsh(rho)[0] > -ATOL\n",
+        "",
+        (
+            E + "test_density_must_be_a_state[exact_expectation-negative]",
+            E + "test_density_must_be_a_state[pattern_distribution-negative]",
+            E + "test_density_state_validation",
+        ),
+    ),
+    (
+        HILBERT,
+        "np.abs(rho - rho.conj().T).max() < ATOL\n        and ",
+        "",
+        (
+            E + "test_density_must_be_a_state[exact_expectation-non-hermitian]",
+            E + "test_density_must_be_a_state[pattern_distribution-non-hermitian]",
+        ),
+    ),
+    (
+        HILBERT,
+        "and abs(np.trace(rho) - 1.0) < 1e-9",
+        "and abs(np.trace(rho) - 1.0) < 2",
+        (
+            E + "test_density_must_be_a_state[exact_expectation-trace-2]",
+            E + "test_density_must_be_a_state[pattern_distribution-trace-2]",
+        ),
+    ),
+    (
+        INPUTS,
+        "    if count == 1:\n",
+        "    if False:\n",
+        (
+            E + "test_sweep_of_an_empty_grid_is_an_empty_table",
+            C + "test_one_shot_rejected_where_a_standard_error_is_reported[args2]",
+        ),
     ),
 )
 
