@@ -67,10 +67,7 @@ def exact_expectation(quantity: Quantity, density: np.ndarray) -> float:
         rows = len(CONSTRAINTS)
         row = inputs._integer(quantity, 1, rows, f"quantity must be a row id 1..{rows} or 'O'")
         matrix = CONSTRAINT_ROWS[row - 1].operator().matrix
-    rho = np.asarray(density)
-    if rho.shape != (16, 16):
-        raise ValueError(f"density must be a 16 x 16 matrix, got shape {rho.shape}")
-    check_density(rho)
+    rho = check_density(density)
     # Q is Hermitian, so sum_ij conj(Q_ij) rho_ij = sum_ij rho_ij Q_ji = tr(rho Q).
     return float(np.vdot(matrix, rho).real)
 

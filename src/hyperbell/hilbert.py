@@ -29,11 +29,13 @@ ATOL = 1e-12
 VALID_DIMS = (4, 16)
 
 
-def _frozen_array(values, shape_check) -> np.ndarray:
+def _frozen_array(values, ndim: int, kind: str) -> np.ndarray:
+    """Read-only complex copy of a vector (ndim 1) or a square matrix (ndim 2), side 4 or 16."""
     arr = np.array(values, dtype=np.complex128)
     if not np.isfinite(arr).all():
         raise ValueError("non-finite amplitude")
-    shape_check(arr)
+    if arr.ndim != ndim or len(set(arr.shape)) != 1 or arr.shape[0] not in VALID_DIMS:
+        raise ValueError(f"expected {kind} of side in {VALID_DIMS}, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -45,11 +47,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        def check(arr):
-            if arr.ndim != 1 or arr.shape[0] not in VALID_DIMS:
-                raise ValueError(f"state dimension must be one of {VALID_DIMS}")
-
-        arr = _frozen_array(self.amps, check)
+        arr = _frozen_array(self.amps, 1, "a state vector")
         object.__setattr__(self, "amps", arr)
         norm_squared = float(np.sum(np.abs(arr) ** 2))
         if abs(norm_squared - 1.0) >= ATOL:
@@ -67,13 +65,7 @@ class Operator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        def check(arr):
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError("operator matrix must be square")
-            if arr.shape[0] not in VALID_DIMS:
-                raise ValueError(f"operator dimension must be one of {VALID_DIMS}")
-
-        arr = _frozen_array(self.matrix, check)
+        arr = _frozen_array(self.matrix, 2, "a square operator matrix")
         object.__setattr__(self, "matrix", arr)
         if np.abs(arr - arr.conj().T).max() >= ATOL:
             raise ValueError("operator is not self-adjoint")
@@ -83,15 +75,19 @@ class Operator:
         return self.matrix.shape[0]
 
 
-def check_density(rho: np.ndarray) -> None:
-    """Raise ``ValueError`` unless a square matrix is a state: Hermitian within ATOL,
-    trace 1 within 1e-9 and no eigenvalue at or below -ATOL (NaN fails every test)."""
+def check_density(density) -> np.ndarray:
+    """``density`` as an array, or ``ValueError`` unless it is a 16 x 16 state: Hermitian
+    within ATOL, trace 1 within 1e-9 and no eigenvalue at or below -ATOL (NaN fails every test)."""
+    rho = np.asarray(density)
+    if rho.shape != (16, 16):
+        raise ValueError(f"density must be a 16 x 16 matrix, got shape {rho.shape}")
     if not (
         np.abs(rho - rho.conj().T).max() < ATOL
         and abs(np.trace(rho) - 1.0) < 1e-9
         and np.linalg.eigvalsh(rho)[0] > -ATOL
     ):
         raise ValueError("density matrix is not a unit-trace positive state")
+    return rho
 
 
 def expectation(op: Operator, s: StateVector) -> float:

@@ -16,11 +16,12 @@ analyzer (Kwiat and Weinfurter, PRA 58, R2623, 1998): its ports read the
 Bell states phi+, psi+, phi-, psi-, which ``bell`` labels by their signs of
 (z z', x x').
 
-Every detector is mapped to the eigenvalues of the apparatus's three
-quantities, read off B M B^dagger, each quantity's operator M conjugated once
-by the detector basis B, which must come out diagonal with +-1 entries; the
-four detectors must carry four distinct sign pairs of the two elements.  A
-pair of apparatuses, one per photon, has 16 joint detector patterns;
+Every detector is mapped to the eigenvalues of the apparatus's two elements,
+read off B M B^dagger, each element's operator M conjugated once by the
+detector basis B, which must come out diagonal with +-1 entries; the four
+detectors must carry four distinct sign pairs.  A click reads both elements,
+so its value of their product is the product of its two labels.  A pair of
+apparatuses, one per photon, has 16 joint detector patterns;
 ``pattern_distribution`` is their Born rule for a density matrix, and
 ``readout_table`` gives each of the fifteen quantities the pair reads, six
 local values and nine cross products, on each pattern.  Apparatus ids and
@@ -39,9 +40,6 @@ from .hilbert import ATOL, StateVector, check_density
 from .inputs import BELL_LABELS
 from .lhv import APPARATUSES, element_photon
 from .observables import element_operator
-
-#: Commutation tolerance for the two primary observables of one apparatus.
-COMMUTATOR_ATOL = 1e-13
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 _UNITARIES = {
@@ -70,7 +68,7 @@ class ApparatusSpec:
 
     ``basis`` rows are the four detector states expressed over the photon's
     input pol (x) path coordinates; ``detector_map[d]`` gives the eigenvalue
-    triple (v(A), v(B), v(A*B)) labeling detector d.
+    pair (v(A), v(B)) labeling detector d.
     """
 
     id: int
@@ -78,15 +76,11 @@ class ApparatusSpec:
     observable_a: str
     observable_b: str
     basis: np.ndarray
-    detector_map: tuple[tuple[int, int, int], ...]
-
-    @property
-    def product_name(self) -> str:
-        return f"{self.observable_a}*{self.observable_b}"
+    detector_map: tuple[tuple[int, int], ...]
 
     @property
     def value_names(self) -> tuple[str, str, str]:
-        return (self.observable_a, self.observable_b, self.product_name)
+        return (self.observable_a, self.observable_b, f"{self.observable_a}*{self.observable_b}")
 
 
 def _basis_eigenvalues(basis: np.ndarray, matrix: np.ndarray, name: str) -> list[int]:
@@ -119,26 +113,19 @@ def build_apparatus(apparatus_id: int) -> ApparatusSpec:
     (name_a, name_b), chain = APPARATUSES[apparatus_id]
     photon = element_photon(name_a)
 
-    op_a = element_operator(name_a)
-    op_b = element_operator(name_b)
-    product = op_a.matrix @ op_b.matrix
-    if np.abs(product - op_b.matrix @ op_a.matrix).max() >= COMMUTATOR_ATOL:
-        raise AssertionError(f"apparatus {apparatus_id}: observables do not commute")
-
     basis = _chain_basis(chain)
     gram = basis @ basis.conj().T
     if np.abs(gram - np.eye(4)).max() >= ATOL:
         raise AssertionError(f"apparatus {apparatus_id}: basis is not orthonormal")
 
-    quantities = ((op_a.matrix, name_a), (op_b.matrix, name_b), (product, f"{name_a}*{name_b}"))
-    columns = [_basis_eigenvalues(basis, m, f"apparatus {apparatus_id} {n}") for m, n in quantities]
-    detector_map = list(zip(*columns))
-    for d, (va, vb, vab) in enumerate(detector_map):
-        if vab != va * vb:
-            raise AssertionError(
-                f"apparatus {apparatus_id}: detector {d} product label mismatch"
-            )
-    if len({labels[:2] for labels in detector_map}) != 4:
+    # An orthonormal basis of joint +-1 eigenvectors exists only when the two
+    # elements commute, so these checks also reject a pair that does not.
+    columns = [
+        _basis_eigenvalues(basis, element_operator(name).matrix, f"apparatus {apparatus_id} {name}")
+        for name in (name_a, name_b)
+    ]
+    detector_map = tuple(zip(*columns))
+    if len(set(detector_map)) != 4:
         raise AssertionError(
             f"apparatus {apparatus_id}: detectors do not resolve {name_a} and {name_b}"
         )
@@ -150,7 +137,7 @@ def build_apparatus(apparatus_id: int) -> ApparatusSpec:
         observable_a=name_a,
         observable_b=name_b,
         basis=basis,
-        detector_map=tuple(detector_map),
+        detector_map=detector_map,
     )
 
 
@@ -172,10 +159,7 @@ def pattern_distribution(
     round-off below zero is then clipped and the distribution renormalized.
     """
     _check_sides(a1, a2)
-    rho = np.asarray(density)
-    if rho.shape != (16, 16):
-        raise ValueError("pair measurement expects a 16 x 16 density matrix")
-    check_density(rho)
+    rho = check_density(density)
     b1, b2 = a1.basis.conj(), a2.basis.conj()
     bras = (b1[:, None, :, None] * b2[None, :, None, :]).reshape(16, 16)
     probs = np.clip(((bras @ rho) * bras.conj()).sum(axis=-1).real, 0.0, None)
@@ -188,12 +172,13 @@ def readout_table(a1: ApparatusSpec, a2: ApparatusSpec) -> dict[str, np.ndarray]
     The six local values come first, photon 1 then photon 2, then the nine
     cross products ``name1*name2``.  Entry 4*d1 + d2 of a photon-1 quantity
     is its label on detector d1, of a photon-2 quantity its label on
-    detector d2.
+    detector d2.  Each side's product ``a*b`` is the product of its two
+    label columns; this is the one place detector labels are multiplied.
     """
-    side1 = np.asarray(a1.detector_map, dtype=np.int64)
-    side2 = np.asarray(a2.detector_map, dtype=np.int64)
-    table = {name: np.repeat(side1[:, i], 4) for i, name in enumerate(a1.value_names)}
-    table.update({name: np.tile(side2[:, i], 4) for i, name in enumerate(a2.value_names)})
+    va1, vb1 = np.repeat(np.asarray(a1.detector_map, dtype=np.int64).T, 4, axis=1)
+    va2, vb2 = np.tile(np.asarray(a2.detector_map, dtype=np.int64).T, 4)
+    local = (va1, vb1, va1 * vb1, va2, vb2, va2 * vb2)
+    table = dict(zip((*a1.value_names, *a2.value_names), local))
     table.update({
         f"{name1}*{name2}": table[name1] * table[name2]
         for name1 in a1.value_names
@@ -211,7 +196,7 @@ def bell_probabilities(state: StateVector) -> dict[str, float]:
     if state.dim != 4:
         raise ValueError("Bell discrimination expects a 4-dim pol-path state")
     spec = build_apparatus(5)
-    bells = {_BELL_SIGNS[va, vb]: row for (va, vb, _), row in zip(spec.detector_map, spec.basis)}
+    bells = {_BELL_SIGNS[labels]: row for labels, row in zip(spec.detector_map, spec.basis)}
     return {label: abs(complex(np.vdot(bells[label], state.amps))) ** 2 for label in BELL_LABELS}
 
 

@@ -557,7 +557,7 @@ def _strategy_pattern_counts(masks) -> list[list[int]]:
         spec = build_apparatus(apparatus)
         names = spec.observable_a, spec.observable_b
         values = tuple(-1 if x >> 11 - ELEMENTS.index(n) & 1 else 1 for n in names)
-        return [labels[:2] for labels in spec.detector_map].index(values)
+        return spec.detector_map.index(values)
 
     tables = []
     for constraint in CONSTRAINTS:

@@ -14,7 +14,6 @@ from hyperbell.observables import (
 )
 from hyperbell.optics import (
     BELL_LABELS,
-    COMMUTATOR_ATOL,
     bell_histogram,
     bell_probabilities,
     build_apparatus,
@@ -24,6 +23,9 @@ from hyperbell.optics import (
 )
 
 from reference import joint_distribution
+
+#: Commutation tolerance for the two elements one apparatus reads.
+COMMUTATOR_ATOL = 1e-13
 
 PSI = doubly_entangled_state()
 PSI_RHO = np.outer(PSI.amps, PSI.amps.conj())
@@ -149,16 +151,16 @@ def test_apparatus_soundness(apparatus_id):
     op_b = element_operator(spec.observable_b)
     product = op_a.matrix @ op_b.matrix
     assert np.abs(product - op_b.matrix @ op_a.matrix).max() < COMMUTATOR_ATOL
-    # every basis state is a joint eigenvector with the labeled eigenvalues
+    # every basis state is a joint eigenvector with the labeled eigenvalues,
+    # and an eigenvector of A*B with their product
     for d in range(4):
         vec = spec.basis[d]
-        va, vb, vab = spec.detector_map[d]
+        va, vb = spec.detector_map[d]
         assert np.abs(op_a.matrix @ vec - va * vec).max() < ATOL
         assert np.abs(op_b.matrix @ vec - vb * vec).max() < ATOL
-        assert np.abs(product @ vec - vab * vec).max() < ATOL
-        assert vab == va * vb
+        assert np.abs(product @ vec - va * vb * vec).max() < ATOL
     # all four sign patterns occur exactly once
-    assert sorted((va, vb) for va, vb, _ in spec.detector_map) == [
+    assert sorted(spec.detector_map) == [
         (-1, -1), (-1, 1), (1, -1), (1, 1),
     ]
 
@@ -186,7 +188,7 @@ def test_apparatus_5_basis_is_bell_basis():
     # each detector is the Bell state its own (z z', x x') signs name
     spec = build_apparatus(5)
     bells = build_bell_states("pol-path")
-    labels = [BELL_BY_SIGNS[va, vb] for va, vb, _ in spec.detector_map]
+    labels = [BELL_BY_SIGNS[signs] for signs in spec.detector_map]
     assert sorted(labels) == sorted(BELL_BY_SIGNS.values())
     for d, label in enumerate(labels):
         assert abs(np.vdot(spec.basis[d], bells[label].amps)) == pytest.approx(1.0)
@@ -237,8 +239,8 @@ def test_chain_detectors_are_the_joint_eigenvectors_of_their_signs(apparatus_id)
         element_operator(spec.observable_b).matrix,
         f"apparatus {apparatus_id}",
     )
-    for vec, (va, vb, _) in zip(spec.basis, spec.detector_map):
-        overlap = abs(np.vdot(vec, joint[SIGN_ORDER.index((va, vb))]))
+    for vec, signs in zip(spec.basis, spec.detector_map):
+        overlap = abs(np.vdot(vec, joint[SIGN_ORDER.index(signs)]))
         assert abs(overlap - 1.0) <= 1e-12
 
 
@@ -283,10 +285,12 @@ def test_detectors_that_do_not_resolve_both_elements_are_rejected(monkeypatch):
 
 
 def test_non_commuting_pair_is_rejected(monkeypatch):
-    # z1 and x1 anticommute, so no apparatus can read both
+    # z1 and x1 anticommute, so no basis is a joint eigenbasis of both: apparatus
+    # 1's chain reads z1, and its detector states are not eigenvectors of x1
     table = {**optics.APPARATUSES, 1: (("z1", "x1"), optics.APPARATUSES[1][1])}
     monkeypatch.setattr(optics, "APPARATUSES", table)
-    with pytest.raises(AssertionError, match="^apparatus 1: observables do not commute"):
+    message = r"^apparatus 1 x1: basis state is not a \+-1 eigenvector"
+    with pytest.raises(AssertionError, match=message):
         build_apparatus.__wrapped__(1)
 
 
@@ -306,7 +310,7 @@ def test_build_apparatus_takes_any_integer_id():
 
 def test_cold_rebuild_runs_every_detector_check(monkeypatch):
     # nothing under build_apparatus is cached: after cache_clear, apparatuses
-    # 1-6 build their 12 element operators and read all 6 x 3 quantities' labels
+    # 1-6 build their 12 element operators and read all 6 x 2 elements' labels
     calls = {"pauli": 0, "eigenvalue": 0}
 
     def counted(key, original):
@@ -326,7 +330,7 @@ def test_cold_rebuild_runs_every_detector_check(monkeypatch):
         assert [build_apparatus(i).id for i in range(1, 7)] == [1, 2, 3, 4, 5, 6]
     finally:
         build_apparatus.cache_clear()
-    assert calls == {"pauli": 12, "eigenvalue": 18}
+    assert calls == {"pauli": 12, "eigenvalue": 12}
 
 
 @pytest.mark.parametrize(

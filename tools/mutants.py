@@ -343,6 +343,47 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             C + "test_one_shot_rejected_where_a_standard_error_is_reported[args2]",
         ),
     ),
+    (
+        OPTICS,
+        "va1 * vb1",
+        "va1 * va1",
+        (
+            O + "test_readout_table_consistency",
+            O + "test_perfect_anticorrelation_every_shot",
+            C + "test_simulate_prints_every_row_at_its_pair[row7]",
+            G + "[simulate_5_6_v0.9.txt]",
+        ),
+    ),
+    (
+        OPTICS,
+        "va2 * vb2",
+        "vb2 * vb2",
+        (
+            O + "test_readout_table_consistency",
+            O + "test_perfect_anticorrelation_every_shot",
+            C + "test_simulate_prints_every_row_at_its_pair[row5]",
+            G + "[simulate_1_4.txt]",
+        ),
+    ),
+    (
+        OPTICS,
+        "if len(set(detector_map)) != 4:",
+        "if len(set(detector_map)) < 2:",
+        (
+            O + "test_detectors_that_do_not_resolve_both_elements_are_rejected",
+            O + "test_dependent_pair_has_no_joint_eigenbasis",
+        ),
+    ),
+    (
+        OPTICS,
+        "element_operator(name).matrix",
+        "element_operator(name_a).matrix",
+        (
+            O + "test_apparatus_soundness[1]",
+            O + "test_chain_detectors_are_the_joint_eigenvectors_of_their_signs[5]",
+            A + "test_criterion_6_apparatus_soundness",
+        ),
+    ),
 )
 
 
