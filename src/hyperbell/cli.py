@@ -315,8 +315,9 @@ def main(argv=None) -> int:
         try:
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-        except OSError as exc:
-            print(f"hyperbell: error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:  # ValueError: open() refuses a NUL byte
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"hyperbell: error: cannot write {path}: {reason}", file=sys.stderr)
             return 2
     sys.stdout.write(text)
     return code

@@ -6,8 +6,8 @@ Bell-Mermin value is 9V and crosses the local-realistic ceiling of 7 exactly
 at V = 7/9.  The row samplers build no rho: a row needs only n+, its shots at
 +1, drawn as Binomial(n, p+(V)) with p+(V) = V p+_Psi + (1-V) k/16.  README
 (Conventions, Sampling) derives this and says why a sweep's one array draw
-equals its points drawn one at a time.  ``sample_pair_counts`` (``simulate``)
-draws all 16 pattern counts of any density matrix.  Shots, seeds and
+equals its points drawn one at a time.  ``estimate_pair`` (``simulate``)
+draws all 16 pattern counts of one pair at V.  Shots, seeds and
 visibilities are checked by ``inputs``, whose ``DEFAULT_GRID`` and
 ``MAX_SHOTS`` are re-exported here.
 """
@@ -89,37 +89,12 @@ class CorrelationEstimate:
 
 # -- sampling ---------------------------------------------------------------
 
-def sample_pair_counts(
-    a1_id: int,
-    a2_id: int,
-    density: np.ndarray,
-    shots: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Counts c[d1, d2] of each detector pattern over ``shots`` iid shots.
-
-    One multinomial draw over the pair's Born distribution of ``density``,
-    whatever the shot count.
-    """
-    count = inputs._shot_count(shots)
-    probs = pattern_distribution(build_apparatus(a1_id), build_apparatus(a2_id), density)
-    return rng.multinomial(count, probs.ravel()).reshape(4, 4)
-
-
-def counted_mean(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """Mean m of a +-1 quantity over counted patterns, and its SE sqrt((1-m^2)/(n-1)).
-
-    ``values`` gives the quantity on each flat pattern 4*d1 + d2.  With n+ and
-    n- shots at +1 and -1, 1 - m^2 = 4 n+ n- / n^2, so the SE is formed from
-    exact integers and is exactly 0 when every shot agrees.  It equals the
-    sample ``std(ddof=1) / sqrt(n)`` of the per-shot values.
-    """
-    flat = counts.ravel()
-    return _plus_minus_mean(int(flat[values > 0].sum()), int(flat.sum()))
-
-
 def _plus_minus_mean(plus: int, n: int) -> tuple[float, float]:
-    """Mean and SE of n shots of a +-1 quantity, ``plus`` of them at +1."""
+    """Mean m and SE sqrt((1-m^2)/(n-1)) of n shots of a +-1 quantity, ``plus`` at +1.
+
+    1 - m^2 = 4 n+ n- / n^2 (n+ and n- shots at +1 and -1), so the SE is formed from exact
+    integers, is exactly 0 when every shot agrees, and equals the shots' ``std(ddof=1) / sqrt(n)``.
+    """
     if n < 2:
         raise ValueError(f"a standard error needs at least 2 shots, got {n}")
     minus = n - plus
@@ -246,14 +221,15 @@ def estimate_pair(
 ) -> list[tuple[str, float, float]]:
     """(name, mean, SE) of the fifteen quantities one apparatus pair reads.
 
-    They come in ``readout_table``'s order and are all read off one count table.
-    ``seed`` and ``shots`` are taken as by ``estimate_rows``.
+    They come in ``readout_table``'s order, read off one draw of the 16 pattern
+    counts at 4*d1 + d2.  ``seed`` and ``shots`` are taken as by ``estimate_rows``.
     """
     a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
     rng = np.random.default_rng(inputs._seed(seed))
     shots = inputs._shot_count(shots, 2)
-    counts = sample_pair_counts(a1_id, a2_id, noisy_state(visibility), shots, rng)
-    return [(name, *counted_mean(counts, values)) for name, values in readout_table(a1, a2).items()]
+    counts = rng.multinomial(shots, pattern_distribution(a1, a2, noisy_state(visibility)).ravel())
+    plus = {name: int(counts[values > 0].sum()) for name, values in readout_table(a1, a2).items()}
+    return [(name, *_plus_minus_mean(n, shots)) for name, n in plus.items()]
 
 
 def estimate_mermin(

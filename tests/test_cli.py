@@ -383,6 +383,17 @@ def test_unwritable_output_is_a_usage_error():
     assert len(result.stderr.strip().splitlines()) == 1
 
 
+def test_a_nul_byte_in_the_output_path_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    # open() raises ValueError, not OSError, on a NUL byte; an argv cannot carry
+    # one through exec, so main runs in process
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    path = str(tmp_path / "a\x00b")
+    assert cli.main(["lhv", "--output", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"hyperbell: error: cannot write {path}: embedded null byte\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -11,9 +11,11 @@ from hyperbell.lhv import CONSTRAINTS
 from hyperbell.observables import (
     CONSTRAINT_ROWS,
     bell_mermin_operator,
+    build_bell_states,
     doubly_entangled_state,
 )
 from hyperbell.optics import (
+    bell_histogram,
     build_apparatus,
     pattern_distribution,
     readout_table,
@@ -25,14 +27,13 @@ from hyperbell.experiment import (
     ROW_APPARATUS_PAIRS,
     SweepTable,
     _mermin_value,
+    _plus_minus_mean,
     _plus_probabilities,
-    counted_mean,
     estimate_mermin,
     estimate_pair,
     estimate_rows,
     exact_expectation,
     noisy_state,
-    sample_pair_counts,
     violation_flag,
     visibility_sweep,
 )
@@ -197,7 +198,7 @@ def test_estimate_rows_equals_sequential_pair_draws(shots, seed, visibility):
         plus_psi = pattern_distribution(a1, a2, pure).ravel()[plus].sum()
         p = visibility * plus_psi + (1 - visibility) * plus.sum() / 16
         n_plus = int(rng.binomial(shots, p))
-        mean, se = counted_mean(np.array([n_plus, shots - n_plus]), np.array([1, -1]))
+        mean, se = _plus_minus_mean(n_plus, shots)
         reference.append(CorrelationEstimate(constraint.id, shots, mean, se))
     assert estimate_rows(shots, visibility, seed) == reference
 
@@ -212,8 +213,8 @@ SAMPLERS = {
     "estimate_rows": lambda shots: estimate_rows(shots, 0.9, 1),
     "estimate_mermin": lambda shots: estimate_mermin(shots, 0.9, 1),
     "estimate_pair": lambda shots: estimate_pair(1, 4, 0.9, shots, 1),
-    "sample_pair_counts": lambda shots: sample_pair_counts(
-        1, 4, noisy_state(0.9), shots, np.random.default_rng(1)
+    "bell_histogram": lambda shots: bell_histogram(
+        build_bell_states("pol-path")["phi+"], shots, np.random.default_rng(1)
     ),
     "visibility_sweep": lambda shots: visibility_sweep([0.5, 0.9], shots, 1),
 }
@@ -331,20 +332,19 @@ def test_estimate_at_zero_visibility():
 
 
 def test_pair_counts_under_noise():
-    rng = np.random.default_rng(31)
-    rho = noisy_state(0.3)
-    for a1_id, a2_id in {(1, 4), (5, 6), (3, 2)}:
-        counts = sample_pair_counts(a1_id, a2_id, rho, 5000, rng)
-        assert counts.shape == (4, 4)
-        assert counts.sum() == 5000
-        assert (counts >= 0).all()
+    for a1_id, a2_id in [(1, 4), (5, 6), (3, 2)]:
+        results = estimate_pair(a1_id, a2_id, 0.3, 5000, seed=31)
         table = readout_table(build_apparatus(a1_id), build_apparatus(a2_id))
+        assert [name for name, _, _ in results] == list(table)
+        assert len(table) == 15
         for values in table.values():
             assert set(np.unique(values)) <= {-1, 1}
+        for name, mean, se in results:
+            assert abs(mean) <= 1.0 and 0.0 < se < 0.02, (name, mean, se)
     with pytest.raises(ValueError):
-        sample_pair_counts(1, 4, rho, 0, rng)
+        estimate_pair(1, 4, 0.3, 0, seed=31)
     with pytest.raises(ValueError):
-        sample_pair_counts(1, 4, rho, MAX_SHOTS + 1, rng)
+        estimate_pair(1, 4, 0.3, MAX_SHOTS + 1, seed=31)
 
 
 def test_counted_mean_matches_per_shot_statistics():
@@ -354,11 +354,11 @@ def test_counted_mean_matches_per_shot_statistics():
     for _ in range(20):
         counts = rng.multinomial(int(rng.integers(2, 60)), np.full(16, 1 / 16))
         shots = np.repeat(values, counts)
-        mean, se = counted_mean(counts, values)
+        mean, se = _plus_minus_mean(int(counts[values > 0].sum()), int(counts.sum()))
         assert mean == pytest.approx(shots.mean(), abs=1e-15)
         assert se == pytest.approx(shots.std(ddof=1) / np.sqrt(shots.size), abs=1e-15)
     with pytest.raises(ValueError):
-        counted_mean(np.eye(1, 16, dtype=np.int64), values)
+        _plus_minus_mean(1, 1)
 
 
 def test_estimates_flat_in_shot_count():

@@ -1,4 +1,6 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,3 +45,15 @@ def test_a_collection_error_is_its_own_status(tmp_path):
     assert audit(tmp_path, [broken, passes])[0] == "SURVIVED"
     status, detail = audit(tmp_path, [broken])
     assert status == "ERROR" and detail.startswith("no named test ran")
+
+
+def test_every_test_a_mutant_names_is_collected():
+    # a renamed or removed test id would otherwise show only when the audit runs:
+    # pytest exits 4 ("not found") on an id it cannot collect
+    ids = sorted({test for *_, tests in _tool().MUTANTS for test in tests})
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *ids],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    assert set(ids) <= set(result.stdout.splitlines())

@@ -83,6 +83,7 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         (
             T + "test_satisfied_histogram_is_the_closed_form",
             T + "test_mask_bits_are_the_enumeration_order_and_the_row_parities_are_check",
+            T + "test_a_local_model_gives_every_pairs_full_statistics_up_to_7_9",
             G + "[lhv.json]",
         ),
     ),
@@ -173,7 +174,7 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "if not isinstance(value, bool):",
         "if True:",
         (
-            E + "test_samplers_reject_bad_shot_counts[sample_pair_counts-True]",
+            E + "test_samplers_reject_bad_shot_counts[bell_histogram-True]",
             E + "test_sweep_rejects_bad_seeds[True-0]",
             "tests/test_optics.py::test_build_apparatus_rejects_bad_id",
         ),
@@ -239,10 +240,30 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     ),
     (
         EXPERIMENT,
+        "counts[values > 0]",
+        "counts[values < 0]",
+        (
+            E + "test_estimate_pair_quantities",
+            C + "test_simulate_anticorrelation",
+            G + "[simulate_1_4.txt]",
+        ),
+    ),
+    (
+        EXPERIMENT,
+        "noisy_state(visibility)).ravel()",
+        "noisy_state(visibility)).T.ravel()",
+        (
+            C + "test_simulate_prints_every_row_at_its_pair[row6]",
+            C + "test_simulate_prints_every_row_at_its_pair[row7]",
+        ),
+    ),
+    (
+        EXPERIMENT,
         "(1.0 - v) / 16.0 * identity",
         "(1.0 - v) / 15.0 * identity",
         (
             E + "test_noisy_state_structure",
+            T + "test_a_local_model_gives_every_pairs_full_statistics_up_to_7_9",
             A + "test_criterion_7_sampling_consistency",
             G + "[simulate_1_4_v0.9.txt]",
         ),
@@ -291,6 +312,7 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         (
             P + "test_batched_rows_match_per_pair_distributions",
             E + "test_density_distribution_matches_pure_mixture[0.3]",
+            T + "test_a_local_model_gives_every_pairs_full_statistics_up_to_7_9",
             C + "test_simulate_prints_every_row_at_its_pair[row6]",
             G + "[mermin.json]",
         ),
