@@ -317,6 +317,7 @@ def main(argv=None) -> int:
                 handle.write(text)
         except (OSError, ValueError) as exc:  # ValueError: open() refuses a NUL byte
             reason = getattr(exc, "strerror", None) or exc
+            path = path.translate(_LINE_BREAKS)  # one line, as the parser's errors are
             print(f"hyperbell: error: cannot write {path}: {reason}", file=sys.stderr)
             return 2
     sys.stdout.write(text)

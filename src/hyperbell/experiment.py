@@ -3,13 +3,12 @@
 With visibility V the prepared state is rho = V |Psi><Psi| + (1-V) I/16.
 Every operator of interest is traceless, so <Q>(V) = V * <Q>(1): the
 Bell-Mermin value is 9V and crosses the local-realistic ceiling of 7 exactly
-at V = 7/9.  The row samplers build no rho: a row needs only n+, its shots at
-+1, drawn as Binomial(n, p+(V)) with p+(V) = V p+_Psi + (1-V) k/16.  README
-(Conventions, Sampling) derives this and says why a sweep's one array draw
-equals its points drawn one at a time.  ``estimate_pair`` (``simulate``)
-draws all 16 pattern counts of one pair at V.  Shots, seeds and
-visibilities are checked by ``inputs``, whose ``DEFAULT_GRID`` and
-``MAX_SHOTS`` are re-exported here.
+at V = 7/9.  No sampler builds rho: each draws from the one pattern law, every detector
+pattern at V p_Psi + (1-V)/16.  ``estimate_pair`` (``simulate``) draws a pair's 16 counts;
+a row draws only n+, its shots at +1, as Binomial(n, V p+_Psi + (1-V) k/16), the law
+summed over its k patterns at +1.  README (Conventions, Sampling) derives this and says
+why a sweep's one array draw equals its points drawn one at a time.  Shots, seeds and
+visibilities are checked by ``inputs``; ``DEFAULT_GRID`` and ``MAX_SHOTS`` are re-exported.
 """
 
 from __future__ import annotations
@@ -36,20 +35,18 @@ Quantity = Union[int, str]  # constraint-row id 1..9 or "O"
 
 
 @lru_cache(maxsize=None)
-def _noise_terms() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only |Psi><Psi| and I, built on first use."""
+def _psi_density() -> np.ndarray:
+    """Read-only |Psi><Psi|, built on first use."""
     psi = doubly_entangled_state().amps
-    terms = np.outer(psi, psi.conj()), np.eye(16)
-    for term in terms:
-        term.setflags(write=False)
-    return terms
+    projector = np.outer(psi, psi.conj())
+    projector.setflags(write=False)
+    return projector
 
 
 def noisy_state(visibility: float) -> np.ndarray:
-    """rho = V |Psi><Psi| + (1-V) I/16 as a read-only 16 x 16 density matrix."""
+    """rho = V |Psi><Psi| + (1-V) I/16 as a read-only 16 x 16 density matrix, for exact values."""
     v = inputs._visibility(visibility)
-    projector, identity = _noise_terms()
-    rho = v * projector + (1.0 - v) / 16.0 * identity
+    rho = v * _psi_density() + (1.0 - v) / 16.0 * np.eye(16)
     rho.setflags(write=False)
     return rho
 
@@ -114,7 +111,7 @@ def _row_tables() -> tuple[tuple[tuple[float, float], ...], np.ndarray]:
     for constraint in CONSTRAINTS:
         a1, a2 = map(build_apparatus, ROW_APPARATUS_PAIRS[constraint.id])
         plus = readout_table(a1, a2)["*".join(constraint.variables)] > 0
-        plus_psi.append((pattern_distribution(a1, a2, _noise_terms()[0]).ravel() * plus).sum())
+        plus_psi.append((pattern_distribution(a1, a2, _psi_density()).ravel() * plus).sum())
         uniform.append(plus.sum() / 16.0)
     columns = np.array([plus_psi, uniform, _ROW_SIGNS])
     columns.setflags(write=False)
@@ -170,7 +167,7 @@ _ROW_SIGNS = tuple(c.required_product for c in CONSTRAINTS)
 @lru_cache(maxsize=None)
 def _exact_mermin() -> float:
     """<Psi|O|Psi>, 9.0, computed once per process: a sweep's exact column is V times it."""
-    return exact_expectation("O", _noise_terms()[0])
+    return exact_expectation("O", _psi_density())
 
 
 def _mermin_value(plus: Sequence[int], shots: int) -> tuple[float, float]:
@@ -221,13 +218,15 @@ def estimate_pair(
 ) -> list[tuple[str, float, float]]:
     """(name, mean, SE) of the fifteen quantities one apparatus pair reads.
 
-    They come in ``readout_table``'s order, read off one draw of the 16 pattern
-    counts at 4*d1 + d2.  ``seed`` and ``shots`` are taken as by ``estimate_rows``.
+    In ``readout_table``'s order, read off one draw of the 16 pattern counts at
+    4*d1 + d2, each at V p_Psi + (1-V)/16.  ``seed`` and ``shots`` as in ``estimate_rows``.
     """
     a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
     rng = np.random.default_rng(inputs._seed(seed))
     shots = inputs._shot_count(shots, 2)
-    counts = rng.multinomial(shots, pattern_distribution(a1, a2, noisy_state(visibility)).ravel())
+    v = inputs._visibility(visibility)
+    psi = pattern_distribution(a1, a2, _psi_density()).ravel()
+    counts = rng.multinomial(shots, v * psi + (1.0 - v) / 16.0)
     plus = {name: int(counts[values > 0].sum()) for name, values in readout_table(a1, a2).items()}
     return [(name, *_plus_minus_mean(n, shots)) for name, n in plus.items()]
 

@@ -36,6 +36,7 @@ from hyperbell.experiment import (
     DEFAULT_GRID,
     DEFAULT_SEED,
     ROW_APPARATUS_PAIRS,
+    estimate_pair,
     estimate_rows,
     estimate_mermin,
     exact_expectation,
@@ -198,6 +199,13 @@ def test_criterion_7_sampling_consistency():
                 assert abs(exact - visibility * constraint.required_product) < 1e-12
                 assert abs(mean - exact) < 5e-3, (
                     f"V={visibility} row {constraint.id}: sampled {mean} vs {exact}"
+                )
+                # the program's own pair sampler (simulate), from the pattern law
+                pair = ROW_APPARATUS_PAIRS[constraint.id]
+                readings = estimate_pair(*pair, visibility, shots, DEFAULT_SEED)
+                mean = {name: m for name, m, _ in readings}["*".join(constraint.variables)]
+                assert abs(mean - exact) < 5e-3, (
+                    f"V={visibility} row {constraint.id}: estimate_pair {mean} vs {exact}"
                 )
         # a fixed seed fixes every estimate; at V = 1 every row mean is exact
         # whatever the draws, so reproducibility is asserted under noise

@@ -394,6 +394,18 @@ def test_a_nul_byte_in_the_output_path_is_a_usage_error(capsys, monkeypatch, tmp
     assert err == f"hyperbell: error: cannot write {path}: embedded null byte\n"
 
 
+def test_a_line_break_in_an_unwritable_output_path_is_escaped(capsys, monkeypatch, tmp_path):
+    # the error names the path with its line breaks escaped, as the parser's
+    # errors do, so it stays one line
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    path = str(tmp_path / "missing\nx\u2028" / "y")
+    assert cli.main(["lhv", "--output", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    escaped = path.replace("\n", "\\n").replace("\u2028", "\\u2028")
+    assert err == f"hyperbell: error: cannot write {escaped}: No such file or directory\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -623,8 +635,9 @@ def _argvs(draw, outputs):
 @given(data=st.data())
 def test_fuzzed_argv_never_crashes(tmp_path, data):
     # --output only ever names tmp_path itself, a file in it, or a file in a
-    # directory under it that does not exist
-    outputs = [str(tmp_path), str(tmp_path / "out.txt"), str(tmp_path / "missing" / "x")]
+    # directory under it that does not exist, once with a line break in its name
+    outputs = [str(tmp_path), str(tmp_path / "out.txt"), str(tmp_path / "missing" / "x"),
+               str(tmp_path / "missing\nx" / "y")]
     argv = data.draw(_argvs(outputs), label="argv")
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

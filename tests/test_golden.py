@@ -40,6 +40,10 @@ CASES = {
     "simulate_1_4_v0.9.txt": [
         "simulate", "--apparatus-pair", "1", "4", "--visibility", "0.9",
     ],
+    # Pins the pattern law V p_Psi + (1-V)/16 that simulate draws from.
+    "simulate_1_4_v0.5.txt": [
+        "simulate", "--apparatus-pair", "1", "4", "--visibility", "0.5",
+    ],
     # Photon 1's Bell analyzer against photon 2's apparatus 6, both chains.
     "simulate_5_6_v0.9.txt": [
         "simulate", "--apparatus-pair", "5", "6", "--visibility", "0.9",

@@ -9,12 +9,12 @@ against the coset's weight enumerator (16 assignments per coset word of
 ``coset_weights``), and compares the bytes with ``tests/golden/lhv.json``
 (what ``hyperbell lhv --format json`` prints).  It then runs the CLI itself,
 ``hyperbell.cli.main`` on ``lhv`` and ``lhv --format json``, and compares
-each output with its golden file and its exit code with 0.  Last it runs four
-usage errors, a bad shot count, grid, seed and a one-shot ``simulate``, and
-compares each one's stderr with the bytes recorded under Python 3.11 in
-``USAGE_ERRORS`` and its exit code with 2.  Stdlib only: the probe blocks
-numpy, since neither ``hyperbell.lhv``, the CLI's ``lhv`` nor its input
-checks need it.
+each output with its golden file and its exit code with 0.  Last it runs five
+usage errors, a bad shot count, grid, seed, a one-shot ``simulate`` and an
+unwritable ``--output`` path with a line break in it, and compares each one's
+stderr with the bytes recorded under Python 3.11 in ``USAGE_ERRORS`` and its
+exit code with 2.  Stdlib only: the probe blocks numpy, since neither
+``hyperbell.lhv``, the CLI's ``lhv`` nor its input checks need it.
 
     python3 tools/cross_python.py
 
@@ -48,6 +48,8 @@ USAGE_ERRORS = (
      "hyperbell: error: seed must be an integer in [0, 2**64 - 1], got -1\n"),
     (["simulate", "--apparatus-pair", "1", "2", "--shots", "1"],
      "hyperbell: error: shots must be an integer in [2, 2**63 - 1], got 1\n"),
+    (["lhv", "--output", "/nonexistent-dir\nx/y"],
+     "hyperbell: error: cannot write /nonexistent-dir\\nx/y: No such file or directory\n"),
 )
 MARKER = "hyperbell-cross-python"
 
@@ -109,7 +111,7 @@ def run(version: str, goldens: list[str]) -> tuple[str, str]:
             return "FAIL", f"Python {ran} ({exe}): {what} differs from tests/golden/{name}"
     for (argv, expected), (stderr, code) in zip(USAGE_ERRORS, errors):
         if (stderr, code) != (expected, 2):
-            return "FAIL", f"Python {ran} ({exe}): {' '.join(argv)}: exit {code}, stderr {stderr!r}"
+            return "FAIL", f"Python {ran} ({exe}): {' '.join(argv)!r}: exit {code}, stderr {stderr!r}"
     checks = "LHV_BOUND 7, coset bound (1, 0), witness 60, histogram equal, and 16 x coset weights"
     equal = ", ".join(f"{what} ({len(output)} chars)" for (what, _), output in zip(OUTPUTS, outputs))
     usage = f"{len(errors)} usage errors equal to the 3.11 stderr, exit 2"

@@ -250,8 +250,8 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     ),
     (
         EXPERIMENT,
-        "noisy_state(visibility)).ravel()",
-        "noisy_state(visibility)).T.ravel()",
+        "psi = pattern_distribution(a1, a2, _psi_density()).ravel()",
+        "psi = pattern_distribution(a1, a2, _psi_density()).T.ravel()",
         (
             C + "test_simulate_prints_every_row_at_its_pair[row6]",
             C + "test_simulate_prints_every_row_at_its_pair[row7]",
@@ -259,13 +259,32 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     ),
     (
         EXPERIMENT,
-        "(1.0 - v) / 16.0 * identity",
-        "(1.0 - v) / 15.0 * identity",
+        "(1.0 - v) / 16.0 * np.eye(16)",
+        "(1.0 - v) / 15.0 * np.eye(16)",
         (
             E + "test_noisy_state_structure",
             T + "test_a_local_model_gives_every_pairs_full_statistics_up_to_7_9",
             A + "test_criterion_7_sampling_consistency",
+        ),
+    ),
+    (
+        EXPERIMENT,
+        "v * psi + (1.0 - v) / 16.0",
+        "v * psi + (1.0 - v) / 15.0",
+        (
+            G + "[simulate_1_4_v0.5.txt]",
             G + "[simulate_1_4_v0.9.txt]",
+            G + "[simulate_5_6_v0.9.txt]",
+        ),
+    ),
+    (
+        EXPERIMENT,
+        "v * psi + (1.0 - v) / 16.0",
+        "psi",
+        (
+            G + "[simulate_1_4_v0.5.txt]",
+            C + "test_simulate_zero_visibility_kills_correlations",
+            E + "test_pair_counts_under_noise",
         ),
     ),
     (
