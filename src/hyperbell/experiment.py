@@ -22,7 +22,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import inputs
-from .hilbert import ATOL, check_density
+from .hilbert import check_density
 from .inputs import DEFAULT_GRID, DEFAULT_SEED, MAX_SHOTS
 from .lhv import CONSTRAINTS, LHV_BOUND, ROW_APPARATUS_PAIRS
 from .observables import CONSTRAINT_ROWS, bell_mermin_operator, doubly_entangled_state
@@ -99,37 +99,40 @@ def _plus_minus_mean(plus: int, n: int) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
+def _pair_law(a1_id: int, a2_id: int) -> tuple[np.ndarray, tuple[tuple[str, np.ndarray], ...]]:
+    """The read-only |Psi> pattern probabilities of a pair, at 4*d1 + d2, and the read-only
+    +1-pattern mask of each quantity, in ``readout_table``'s order, built once per pair."""
+    a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
+    psi = pattern_distribution(a1, a2, _psi_density()).ravel()
+    masks = tuple((name, values > 0) for name, values in readout_table(a1, a2).items())
+    for array in (psi, *(mask for _, mask in masks)):
+        array.setflags(write=False)
+    return psi, masks
+
+
+@lru_cache(maxsize=None)
 def _row_tables() -> tuple[tuple[tuple[float, float], ...], np.ndarray]:
     """The rows' (p+_Psi, k/16) as floats, and a (3, 9) array of the same
     p+_Psi and k/16 and of the rows' required signs.
 
     Column i holds constraint i+1, the quantity ``"*".join(variables)`` of its
-    pair: its |Psi> Born distribution summed over its k patterns at +1, and
-    k/16.  None depends on the visibility, so all are built once, on first use.
+    pair: its ``_pair_law`` summed over its k patterns at +1, and k/16, all built once.
     """
     plus_psi, uniform = [], []
     for constraint in CONSTRAINTS:
-        a1, a2 = map(build_apparatus, ROW_APPARATUS_PAIRS[constraint.id])
-        plus = readout_table(a1, a2)["*".join(constraint.variables)] > 0
-        plus_psi.append((pattern_distribution(a1, a2, _psi_density()).ravel() * plus).sum())
+        psi, masks = _pair_law(*ROW_APPARATUS_PAIRS[constraint.id])
+        plus = dict(masks)["*".join(constraint.variables)]
+        plus_psi.append((psi * plus).sum())
         uniform.append(plus.sum() / 16.0)
     columns = np.array([plus_psi, uniform, _ROW_SIGNS])
     columns.setflags(write=False)
     return tuple(zip(*columns[:2].tolist())), columns
 
 
-def _check_plus(low: float, high: float) -> None:
-    """Raise unless the lowest and highest p+ lie within ATOL of [0, 1]: rho was no state."""
-    if low <= -ATOL or high >= 1.0 + ATOL:
-        raise ValueError("density matrix is not a unit-trace positive state")
-
-
 def _plus_probabilities(v: float) -> list[float]:
-    """p+(V) = V p+_Psi + (1-V) k/16 of the nine rows in floats, checked and clipped to [0, 1]."""
+    """p+(V) = V p+_Psi + (1-V) k/16 of the nine rows, in floats that need no clip (README)."""
     w = 1.0 - v
-    probs = [v * plus_psi + w * uniform for plus_psi, uniform in _row_tables()[0]]
-    _check_plus(min(probs), max(probs))
-    return [0.0 if p < 0.0 else 1.0 if p > 1.0 else p for p in probs]
+    return [v * plus_psi + w * uniform for plus_psi, uniform in _row_tables()[0]]
 
 
 def _plus_table(v: np.ndarray) -> np.ndarray:
@@ -137,13 +140,6 @@ def _plus_table(v: np.ndarray) -> np.ndarray:
     plus_psi, uniform, _ = _row_tables()[1]
     probs = np.multiply.outer(v, plus_psi)
     probs += np.multiply.outer(1.0 - v, uniform)
-    # the initial values let an empty grid pass, and make low < 0 or high > 1
-    # exactly when some p+ lies outside [0, 1], the only case clip changes
-    low = np.minimum.reduce(probs, axis=None, initial=0.0)
-    high = np.maximum.reduce(probs, axis=None, initial=1.0)
-    _check_plus(low, high)
-    if low < 0.0 or high > 1.0:
-        probs.clip(0.0, 1.0, out=probs)
     return probs
 
 
@@ -218,17 +214,16 @@ def estimate_pair(
 ) -> list[tuple[str, float, float]]:
     """(name, mean, SE) of the fifteen quantities one apparatus pair reads.
 
-    In ``readout_table``'s order, read off one draw of the 16 pattern counts at
-    4*d1 + d2, each at V p_Psi + (1-V)/16.  ``seed`` and ``shots`` as in ``estimate_rows``.
+    In ``readout_table``'s order, from one draw of the 16 pattern counts, each at
+    V p_Psi + (1-V)/16 with the pair's ``_pair_law``.  ``seed``, ``shots`` as in ``estimate_rows``.
     """
     a1, a2 = build_apparatus(a1_id), build_apparatus(a2_id)
     rng = np.random.default_rng(inputs._seed(seed))
     shots = inputs._shot_count(shots, 2)
     v = inputs._visibility(visibility)
-    psi = pattern_distribution(a1, a2, _psi_density()).ravel()
+    psi, masks = _pair_law(a1.id, a2.id)
     counts = rng.multinomial(shots, v * psi + (1.0 - v) / 16.0)
-    plus = {name: int(counts[values > 0].sum()) for name, values in readout_table(a1, a2).items()}
-    return [(name, *_plus_minus_mean(n, shots)) for name, n in plus.items()]
+    return [(name, *_plus_minus_mean(int(counts[mask].sum()), shots)) for name, mask in masks]
 
 
 def estimate_mermin(

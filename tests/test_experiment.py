@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hyperbell import cli, inputs
+from hyperbell import cli, experiment, inputs
 from hyperbell.hilbert import ATOL, StateVector
 from hyperbell.lhv import CONSTRAINTS
 from hyperbell.observables import (
@@ -345,6 +345,34 @@ def test_pair_counts_under_noise():
         estimate_pair(1, 4, 0.3, 0, seed=31)
     with pytest.raises(ValueError):
         estimate_pair(1, 4, 0.3, MAX_SHOTS + 1, seed=31)
+
+
+def test_each_pair_law_is_built_once(monkeypatch):
+    # after one call per pair, every pair's |Psi> law and +1 masks come from
+    # the cache: no Born rule, readout table or density check runs again
+    def calls():
+        pairs = [estimate_pair(*pair, 0.9, 1000, 5) for pair in ROW_APPARATUS_PAIRS.values()]
+        return pairs, estimate_mermin(1000, 0.9, 5)
+
+    expected = calls()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a pair's constant law was built again")
+
+    for name in ("pattern_distribution", "readout_table", "check_density"):
+        monkeypatch.setattr(experiment, name, fail)
+    assert calls() == expected
+
+
+@pytest.mark.parametrize("pair", [(2, 1), (1, 3), (4, 6)])
+def test_estimate_pair_checks_the_sides_after_the_visibility(pair):
+    # the sides are checked last, when the pair's law is first built; a raised
+    # error is not cached, so the second call raises it again
+    with pytest.raises(ValueError, match=re.escape("visibility must be a number in [0, 1]")):
+        estimate_pair(*pair, 1.5, 100, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^apparatus pair must act on photons \(1, 2\)"):
+            estimate_pair(*pair, 0.9, 100, 1)
 
 
 def test_counted_mean_matches_per_shot_statistics():

@@ -147,14 +147,15 @@ EDGE_VISIBILITIES = (
 @given(st.lists(st.floats(0.0, 1.0), max_size=6))
 def test_sampled_mixture_is_the_born_rule_of_the_noisy_state(drawn):
     # the sampler never builds rho; its plain-float p+(V) must be numpy's
-    # elementwise formula bit for bit, and the +1 patterns' share of
-    # diag(K rho K^dagger) for rho = noisy_state(V)
+    # elementwise formula bit for bit, unclipped and still a probability, and
+    # the +1 patterns' share of diag(K rho K^dagger) for rho = noisy_state(V)
     terms, _ = _row_tables()
     plus_psi, uniform = np.array(terms).T
     for v in inputs._visibilities([*EDGE_VISIBILITIES, *drawn]):
         rows = _plus_probabilities(v)
-        reference = (v * plus_psi + (1.0 - v) * uniform).clip(0.0, 1.0)
+        reference = v * plus_psi + (1.0 - v) * uniform
         assert [p.hex() for p in rows] == [p.hex() for p in reference.tolist()]
+        assert all(0.0 <= p <= 1.0 for p in rows)
         probs, values = row_distributions(noisy_state(v))
         for p, pair, row in zip(rows, probs, values):
             assert abs(p - pair[row > 0].sum()) <= 1e-12
@@ -164,25 +165,12 @@ def test_sampled_mixture_is_the_born_rule_of_the_noisy_state(drawn):
 @given(st.lists(st.floats(0.0, 1.0), max_size=6))
 def test_sweep_table_mixes_and_clips_as_the_point_floats(drawn):
     # the sweep's one array expression against the point's plain floats, bit
-    # for bit; V = 1 + 1e-12 puts p+ within ATOL outside [0, 1] on every row,
-    # so only the clip makes those rows probabilities
-    grid = [*EDGE_VISIBILITIES, *drawn, 1.0 + 1e-12]
+    # for bit; neither clips, as no V in [0, 1] puts a p+ outside [0, 1]
+    grid = [*EDGE_VISIBILITIES, *drawn]
     table = _plus_table(np.array(grid))
     assert [[p.hex() for p in row] for row in table.tolist()] == [
         [p.hex() for p in _plus_probabilities(v)] for v in grid
     ]
-    assert table[-1].tolist() == [0.0 if p == 0 else 1.0 for p in _row_tables()[1][0]]
-
-
-def test_sampled_mixture_is_checked():
-    # p+ is a probability: V = 1.5 gives -1/4 on the rows |Psi> never reads +1,
-    # and V = -1.5 gives -1/4 on the rows it always reads +1; a sweep's table
-    # must raise too, even with a valid point beside the bad one
-    for v in (1.5, -1.5):
-        with pytest.raises(ValueError, match="not a unit-trace positive state"):
-            _plus_probabilities(v)
-        with pytest.raises(ValueError, match="not a unit-trace positive state"):
-            _plus_table(np.array([0.5, v]))
 
 
 #: Grid points: the ends, the threshold 7/9, and arbitrary values in between.
@@ -371,8 +359,7 @@ def test_builtin_sum_adds_only_integers_in_src():
 
 
 def test_batched_born_rule_takes_an_empty_stack():
-    # a grid of zero visibilities: the sweep's (points x 9) p+ table is empty,
-    # and its checks never call min() on an empty array
+    # a grid of zero visibilities: the sweep's (points x 9) p+ table is empty
     assert _plus_table(np.empty(0)).shape == (0, 9)
     assert inputs._visibilities(()) == []
     for shots in (0, 100):

@@ -228,20 +228,8 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     ),
     (
         EXPERIMENT,
-        "    _check_plus(low, high)\n",
-        "",
-        (P + "test_sampled_mixture_is_checked",),
-    ),
-    (
-        EXPERIMENT,
-        "probs.clip(0.0, 1.0, out=probs)",
-        "pass",
-        (P + "test_sweep_table_mixes_and_clips_as_the_point_floats",),
-    ),
-    (
-        EXPERIMENT,
-        "counts[values > 0]",
-        "counts[values < 0]",
+        "(name, values > 0)",
+        "(name, values < 0)",
         (
             E + "test_estimate_pair_quantities",
             C + "test_simulate_anticorrelation",
@@ -255,6 +243,16 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         (
             C + "test_simulate_prints_every_row_at_its_pair[row6]",
             C + "test_simulate_prints_every_row_at_its_pair[row7]",
+        ),
+    ),
+    (
+        EXPERIMENT,
+        "_pair_law(a1.id, a2.id)",
+        "_pair_law(1, 4)",
+        (
+            E + "test_pair_counts_under_noise",
+            E + "test_estimate_pair_checks_the_sides_after_the_visibility[pair0]",
+            C + "test_simulate_prints_every_row_at_its_pair[row9]",
         ),
     ),
     (
