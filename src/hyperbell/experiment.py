@@ -1,14 +1,13 @@
 """Noise model, Monte Carlo correlation estimates, and the visibility sweep.
 
-With visibility V the prepared state is rho = V |Psi><Psi| + (1-V) I/16.
-Every operator of interest is traceless, so <Q>(V) = V * <Q>(1): the
-Bell-Mermin value is 9V and crosses the local-realistic ceiling of 7 exactly
-at V = 7/9.  No sampler builds rho: each draws from the one pattern law, every detector
-pattern at V p_Psi + (1-V)/16.  ``estimate_pair`` (``simulate``) draws a pair's 16 counts;
-a row draws only n+, its shots at +1, as Binomial(n, V p+_Psi + (1-V) k/16), the law
-summed over its k patterns at +1.  README (Conventions, Sampling) derives this and says
-why a sweep's one array draw equals its points drawn one at a time.  Shots, seeds and
-visibilities are checked by ``inputs``; ``DEFAULT_GRID`` and ``MAX_SHOTS`` are re-exported.
+With visibility V the prepared state is rho = V |Psi><Psi| + (1-V) I/16.  Every operator of
+interest is traceless, so <Q>(V) = V * <Q>(1): the Bell-Mermin value is 9V and crosses the
+local-realistic ceiling of 7 exactly at V = 7/9.  No sampler builds rho: each draws from the
+one pattern law, every detector pattern at V p_Psi + (1-V)/16.  ``estimate_pair`` (``simulate``)
+draws a pair's 16 counts; a row draws only n+, its shots at +1, as Binomial(n, p+) with
+p+ = V p+_Psi + (1-V) k/16, the law summed over its k patterns at +1, and ``_point`` draws a
+point's nine rows and adds O and its SE.  README (Conventions, Sampling) derives it.  Inputs
+are checked by ``inputs``, whose ``DEFAULT_GRID`` and ``MAX_SHOTS`` are re-exported.
 """
 
 from __future__ import annotations
@@ -129,32 +128,12 @@ def _row_tables() -> tuple[tuple[tuple[float, float], ...], np.ndarray]:
     return tuple(zip(*columns[:2].tolist())), columns
 
 
-def _plus_probabilities(v: float) -> list[float]:
-    """p+(V) = V p+_Psi + (1-V) k/16 of the nine rows, in floats that need no clip (README)."""
-    w = 1.0 - v
-    return [v * plus_psi + w * uniform for plus_psi, uniform in _row_tables()[0]]
-
-
 def _plus_table(v: np.ndarray) -> np.ndarray:
-    """``_plus_probabilities`` of every V in ``v`` as one (len(v) x 9) expression, same bits."""
+    """``_point``'s nine p+ at every V in ``v`` as one (len(v) x 9) expression, same bits."""
     plus_psi, uniform, _ = _row_tables()[1]
     probs = np.multiply.outer(v, plus_psi)
     probs += np.multiply.outer(1.0 - v, uniform)
     return probs
-
-
-def _sample_point(shots_per_setting, visibility, seed) -> tuple[int, list[int]]:
-    """Checked shots (at least 2, for a standard error) and n+ of the nine rows at V.
-
-    The point estimates' row sampler: nine scalar ``binomial`` draws in row
-    order are the same stream as one array draw of the nine rows, without
-    numpy's array-argument checks; ``visibility_sweep`` draws its
-    ``_plus_table`` as one array, equal to this run point by point on one
-    generator.
-    """
-    binomial = np.random.default_rng(inputs._seed(seed)).binomial
-    shots = inputs._shot_count(shots_per_setting, 2)
-    return shots, [binomial(shots, p) for p in _plus_probabilities(inputs._visibility(visibility))]
 
 
 _ROW_SIGNS = tuple(c.required_product for c in CONSTRAINTS)
@@ -166,23 +145,27 @@ def _exact_mermin() -> float:
     return exact_expectation("O", _psi_density())
 
 
-def _mermin_value(plus: Sequence[int], shots: int) -> tuple[float, float]:
-    """O and its SE from the nine rows' n+: signed row means summed, SEs in quadrature.
+def _point(binomial, shots: int, v: float) -> tuple[list[int], float, float]:
+    """The nine rows' n+ at V, and O and its SE from them, in one pass in row order.
 
-    Means are (2 n+ - n)/n, as in ``estimate_rows``, added left to right (``sum``
-    compensates floats from Python 3.12 on, so its bits depend on the version);
-    the variances 4 n+ n- / ((n-1) n^2) are summed as exact integers and divided once.
+    Each p+(V) = V p+_Psi + (1-V) k/16 is mixed in plain floats that need no clip (README)
+    and drawn as ``binomial(shots, p)``, the stream of one array draw of the nine rows.
+    O adds the signed means (2 n+ - n)/n left to right (``sum`` compensates floats from
+    Python 3.12 on); the variances 4 n+ n- / ((n-1) n^2) add as exact integers, divided once.
     """
-    total, spread = 0.0, 0
-    for sign, p in zip(_ROW_SIGNS, plus):
-        total += sign * ((2 * p - shots) / shots)
-        spread += p * (shots - p)
-    return total, 2.0 * math.sqrt(spread / (shots - 1)) / shots
+    w = 1.0 - v
+    plus, total, spread = [], 0.0, 0
+    for sign, (plus_psi, uniform) in zip(_ROW_SIGNS, _row_tables()[0]):
+        n = binomial(shots, v * plus_psi + w * uniform)
+        plus.append(n)
+        total += sign * ((2 * n - shots) / shots)
+        spread += n * (shots - n)
+    return plus, total, 2.0 * math.sqrt(spread / (shots - 1)) / shots
 
 
 #: Below this many shots a sweep's O and SE are column operations on its counts:
 #: the spread 9 (n/2)**2 < 2**53 is exact in float64, so each operation rounds
-#: as in ``_mermin_value``, which larger counts keep, row by row.
+#: as in ``_point``, which draws and sums each point of larger counts.
 _COLUMN_SHOTS = 2**25
 
 
@@ -198,7 +181,9 @@ def estimate_rows(
     estimate.  ``seed`` is an integer in [0, 2**64 - 1].
     A standard error needs at least 2 shots.
     """
-    shots, plus = _sample_point(shots_per_setting, visibility, seed)
+    binomial = np.random.default_rng(inputs._seed(seed)).binomial
+    shots = inputs._shot_count(shots_per_setting, 2)
+    plus, _, _ = _point(binomial, shots, inputs._visibility(visibility))
     return [
         CorrelationEstimate(constraint.id, shots, *_plus_minus_mean(p, shots))
         for constraint, p in zip(CONSTRAINTS, plus)
@@ -233,12 +218,13 @@ def estimate_mermin(
 ) -> CorrelationEstimate:
     """Monte Carlo estimate of the Bell-Mermin value under white noise.
 
-    Each of the nine terms is sampled at its matched apparatus pair, by the
-    same draw as ``estimate_rows``; the signed term means are summed and the
-    standard errors combined in quadrature.
+    The nine rows are drawn as in ``estimate_rows``; their signed means are summed
+    and their standard errors combined in quadrature (``_point``).
     """
-    shots, plus = _sample_point(shots_per_setting, visibility, seed)
-    return CorrelationEstimate("O", shots, *_mermin_value(plus, shots))
+    binomial = np.random.default_rng(inputs._seed(seed)).binomial
+    shots = inputs._shot_count(shots_per_setting, 2)
+    _, total, std_error = _point(binomial, shots, inputs._visibility(visibility))
+    return CorrelationEstimate("O", shots, total, std_error)
 
 
 # -- visibility sweep --------------------------------------------------------
@@ -297,14 +283,12 @@ def visibility_sweep(
     """Exact and (optionally) sampled Bell-Mermin values across visibilities.
 
     ``shots_per_setting=0`` skips sampling; else it is at least 2.  ``seed``
-    is an integer in [0, 2**64 - 1].  The (points x 9) ``_plus_table`` is
-    drawn in one ``binomial`` call on ``default_rng(seed)``; numpy draws an
-    array argument element by element in C order, as a scalar draw, so the
-    counts equal the point draws of ``_sample_point`` run in grid order on
-    that generator.  Below ``_COLUMN_SHOTS`` O is one ``np.add.accumulate`` of the
-    nine terms per row, left to right as ``_mermin_value`` adds them, and SE
-    is formed in place in its column; from it on, ``_mermin_value`` runs per
-    row.  The bits are the same either way: the rows of ``grid[:k]`` are the
+    is an integer in [0, 2**64 - 1].  Below ``_COLUMN_SHOTS`` the (points x 9)
+    ``_plus_table`` is drawn in one ``binomial`` call on ``default_rng(seed)``,
+    element by element in C order as ``_point`` draws it point by point; O is one
+    ``np.add.accumulate`` of each row's nine terms, left to right as ``_point`` adds
+    them, and SE is formed in place.  From it on, ``_point`` draws and sums each point
+    on that generator.  The bits are the same either way: the rows of ``grid[:k]`` are the
     first k rows of ``grid``, and a one-point sweep equals
     ``estimate_mermin(shots_per_setting, v, seed)`` bit for bit.  The exact
     column is V times ``_exact_mermin()``, <Psi|O|Psi> = 9.0 computed once
@@ -318,20 +302,20 @@ def visibility_sweep(
     np.multiply(v, _exact_mermin(), out=columns[:, 1])
     if not shots:
         columns[:, 2:] = np.nan
-    else:
+    elif shots >= _COLUMN_SHOTS:
+        binomial = np.random.default_rng(seed).binomial
+        columns[:, 2:] = np.reshape([_point(binomial, shots, x)[1:] for x in v.tolist()], (-1, 2))
+    else:  # _point's sums as column operations, the terms added left to right
         plus = np.random.default_rng(seed).binomial(shots, _plus_table(v))
-        if shots >= _COLUMN_SHOTS:
-            columns[:, 2:] = np.reshape([_mermin_value(p, shots) for p in plus.tolist()], (-1, 2))
-        else:  # _mermin_value as column operations, the terms added left to right
-            terms = (2 * plus - shots) / shots
-            terms *= _row_tables()[1][2]
-            estimate, std_error = columns[:, 2], columns[:, 3]
-            # the running sum starts at t0, not 0.0 + t0, so it differs only in
-            # being -0.0 when every term is; + 0.0 makes that 0.0, as in _mermin_value
-            np.add(np.add.accumulate(terms, axis=1)[:, -1], 0.0, out=estimate)
-            np.divide((plus * (shots - plus)).sum(axis=1), shots - 1, out=std_error)
-            np.sqrt(std_error, out=std_error)
-            std_error *= 2.0
-            std_error /= shots
+        terms = (2 * plus - shots) / shots
+        terms *= _row_tables()[1][2]
+        estimate, std_error = columns[:, 2], columns[:, 3]
+        # the running sum starts at t0, not 0.0 + t0, so it differs only in
+        # being -0.0 when every term is; + 0.0 makes that 0.0, as in _point
+        np.add(np.add.accumulate(terms, axis=1)[:, -1], 0.0, out=estimate)
+        np.divide((plus * (shots - plus)).sum(axis=1), shots - 1, out=std_error)
+        np.sqrt(std_error, out=std_error)
+        std_error *= 2.0
+        std_error /= shots
     columns.setflags(write=False)
     return SweepTable(columns)

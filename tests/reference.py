@@ -1,15 +1,20 @@
 """Reference paths that only the tests use: plain Born probabilities of a pure
 state over a pair's detector patterns, the four-level relabeling of a state,
-and the LHV assignments by element name, the brute-force reference for the
-library's 12-bit mask scan.
+the LHV assignments by element name, the brute-force reference for the
+library's 12-bit mask scan, and a sampled Bell-Mermin point drawn and summed
+row by row.
 """
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
+from hyperbell.experiment import _row_tables
 from hyperbell.hilbert import StateVector
 from hyperbell.lhv import CONSTRAINTS, ELEMENTS, LhvConstraint
 from hyperbell.optics import ApparatusSpec, _check_sides
@@ -99,3 +104,15 @@ def mermin_value(assignment: LhvAssignment) -> int:
     return sum(
         c.required_product * constraint_product(assignment, c) for c in CONSTRAINTS
     )
+
+
+def sampled_mermin(gen: np.random.Generator, shots: int, v: float) -> tuple[float, float]:
+    """O and its SE at V from nine scalar draws on ``gen``, one per row in row order.
+
+    Each row's p+ = V p+_Psi + (1-V) k/16; the signed means (2 n+ - n)/n are added
+    left to right and the SE is formed from the exact integer spread sum n+ n-.
+    """
+    plus = [gen.binomial(shots, v * pp + (1.0 - v) * u) for pp, u in _row_tables()[0]]
+    terms = [c.required_product * ((2 * n - shots) / shots) for c, n in zip(CONSTRAINTS, plus)]
+    spread = sum(n * (shots - n) for n in plus)
+    return functools.reduce(operator.add, terms), 2.0 * math.sqrt(spread / (shots - 1)) / shots

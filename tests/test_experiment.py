@@ -26,9 +26,7 @@ from hyperbell.experiment import (
     CorrelationEstimate,
     ROW_APPARATUS_PAIRS,
     SweepTable,
-    _mermin_value,
     _plus_minus_mean,
-    _plus_probabilities,
     estimate_mermin,
     estimate_pair,
     estimate_rows,
@@ -38,7 +36,7 @@ from hyperbell.experiment import (
     visibility_sweep,
 )
 
-from reference import joint_distribution
+from reference import joint_distribution, sampled_mermin
 
 
 def test_noise_model_range():
@@ -553,13 +551,23 @@ def test_child_states_equal_numpy_spawn(seed, n):
     # cover one and two entropy words and the 64-bit top
     grid = np.linspace(0.0, 1.0, n).tolist()
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    expected = [
-        _mermin_value([gen.binomial(100, p) for p in _plus_probabilities(v)], 100) for v in grid
-    ]
+    expected = [sampled_mermin(gen, 100, v) for v in grid]
     table = visibility_sweep(grid, 100, seed)
     # hex, not ==, so a -0.0 for a 0.0 fails
     hexed = [(estimate.hex(), std_error.hex()) for estimate, std_error in expected]
     assert [(p.estimate.hex(), p.std_error.hex()) for p in table] == hexed
+
+
+@pytest.mark.parametrize("shots", [2**25, 10**12])
+def test_wide_sweep_draws_its_points_in_grid_order_on_one_generator(shots):
+    # from 2**25 shots on each point is drawn and summed by itself, still on the
+    # sweep's one generator: a repeated visibility draws new counts
+    grid = [0.9, 0.9, 7 / 9, 0.0, 1.0]
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(12345)))
+    hexed = [(e.hex(), s.hex()) for e, s in (sampled_mermin(gen, shots, v) for v in grid)]
+    table = visibility_sweep(grid, shots, 12345)
+    assert [(p.estimate.hex(), p.std_error.hex()) for p in table] == hexed
+    assert table[0].estimate != table[1].estimate
 
 
 @pytest.mark.parametrize("shots", [0, 100, 2**25])

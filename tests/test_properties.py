@@ -12,9 +12,9 @@ visibility sweep's one array draw and its column operations are checked bit
 for bit against its points drawn and summed one at a time on one generator,
 against the point estimate of the same seed, and against the sweeps of its
 grid's prefixes, at shot counts on both sides of the column path's bound.
-The Bell-Mermin sum of the row counts is pinned to a plain left-to-right
-float sum, whatever the Python, and every builtin ``sum`` in src/ to a known
-integer sum.  A sampled value is checked against its exact law: a whole
+The point sampler draws each row once, in row order, and its Bell-Mermin
+sum of the row counts is pinned to a plain left-to-right float sum, whatever
+the Python; every builtin ``sum`` in src/ is pinned to a known integer sum.  A sampled value is checked against its exact law: a whole
 number M of agreeing shots, drawn as Binomial(9n, (1 + V)/2).
 """
 
@@ -34,9 +34,8 @@ from hyperbell.experiment import (
     MAX_SHOTS,
     ROW_APPARATUS_PAIRS,
     _COLUMN_SHOTS,
-    _mermin_value,
-    _plus_probabilities,
     _plus_table,
+    _point,
     _row_tables,
     estimate_mermin,
     exact_expectation,
@@ -47,7 +46,7 @@ from hyperbell.hilbert import StateVector
 from hyperbell.lhv import CONSTRAINTS
 from hyperbell.optics import build_apparatus, pattern_distribution, readout_table
 
-from reference import joint_distribution
+from reference import joint_distribution, sampled_mermin
 
 PHOTON1_APPARATUSES = (1, 3, 5)
 PHOTON2_APPARATUSES = (2, 4, 6)
@@ -136,6 +135,18 @@ def test_row_plus_probability_is_half_of_one_plus_the_correlation(rho):
         assert abs(p - (1.0 + exact_expectation(constraint.id, rho)) / 2.0) <= 1e-12
 
 
+def _mixed(v: float) -> list[float]:
+    """The nine p+ that ``_point`` hands its ``binomial`` at V, which draws 0 each time."""
+    probs = []
+
+    def binomial(shots, p):
+        probs.append(p)
+        return 0
+
+    _point(binomial, 2, v)
+    return probs
+
+
 #: The ends, 7/9 and its neighbours, the float just below 1, and subnormals.
 EDGE_VISIBILITIES = (
     0.0, 0.5, 1.0, 7.0 / 9.0, np.nextafter(7.0 / 9.0, 0.0), np.nextafter(7.0 / 9.0, 1.0),
@@ -152,7 +163,7 @@ def test_sampled_mixture_is_the_born_rule_of_the_noisy_state(drawn):
     terms, _ = _row_tables()
     plus_psi, uniform = np.array(terms).T
     for v in inputs._visibilities([*EDGE_VISIBILITIES, *drawn]):
-        rows = _plus_probabilities(v)
+        rows = _mixed(v)
         reference = v * plus_psi + (1.0 - v) * uniform
         assert [p.hex() for p in rows] == [p.hex() for p in reference.tolist()]
         assert all(0.0 <= p <= 1.0 for p in rows)
@@ -169,7 +180,7 @@ def test_sweep_table_mixes_and_clips_as_the_point_floats(drawn):
     grid = [*EDGE_VISIBILITIES, *drawn]
     table = _plus_table(np.array(grid))
     assert [[p.hex() for p in row] for row in table.tolist()] == [
-        [p.hex() for p in _plus_probabilities(v)] for v in grid
+        [p.hex() for p in _mixed(v)] for v in grid
     ]
 
 
@@ -214,7 +225,7 @@ def test_batched_sweep_equals_points_one_at_a_time(grid, shots, seed):
     gen = np.random.default_rng(seed)
     assert len(table) == len(grid)
     for point, v in zip(table, grid):
-        expected = _mermin_value([gen.binomial(shots, p) for p in _plus_probabilities(v)], shots)
+        expected = sampled_mermin(gen, shots, v)
         assert point.visibility == v
         assert point.exact == v * exact_expectation("O", noisy_state(1.0))
         assert abs(point.exact - exact_expectation("O", noisy_state(v))) <= 1e-12
@@ -246,10 +257,26 @@ def test_mermin_value_adds_the_signed_row_means_left_to_right(drawn):
     # the uncompensated left-to-right sum on every interpreter
     n, plus = drawn
     terms = [c.required_product * ((2 * p - n) / n) for c, p in zip(CONSTRAINTS, plus)]
-    value, std_error = _mermin_value(plus, n)
+    counts = iter(plus)
+    _, value, std_error = _point(lambda shots, p: next(counts), n, 0.5)
     assert value.hex() == functools.reduce(operator.add, terms).hex()
     spread = sum(p * (n - p) for p in plus)
     assert std_error == 2.0 * math.sqrt(spread / (n - 1)) / n
+
+
+@pytest.mark.parametrize("v", [0.0, 0.9, 1.0])
+def test_point_draws_each_row_once_in_row_order(v):
+    # a fake binomial records its calls and answers a new count each time: the
+    # point must ask for row i's p+ at the i-th call and return the counts as drawn
+    calls = []
+
+    def binomial(shots, p):
+        calls.append((shots, p))
+        return 10 + len(calls)
+
+    plus, _, _ = _point(binomial, 100, v)
+    assert calls == [(100, v * pp + (1.0 - v) * u) for pp, u in _row_tables()[0]]
+    assert plus == list(range(11, 20))
 
 
 

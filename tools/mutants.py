@@ -296,6 +296,77 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         ),
     ),
     (
+        EXPERIMENT,
+        "total += sign * ((2 * n - shots) / shots)",
+        "total += (2 * n - shots) / shots",
+        (
+            P + "test_mermin_value_adds_the_signed_row_means_left_to_right",
+            E + "test_estimate_exact_at_full_visibility",
+            G + "[mermin_v0.8_1e12_seed5.txt]",
+        ),
+    ),
+    (
+        EXPERIMENT,
+        "spread += n * (shots - n)",
+        "spread += n * n",
+        (
+            P + "test_mermin_value_adds_the_signed_row_means_left_to_right",
+            E + "test_estimates_flat_in_shot_count",
+            G + "[mermin_v0.8_1e12_seed5.txt]",
+        ),
+    ),
+    (
+        EXPERIMENT,
+        "plus.append(n)",
+        "plus.insert(0, n)",
+        (
+            P + "test_point_draws_each_row_once_in_row_order[0.9]",
+            E + "test_estimate_rows_equals_sequential_pair_draws[12345-0.9-100]",
+            E + "test_estimate_exact_at_full_visibility",
+        ),
+    ),
+    (
+        EXPERIMENT,
+        "plus.append(n)",
+        "pass",
+        (
+            P + "test_point_draws_each_row_once_in_row_order[0.0]",
+            E + "test_estimate_rows_equals_sequential_pair_draws[7-0.5-2]",
+            A + "test_criterion_7_sampling_consistency",
+        ),
+    ),
+    (
+        EXPERIMENT,
+        "zip(_ROW_SIGNS, _row_tables()[0])",
+        "zip(_ROW_SIGNS[::-1], _row_tables()[0][::-1])",
+        (
+            P + "test_point_draws_each_row_once_in_row_order[0.9]",
+            E + "test_estimate_rows_equals_sequential_pair_draws[99-1.0-100]",
+            C + "test_sweep_row_is_the_mermin_estimate_of_the_same_seed"
+            "[0-100-18446744073709551615]",
+        ),
+    ),
+    (
+        EXPERIMENT,
+        "w = 1.0 - v",
+        "w = 1.0",
+        (
+            P + "test_point_draws_each_row_once_in_row_order[0.9]",
+            E + "test_estimate_at_half_visibility_converges",
+            G + "[mermin_v0.8_1e12_seed5.txt]",
+        ),
+    ),
+    (
+        EXPERIMENT,
+        "_point(binomial, shots, x)",
+        "_point(np.random.default_rng(seed).binomial, shots, x)",
+        (
+            E + "test_wide_sweep_draws_its_points_in_grid_order_on_one_generator[33554432]",
+            E + "test_wide_sweep_draws_its_points_in_grid_order_on_one_generator[1000000000000]",
+            P + "test_batched_sweep_equals_points_one_at_a_time",
+        ),
+    ),
+    (
         OPTICS,
         "np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]]",
         "np.eye(4, dtype=np.complex128)[[0, 1, 3, 3]]",
