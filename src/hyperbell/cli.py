@@ -3,13 +3,12 @@
 ``_COMMANDS`` lists the six commands (verify, lhv, mermin, simulate, sweep,
 bell), each with its help line, runner and renderers.  An input argparse
 rejects is one ``hyperbell: error: <message>`` line and exit 2.  ``_check``
-then passes every input once through the library's own check in ``inputs``
-(an apparatus pair through ``optics``); its ``ValueError`` becomes the same
-line and exit.  Only a runner that computes imports numpy and the modules
-built on it, so ``lhv`` and a bad shots, seed, visibility or grid never load
-numpy.  The runner returns the payload (the JSON-ready result) and the exit
-code.  JSON is ``json.dumps(payload, indent=2)`` for every command; a text or
-CSV renderer only formats its command's payload.
+then passes every input once through the library's own check in ``inputs``;
+its ``ValueError`` becomes the same line and exit.  Only a runner that computes
+imports numpy and the modules built on it, so ``lhv`` and a bad shots, seed,
+visibility, grid or apparatus pair never load numpy.  The runner returns the
+payload (the JSON-ready result) and the exit code.  JSON is ``json.dumps(payload,
+indent=2)`` for every command; a text or CSV renderer only formats its payload.
 
 All randomness flows from --seed (default 12345, fixed, never entropy); a
 given command line produces identical bytes on stdout and in --output files.
@@ -295,8 +294,7 @@ def _check(args: argparse.Namespace) -> None:
     if "grid" in args:
         inputs._visibilities(args.grid)
     if "apparatus_pair" in args:
-        from . import optics
-        optics._check_sides(*map(optics.build_apparatus, args.apparatus_pair))
+        inputs._apparatus_pair(*args.apparatus_pair)
 
 
 def main(argv=None) -> int:

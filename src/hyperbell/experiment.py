@@ -5,8 +5,9 @@ interest is traceless, so <Q>(V) = V * <Q>(1): the Bell-Mermin value is 9V and c
 local-realistic ceiling of 7 exactly at V = 7/9.  No sampler builds rho: each draws from the
 one pattern law, every detector pattern at V p_Psi + (1-V)/16.  ``estimate_pair`` (``simulate``)
 draws a pair's 16 counts; a row draws only n+, its shots at +1, as Binomial(n, p+) with
-p+ = V p+_Psi + (1-V) k/16, the law summed over its k patterns at +1, and ``_point`` draws a
-point's nine rows and adds O and its SE.  README (Conventions, Sampling) derives it.  Inputs
+p+ = V p+_Psi + (1-V) k/16, the law summed over its k patterns at +1.  ``_point`` draws a
+point estimate's nine rows and adds O and its SE; a sweep draws all its points in one call and
+forms the same sums as columns.  README (Conventions, Sampling) derives it.  Inputs
 are checked by ``inputs``, whose ``DEFAULT_GRID`` and ``MAX_SHOTS`` are re-exported.
 """
 
@@ -163,9 +164,9 @@ def _point(binomial, shots: int, v: float) -> tuple[list[int], float, float]:
     return plus, total, 2.0 * math.sqrt(spread / (shots - 1)) / shots
 
 
-#: Below this many shots a sweep's O and SE are column operations on its counts:
-#: the spread 9 (n/2)**2 < 2**53 is exact in float64, so each operation rounds
-#: as in ``_point``, which draws and sums each point of larger counts.
+#: Below this many shots a sweep's counts stay int64: the spread 9 (n/2)**2 < 2**53
+#: is exact in int64 and float64, so each column operation rounds as in ``_point``.
+#: From it on they are exact Python ints, added and divided by numpy's object loops.
 _COLUMN_SHOTS = 2**25
 
 
@@ -283,12 +284,12 @@ def visibility_sweep(
     """Exact and (optionally) sampled Bell-Mermin values across visibilities.
 
     ``shots_per_setting=0`` skips sampling; else it is at least 2.  ``seed``
-    is an integer in [0, 2**64 - 1].  Below ``_COLUMN_SHOTS`` the (points x 9)
-    ``_plus_table`` is drawn in one ``binomial`` call on ``default_rng(seed)``,
-    element by element in C order as ``_point`` draws it point by point; O is one
-    ``np.add.accumulate`` of each row's nine terms, left to right as ``_point`` adds
-    them, and SE is formed in place.  From it on, ``_point`` draws and sums each point
-    on that generator.  The bits are the same either way: the rows of ``grid[:k]`` are the
+    is an integer in [0, 2**64 - 1].  The (points x 9) ``_plus_table`` is drawn in
+    one ``binomial`` call on ``default_rng(seed)``, element by element in C order as
+    ``_point`` draws it point by point; O is one ``np.add.accumulate`` of each row's
+    nine terms, left to right as ``_point`` adds them, and SE is formed from the
+    integer spread.  From ``_COLUMN_SHOTS`` on the counts are Python ints, so the
+    same expressions stay exact.  The rows of ``grid[:k]`` are the
     first k rows of ``grid``, and a one-point sweep equals
     ``estimate_mermin(shots_per_setting, v, seed)`` bit for bit.  The exact
     column is V times ``_exact_mermin()``, <Psi|O|Psi> = 9.0 computed once
@@ -302,18 +303,17 @@ def visibility_sweep(
     np.multiply(v, _exact_mermin(), out=columns[:, 1])
     if not shots:
         columns[:, 2:] = np.nan
-    elif shots >= _COLUMN_SHOTS:
-        binomial = np.random.default_rng(seed).binomial
-        columns[:, 2:] = np.reshape([_point(binomial, shots, x)[1:] for x in v.tolist()], (-1, 2))
     else:  # _point's sums as column operations, the terms added left to right
         plus = np.random.default_rng(seed).binomial(shots, _plus_table(v))
+        if shots >= _COLUMN_SHOTS:
+            plus = plus.astype(object)
         terms = (2 * plus - shots) / shots
         terms *= _row_tables()[1][2]
         estimate, std_error = columns[:, 2], columns[:, 3]
         # the running sum starts at t0, not 0.0 + t0, so it differs only in
         # being -0.0 when every term is; + 0.0 makes that 0.0, as in _point
-        np.add(np.add.accumulate(terms, axis=1)[:, -1], 0.0, out=estimate)
-        np.divide((plus * (shots - plus)).sum(axis=1), shots - 1, out=std_error)
+        estimate[:] = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
+        std_error[:] = (plus * (shots - plus)).sum(axis=1) / (shots - 1)
         np.sqrt(std_error, out=std_error)
         std_error *= 2.0
         std_error /= shots

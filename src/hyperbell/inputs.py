@@ -2,10 +2,11 @@
 
 Each check takes a value as a caller passed it and returns it as a plain int
 or float, or raises ``ValueError`` with a one-line message naming the rule
-and the value.  ``optics`` and ``experiment`` call these checks on their
-arguments, and the command line calls them on its inputs before it loads
-numpy, printing the message as its usage error.  The checks are the
-package's own, so their names keep a leading underscore.
+and the value; apparatus ids and pairs are read off ``lhv.APPARATUSES``.
+``optics`` and ``experiment`` call these checks on their arguments, and the
+command line calls them on its inputs before it loads numpy, printing the
+message as its usage error.  The checks are the package's own, so their
+names keep a leading underscore.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import numbers
 import operator
 from typing import Sequence
+
+from .lhv import APPARATUSES, element_photon
 
 #: Fixed default seed used whenever the caller does not pass one.
 DEFAULT_SEED = 12345
@@ -59,6 +62,22 @@ def _sweep_shot_count(shots) -> int:
     if count == 1:
         raise ValueError(f"{rule}, got {shots!r}")
     return count
+
+
+def _apparatus_id(value) -> int:
+    """An id of ``lhv.APPARATUSES`` as a plain int; bools and non-integers are rejected."""
+    n = len(APPARATUSES)
+    return _integer(value, 1, n, f"apparatus id must be an integer 1..{n}")
+
+
+def _apparatus_pair(a1_id, a2_id) -> tuple[int, int]:
+    """Two apparatus ids, checked in order, of apparatuses that read photons 1 and 2."""
+    pair = _apparatus_id(a1_id), _apparatus_id(a2_id)
+    photons = tuple(element_photon(APPARATUSES[i][0][0]) for i in pair)
+    if photons != (1, 2):
+        got = ", ".join(f"{i} on photon {photon}" for i, photon in zip(pair, photons))
+        raise ValueError(f"apparatus pair must act on photons (1, 2); got ({got})")
+    return pair
 
 
 def _seed(seed) -> int:

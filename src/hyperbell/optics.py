@@ -24,8 +24,8 @@ so its value of their product is the product of its two labels.  A pair of
 apparatuses, one per photon, has 16 joint detector patterns;
 ``pattern_distribution`` is their Born rule for a density matrix, and
 ``readout_table`` gives each of the fifteen quantities the pair reads, six
-local values and nine cross products, on each pattern.  Apparatus ids and
-shot counts are checked by ``inputs``, which also holds ``BELL_LABELS``.
+local values and nine cross products, on each pattern.  ``inputs`` checks
+apparatus ids, pairs and shot counts, and holds ``BELL_LABELS``.
 """
 
 from __future__ import annotations
@@ -108,8 +108,7 @@ def build_apparatus(apparatus_id: int) -> ApparatusSpec:
     The id is any integer 1..6 but not a bool; the spec stores it as a plain
     int.  The cache is typed, so ``True`` or ``1.0`` never reaches id 1's entry.
     """
-    n = len(APPARATUSES)
-    apparatus_id = inputs._integer(apparatus_id, 1, n, f"apparatus id must be an integer 1..{n}")
+    apparatus_id = inputs._apparatus_id(apparatus_id)
     (name_a, name_b), chain = APPARATUSES[apparatus_id]
     photon = element_photon(name_a)
 
@@ -141,24 +140,17 @@ def build_apparatus(apparatus_id: int) -> ApparatusSpec:
     )
 
 
-def _check_sides(a1: ApparatusSpec, a2: ApparatusSpec) -> None:
-    if a1.photon != 1 or a2.photon != 2:
-        raise ValueError(
-            f"apparatus pair must act on photons (1, 2); got "
-            f"({a1.id} on photon {a1.photon}, {a2.id} on photon {a2.photon})"
-        )
-
-
 def pattern_distribution(
     a1: ApparatusSpec, a2: ApparatusSpec, density: np.ndarray
 ) -> np.ndarray:
     """Born probabilities p[d1, d2] = diag(K rho K^dagger), K = conj(B1) (x) conj(B2).
 
-    Row 4*d1 + d2 of K is the bra of detector pattern (d1, d2).  ``density``
+    Row 4*d1 + d2 of K is the bra of detector pattern (d1, d2).  ``a1`` must
+    read photon 1 and ``a2`` photon 2 (``inputs._apparatus_pair``); ``density``
     must be a 16 x 16 state (``hilbert.check_density``), or ``ValueError``;
     round-off below zero is then clipped and the distribution renormalized.
     """
-    _check_sides(a1, a2)
+    inputs._apparatus_pair(a1.id, a2.id)
     rho = check_density(density)
     b1, b2 = a1.basis.conj(), a2.basis.conj()
     bras = (b1[:, None, :, None] * b2[None, :, None, :]).reshape(16, 16)

@@ -16,15 +16,16 @@ import numpy as np
 
 from hyperbell.experiment import _row_tables
 from hyperbell.hilbert import StateVector
+from hyperbell.inputs import _apparatus_pair
 from hyperbell.lhv import CONSTRAINTS, ELEMENTS, LhvConstraint
-from hyperbell.optics import ApparatusSpec, _check_sides
+from hyperbell.optics import ApparatusSpec
 
 
 def joint_distribution(
     a1: ApparatusSpec, a2: ApparatusSpec, state: StateVector
 ) -> np.ndarray:
     """Born probabilities p[d1, d2] of a pure state over the 4 x 4 detector patterns."""
-    _check_sides(a1, a2)
+    _apparatus_pair(a1.id, a2.id)
     if state.dim != 16:
         raise ValueError("pair measurement expects the 16-dim two-photon state")
     grid = state.amps.reshape(4, 4)

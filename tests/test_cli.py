@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hyperbell import cli, experiment, inputs, lhv, observables, optics
+from hyperbell import cli, experiment, inputs, lhv, observables
 from hyperbell.hilbert import ATOL
 
 REPO = Path(__file__).resolve().parent.parent
@@ -443,9 +443,6 @@ def test_one_shot_rejected_where_a_standard_error_is_reported(args):
     assert run_cli(*args, "--shots", "2").returncode == 0
 
 
-_A = optics.build_apparatus
-
-
 @pytest.mark.parametrize(
     "argv, validate, bad",
     [
@@ -458,9 +455,9 @@ _A = optics.build_apparatus
         (["sweep", "--grid", "0.5", "1.5"], inputs._visibilities, ([0.5, 1.5],)),
         (["mermin", "--seed", "-3"], inputs._seed, (-3,)),
         (["bell", "--seed", str(2**64)], inputs._seed, (2**64,)),
-        (["simulate", "--apparatus-pair", "1", "9"], _A, (9,)),
-        (["simulate", "--apparatus-pair", "7", "4"], _A, (7,)),
-        (["simulate", "--apparatus-pair", "4", "2"], optics._check_sides, (_A(4), _A(2))),
+        (["simulate", "--apparatus-pair", "1", "9"], inputs._apparatus_pair, (1, 9)),
+        (["simulate", "--apparatus-pair", "7", "4"], inputs._apparatus_pair, (7, 4)),
+        (["simulate", "--apparatus-pair", "4", "2"], inputs._apparatus_pair, (4, 2)),
     ],
 )
 def test_usage_error_quotes_the_library_message(capsys, argv, validate, bad):
@@ -471,12 +468,13 @@ def test_usage_error_quotes_the_library_message(capsys, argv, validate, bad):
 
 def test_lhv_and_input_usage_errors_run_without_numpy():
     # the CLI imports numpy only in the runners that compute: `import
-    # hyperbell.cli`, lhv in both formats, and each shots, seed, visibility and
-    # grid usage error above run in a process where importing numpy fails
+    # hyperbell.cli`, lhv in both formats, and each shots, seed, visibility,
+    # grid and apparatus-pair usage error above run in a process where
+    # importing numpy fails
     cases = test_usage_error_quotes_the_library_message.pytestmark[0].args[1]
     errors = [(argv, library_message(validate, *bad)) for argv, validate, bad in cases
               if validate.__module__ == inputs.__name__]
-    assert len(errors) == 9
+    assert len(errors) == 12
     golden = REPO / "tests" / "golden"
     expected = [(0, (golden / name).read_bytes().decode("utf-8"), "")
                 for name in ("lhv.txt", "lhv.json")]

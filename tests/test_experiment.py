@@ -560,8 +560,8 @@ def test_child_states_equal_numpy_spawn(seed, n):
 
 @pytest.mark.parametrize("shots", [2**25, 10**12])
 def test_wide_sweep_draws_its_points_in_grid_order_on_one_generator(shots):
-    # from 2**25 shots on each point is drawn and summed by itself, still on the
-    # sweep's one generator: a repeated visibility draws new counts
+    # from 2**25 shots on the counts are exact Python ints, drawn in one call on
+    # the sweep's one generator: a repeated visibility draws new counts
     grid = [0.9, 0.9, 7 / 9, 0.0, 1.0]
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(12345)))
     hexed = [(e.hex(), s.hex()) for e, s in (sampled_mermin(gen, shots, v) for v in grid)]
@@ -572,7 +572,7 @@ def test_wide_sweep_draws_its_points_in_grid_order_on_one_generator(shots):
 
 @pytest.mark.parametrize("shots", [0, 100, 2**25])
 def test_sweep_table_array_is_read_only(shots):
-    # exact-only, column and per-row paths all write the table in place first
+    # exact-only, int64 and Python-int counts all write the table in place first
     table = visibility_sweep([0.0, 7 / 9, 1.0], shots, 3)
     assert not table.columns.flags.writeable
     with pytest.raises(ValueError, match="read-only"):

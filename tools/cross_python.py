@@ -9,12 +9,13 @@ against the coset's weight enumerator (16 assignments per coset word of
 ``coset_weights``), and compares the bytes with ``tests/golden/lhv.json``
 (what ``hyperbell lhv --format json`` prints).  It then runs the CLI itself,
 ``hyperbell.cli.main`` on ``lhv`` and ``lhv --format json``, and compares
-each output with its golden file and its exit code with 0.  Last it runs five
-usage errors, a bad shot count, grid, seed, a one-shot ``simulate`` and an
-unwritable ``--output`` path with a line break in it, and compares each one's
-stderr with the bytes recorded under Python 3.11 in ``USAGE_ERRORS`` and its
-exit code with 2.  Stdlib only: the probe blocks numpy, since neither
-``hyperbell.lhv``, the CLI's ``lhv`` nor its input checks need it.
+each output with its golden file and its exit code with 0.  Last it runs seven
+usage errors, a bad shot count, grid, seed, a one-shot ``simulate``, a bad
+apparatus id, a pair on the wrong photons and an unwritable ``--output`` path
+with a line break in it, and compares each one's stderr with the bytes recorded
+under Python 3.11 in ``USAGE_ERRORS`` and its exit code with 2.  Stdlib only:
+the probe blocks numpy, since neither ``hyperbell.lhv``, the CLI's ``lhv`` nor
+its input checks need it.
 
     python3 tools/cross_python.py
 
@@ -48,6 +49,11 @@ USAGE_ERRORS = (
      "hyperbell: error: seed must be an integer in [0, 2**64 - 1], got -1\n"),
     (["simulate", "--apparatus-pair", "1", "2", "--shots", "1"],
      "hyperbell: error: shots must be an integer in [2, 2**63 - 1], got 1\n"),
+    (["simulate", "--apparatus-pair", "7", "4"],
+     "hyperbell: error: apparatus id must be an integer 1..6, got 7\n"),
+    (["simulate", "--apparatus-pair", "4", "2"],
+     "hyperbell: error: apparatus pair must act on photons (1, 2); "
+     "got (4 on photon 2, 2 on photon 2)\n"),
     (["lhv", "--output", "/nonexistent-dir\nx/y"],
      "hyperbell: error: cannot write /nonexistent-dir\\nx/y: No such file or directory\n"),
 )
