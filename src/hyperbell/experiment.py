@@ -7,8 +7,9 @@ one pattern law, every detector pattern at V p_Psi + (1-V)/16.  ``estimate_pair`
 draws a pair's 16 counts; a row draws only n+, its shots at +1, as Binomial(n, p+) with
 p+ = V p+_Psi + (1-V) k/16, the law summed over its k patterns at +1.  ``_point`` draws a
 point estimate's nine rows and adds O and its SE; a sweep draws all its points in one call and
-forms the same sums as columns.  README (Conventions, Sampling) derives it.  Inputs
-are checked by ``inputs``, whose ``DEFAULT_GRID`` and ``MAX_SHOTS`` are re-exported.
+forms the same float64 sums as columns, at every shot count.  README (Conventions, Sampling)
+derives it.  Inputs are checked by ``inputs``, whose ``DEFAULT_GRID`` and ``MAX_SHOTS`` are
+re-exported.
 """
 
 from __future__ import annotations
@@ -151,23 +152,20 @@ def _point(binomial, shots: int, v: float) -> tuple[list[int], float, float]:
 
     Each p+(V) = V p+_Psi + (1-V) k/16 is mixed in plain floats that need no clip (README)
     and drawn as ``binomial(shots, p)``, the stream of one array draw of the nine rows.
-    O adds the signed means (2 n+ - n)/n left to right (``sum`` compensates floats from
-    Python 3.12 on); the variances 4 n+ n- / ((n-1) n^2) add as exact integers, divided once.
+    Each count becomes a float f once.  O adds the signed means (2 f - n)/n left to right
+    (``sum`` compensates floats from Python 3.12 on); the spread adds f n- left to right and
+    is divided by n - 1 once.  Below 2**25 shots every product and partial sum is an exact
+    integer, 9 (n/2)**2 < 2**53; above, each rounds by far less than the SE (README).
     """
     w = 1.0 - v
-    plus, total, spread = [], 0.0, 0
+    plus, total, spread = [], 0.0, 0.0
     for sign, (plus_psi, uniform) in zip(_ROW_SIGNS, _row_tables()[0]):
         n = binomial(shots, v * plus_psi + w * uniform)
         plus.append(n)
-        total += sign * ((2 * n - shots) / shots)
-        spread += n * (shots - n)
+        f = float(n)
+        total += sign * ((2.0 * f - shots) / shots)
+        spread += f * (shots - n)
     return plus, total, 2.0 * math.sqrt(spread / (shots - 1)) / shots
-
-
-#: Below this many shots a sweep's counts stay int64: the spread 9 (n/2)**2 < 2**53
-#: is exact in int64 and float64, so each column operation rounds as in ``_point``.
-#: From it on they are exact Python ints, added and divided by numpy's object loops.
-_COLUMN_SHOTS = 2**25
 
 
 def estimate_rows(
@@ -286,11 +284,10 @@ def visibility_sweep(
     ``shots_per_setting=0`` skips sampling; else it is at least 2.  ``seed``
     is an integer in [0, 2**64 - 1].  The (points x 9) ``_plus_table`` is drawn in
     one ``binomial`` call on ``default_rng(seed)``, element by element in C order as
-    ``_point`` draws it point by point; O is one ``np.add.accumulate`` of each row's
-    nine terms, left to right as ``_point`` adds them, and SE is formed from the
-    integer spread.  From ``_COLUMN_SHOTS`` on the counts are Python ints, so the
-    same expressions stay exact.  The rows of ``grid[:k]`` are the
-    first k rows of ``grid``, and a one-point sweep equals
+    ``_point`` draws it point by point.  At every shot count the int64 counts are cast
+    to float64 as ``_point`` converts them, and the spread and O are each one
+    ``np.add.accumulate`` of a row's nine terms, left to right as ``_point`` adds them.
+    The rows of ``grid[:k]`` are the first k rows of ``grid``, and a one-point sweep equals
     ``estimate_mermin(shots_per_setting, v, seed)`` bit for bit.  The exact
     column is V times ``_exact_mermin()``, <Psi|O|Psi> = 9.0 computed once
     per process, correctly rounded: tr(rho O) is linear in V.
@@ -303,17 +300,17 @@ def visibility_sweep(
     np.multiply(v, _exact_mermin(), out=columns[:, 1])
     if not shots:
         columns[:, 2:] = np.nan
-    else:  # _point's sums as column operations, the terms added left to right
+    else:  # _point's float sums as column operations, each added left to right
         plus = np.random.default_rng(seed).binomial(shots, _plus_table(v))
-        if shots >= _COLUMN_SHOTS:
-            plus = plus.astype(object)
-        terms = (2 * plus - shots) / shots
-        terms *= _row_tables()[1][2]
         estimate, std_error = columns[:, 2], columns[:, 3]
+        std_error[:] = np.add.accumulate(
+            np.multiply(plus, shots - plus, dtype=float), axis=1)[:, -1]
+        terms = (2.0 * plus - shots) / shots
+        terms *= _row_tables()[1][2]
         # the running sum starts at t0, not 0.0 + t0, so it differs only in
         # being -0.0 when every term is; + 0.0 makes that 0.0, as in _point
         estimate[:] = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
-        std_error[:] = (plus * (shots - plus)).sum(axis=1) / (shots - 1)
+        std_error /= shots - 1
         np.sqrt(std_error, out=std_error)
         std_error *= 2.0
         std_error /= shots

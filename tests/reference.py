@@ -2,7 +2,7 @@
 state over a pair's detector patterns, the four-level relabeling of a state,
 the LHV assignments by element name, the brute-force reference for the
 library's 12-bit mask scan, and a sampled Bell-Mermin point drawn and summed
-row by row.
+row by row, by the library's float rule and in exact integers.
 """
 
 import functools
@@ -107,13 +107,32 @@ def mermin_value(assignment: LhvAssignment) -> int:
     )
 
 
-def sampled_mermin(gen: np.random.Generator, shots: int, v: float) -> tuple[float, float]:
-    """O and its SE at V from nine scalar draws on ``gen``, one per row in row order.
+def _row_counts(gen: np.random.Generator, shots: int, v: float) -> list[int]:
+    """n+ of the nine rows at V, one scalar draw per row in row order, each at
+    p+ = V p+_Psi + (1-V) k/16."""
+    return [gen.binomial(shots, v * pp + (1.0 - v) * u) for pp, u in _row_tables()[0]]
 
-    Each row's p+ = V p+_Psi + (1-V) k/16; the signed means (2 n+ - n)/n are added
-    left to right and the SE is formed from the exact integer spread sum n+ n-.
+
+def sampled_mermin(gen: np.random.Generator, shots: int, v: float) -> tuple[float, float]:
+    """O and its SE at V from nine scalar draws on ``gen``, by the library's float rule.
+
+    Each n+ is a float f; the signed means (2 f - n)/n and the spread terms f (n - n+)
+    are each added left to right, and the spread is divided by n - 1 once.
     """
-    plus = [gen.binomial(shots, v * pp + (1.0 - v) * u) for pp, u in _row_tables()[0]]
+    plus = _row_counts(gen, shots, v)
+    floats = [float(n) for n in plus]
+    terms = [c.required_product * ((2.0 * f - shots) / shots) for c, f in zip(CONSTRAINTS, floats)]
+    spread = functools.reduce(operator.add, [f * (shots - n) for f, n in zip(floats, plus)])
+    return functools.reduce(operator.add, terms), 2.0 * math.sqrt(spread / (shots - 1)) / shots
+
+
+def sampled_mermin_exact(gen: np.random.Generator, shots: int, v: float) -> tuple[float, float]:
+    """``sampled_mermin`` with exact integer arithmetic up to each rounded quotient.
+
+    The signed means are the correctly rounded (2 n+ - n)/n, added left to right, and
+    the SE is formed from the exact integer spread sum n+ n-.
+    """
+    plus = _row_counts(gen, shots, v)
     terms = [c.required_product * ((2 * n - shots) / shots) for c, n in zip(CONSTRAINTS, plus)]
     spread = sum(n * (shots - n) for n in plus)
     return functools.reduce(operator.add, terms), 2.0 * math.sqrt(spread / (shots - 1)) / shots

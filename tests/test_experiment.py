@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -558,11 +559,12 @@ def test_child_states_equal_numpy_spawn(seed, n):
     assert [(p.estimate.hex(), p.std_error.hex()) for p in table] == hexed
 
 
-@pytest.mark.parametrize("shots", [2**25, 10**12])
+@pytest.mark.parametrize("shots", [2**25, 2**26, 10**12, MAX_SHOTS])
 def test_wide_sweep_draws_its_points_in_grid_order_on_one_generator(shots):
-    # from 2**25 shots on the counts are exact Python ints, drawn in one call on
-    # the sweep's one generator: a repeated visibility draws new counts
-    grid = [0.9, 0.9, 7 / 9, 0.0, 1.0]
+    # the counts are drawn in one call on the sweep's one generator: a repeated
+    # visibility draws new counts; above 2**25 shots the float sums round, so a
+    # sum in another order (numpy's pairwise sum) changes last bits of 1000 points
+    grid = [0.9, 0.9, 7 / 9, 0.0, 1.0] + np.linspace(0.0, 1.0, 1000).tolist()
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(12345)))
     hexed = [(e.hex(), s.hex()) for e, s in (sampled_mermin(gen, shots, v) for v in grid)]
     table = visibility_sweep(grid, shots, 12345)
@@ -570,9 +572,27 @@ def test_wide_sweep_draws_its_points_in_grid_order_on_one_generator(shots):
     assert table[0].estimate != table[1].estimate
 
 
+@pytest.mark.parametrize("shots", [2**40, MAX_SHOTS])
+def test_wide_sweep_memory_does_not_grow_with_shots(shots):
+    # one float64 rule at every shot count: a 20 000-point sweep's traced peak
+    # stays within 1.25x of the same sweep's at 100 shots
+    grid = np.linspace(0.0, 1.0, 20_000).tolist()
+    visibility_sweep([0.5], 2)  # build the per-process caches outside the trace
+
+    def traced_peak(n):
+        tracemalloc.start()
+        try:
+            visibility_sweep(grid, n, 7)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(shots) <= 1.25 * traced_peak(100)
+
+
 @pytest.mark.parametrize("shots", [0, 100, 2**25])
 def test_sweep_table_array_is_read_only(shots):
-    # exact-only, int64 and Python-int counts all write the table in place first
+    # exact-only and sampled sweeps both write the table in place first
     table = visibility_sweep([0.0, 7 / 9, 1.0], shots, 3)
     assert not table.columns.flags.writeable
     with pytest.raises(ValueError, match="read-only"):

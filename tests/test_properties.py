@@ -11,7 +11,9 @@ against numpy's elementwise formula and the sweep's (points x 9) table.  The
 visibility sweep's one array draw and its column operations are checked bit
 for bit against its points drawn and summed one at a time on one generator,
 against the point estimate of the same seed, and against the sweeps of its
-grid's prefixes, at shot counts on both sides of the column path's bound.
+grid's prefixes, at shot counts on both sides of 2**25, where the float sums
+stop being exact.  Both are checked against exact integer sums: bit for bit
+up to 2**25 shots, within a few units in the last place above.
 The point sampler draws each row once, in row order, and its Bell-Mermin
 sum of the row counts is pinned to a plain left-to-right float sum, whatever
 the Python; every builtin ``sum`` in src/ is pinned to a known integer sum.  A sampled value is checked against its exact law: a whole
@@ -33,7 +35,6 @@ from hyperbell import inputs
 from hyperbell.experiment import (
     MAX_SHOTS,
     ROW_APPARATUS_PAIRS,
-    _COLUMN_SHOTS,
     _plus_table,
     _point,
     _row_tables,
@@ -46,7 +47,7 @@ from hyperbell.hilbert import StateVector
 from hyperbell.lhv import CONSTRAINTS
 from hyperbell.optics import build_apparatus, pattern_distribution, readout_table
 
-from reference import joint_distribution, sampled_mermin
+from reference import joint_distribution, sampled_mermin, sampled_mermin_exact
 
 PHOTON1_APPARATUSES = (1, 3, 5)
 PHOTON2_APPARATUSES = (2, 4, 6)
@@ -199,16 +200,21 @@ def grids(draw):
     return draw(st.permutations(grid + repeats))
 
 
+#: Shot counts up to 2**25, where every product and partial sum of the float rule
+#: is an exact integer, and above it, where they round.
+EXACT_SUM_SHOTS = [2, 100, 150_000, 2**25 - 1, 2**25]
+ROUNDED_SUM_SHOTS = [2**26, 10**12, 2**53 + 3, MAX_SHOTS]
+
 #: A sweep's shots per setting: the fewest, the benchmark's, both sides of the
-#: column path's bound 2**25, a trillion (an int64 spread overflows), and the most.
+#: float rule's exactness bound 2**25, a trillion (an int64 spread overflows), and the most.
 sweep_shots = st.sampled_from([2, 100, 2**25 - 1, 2**25, 10**12, MAX_SHOTS])
 seeds = st.integers(0, 2**64 - 1)
 
 
 def test_column_shot_bound_keeps_the_counts_exact():
-    # below the bound a sweep sums the nine n+ n- in int64 and divides in
-    # float64, so 2 n+ - n and the largest spread must be exact in both
-    n = _COLUMN_SHOTS
+    # up to 2**25 shots the float rule's 2 f - n, each f n- and every partial
+    # sum of the nine spreads are exact integers in float64, and n- in int64
+    n = EXACT_SUM_SHOTS[-1]
     assert 9 * (n // 2) * (n - n // 2) < 2**53 and 2 * n < 2**63
 
 
@@ -253,15 +259,35 @@ def test_sweep_rows_of_a_grid_prefix_are_its_first_rows(grid, shots, seed):
     lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n), min_size=9, max_size=9))
 ))
 def test_mermin_value_adds_the_signed_row_means_left_to_right(drawn):
-    # sum() of floats is compensated from Python 3.12 on; the value must be
-    # the uncompensated left-to-right sum on every interpreter
+    # sum() of floats is compensated from Python 3.12 on; the value and the
+    # spread must be the uncompensated left-to-right sums on every interpreter
     n, plus = drawn
-    terms = [c.required_product * ((2 * p - n) / n) for c, p in zip(CONSTRAINTS, plus)]
+    terms = [c.required_product * ((2.0 * p - n) / n) for c, p in zip(CONSTRAINTS, plus)]
     counts = iter(plus)
     _, value, std_error = _point(lambda shots, p: next(counts), n, 0.5)
     assert value.hex() == functools.reduce(operator.add, terms).hex()
-    spread = sum(p * (n - p) for p in plus)
-    assert std_error == 2.0 * math.sqrt(spread / (n - 1)) / n
+    spread = functools.reduce(operator.add, [float(p) * (n - p) for p in plus])
+    assert std_error.hex() == (2.0 * math.sqrt(spread / (n - 1)) / n).hex()
+
+
+@pytest.mark.parametrize("shots", EXACT_SUM_SHOTS + ROUNDED_SUM_SHOTS)
+@settings(deadline=None, max_examples=25)
+@given(grids(), seeds)
+def test_float_sums_equal_exact_integer_sums_to_the_last_bits(shots, grid, seed):
+    # the float rule against exact integer spreads and correctly rounded means:
+    # equal bits up to 2**25 shots; above, O within 1e-14 and the SE within 2e-15
+    # relative, both far below an SE, at sweep and point alike
+    table = visibility_sweep(grid, shots, seed)
+    gen = np.random.default_rng(seed)
+    single = estimate_mermin(shots, grid[0], seed)
+    assert _bits(single.estimate, single.std_error) == _bits(table[0].estimate, table[0].std_error)
+    for point, v in zip(table, grid):
+        estimate, std_error = sampled_mermin_exact(gen, shots, v)
+        if shots <= EXACT_SUM_SHOTS[-1]:
+            assert _bits(point.estimate, point.std_error) == _bits(estimate, std_error)
+        else:
+            assert abs(point.estimate - estimate) <= 1e-14
+            assert abs(point.std_error - std_error) <= 2e-15 * std_error
 
 
 @pytest.mark.parametrize("v", [0.0, 0.9, 1.0])
