@@ -7,8 +7,9 @@ The state is maximally entangled in polarization and in path simultaneously:
 Each photon carries two qubits worth of observables: sigma_x/sigma_z on the
 polarization factor (written x_i, z_i) and on the path factor (written x_i',
 z_i').  Products measured jointly by a single apparatus, such as z1z1' or
-z2x2', are treated as observables in their own right; each is the Kronecker
-product of its Pauli string in ``lhv.ELEMENT_PAULI``.  The nine products of
+z2x2', are treated as observables in their own right.  Every 16-dim product of
+elements, a single element's included, is one cached ``_product_operator`` of
+their Pauli strings in ``lhv.ELEMENT_PAULI``.  The nine rows of
 ``lhv.CONSTRAINTS`` have |Psi> as an exact eigenvector, each with its row's
 required product as eigenvalue; their signed sum is a Bell-Mermin style
 operator whose quantum value is 9 against a local-realistic ceiling of 7.  A
@@ -42,11 +43,6 @@ def element_operator(name: str) -> Operator:
     return Operator(_pauli_matrix(letters))
 
 
-def element_operator_16(name: str) -> Operator:
-    """16-dim realization of a named element, identity on the other photon."""
-    return Operator(_pauli_matrix(ELEMENT_PAULI[name]))
-
-
 def doubly_entangled_state() -> StateVector:
     """The polarization (x) path doubly entangled two-photon singlet product.
 
@@ -69,10 +65,10 @@ class ConstraintRow(LhvConstraint):
 
 @functools.lru_cache(maxsize=None)
 def _product_operator(names: tuple[str, ...]) -> Operator:
-    """Product of the named elements' 16-dim operators, in order."""
+    """Product of the named elements' 16-dim Pauli strings, in order; ``(name,)`` is one element."""
     matrix = np.eye(16, dtype=np.complex128)
     for name in names:
-        matrix = matrix @ element_operator_16(name).matrix
+        matrix = matrix @ _pauli_matrix(ELEMENT_PAULI[name])
     return Operator(matrix)
 
 

@@ -9,9 +9,9 @@ from hyperbell.lhv import ELEMENTS, element_photon
 from hyperbell.observables import (
     SIGMA_X,
     SIGMA_Z,
+    _product_operator,
     doubly_entangled_state,
     element_operator,
-    element_operator_16,
 )
 
 EYE2 = np.eye(2)
@@ -89,7 +89,7 @@ def test_tensor_identity():
         local = element_operator(name).matrix
         factors = (local, np.eye(4)) if element_photon(name) == 1 else (np.eye(4), local)
         embedded = np.kron(*factors)
-        np.testing.assert_array_equal(element_operator_16(name).matrix, embedded)
+        np.testing.assert_array_equal(_product_operator((name,)).matrix, embedded)
 
 
 def test_tensor_sigma_z_pair():

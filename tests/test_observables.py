@@ -13,11 +13,11 @@ from hyperbell.observables import (
     ConstraintRow,
     SIGMA_X,
     SIGMA_Z,
+    _product_operator,
     bell_mermin_operator,
     build_bell_states,
     doubly_entangled_state,
     element_operator,
-    element_operator_16,
     verify_eigenequations,
 )
 
@@ -74,26 +74,26 @@ def test_local_observable_validation():
         with pytest.raises(KeyError):
             element_operator(name)
         with pytest.raises(KeyError):
-            element_operator_16(name)
+            _product_operator((name,))
 
 
 @pytest.mark.parametrize("name", sorted(SINGLES))
 def test_observables_are_hermitian_involutions(name):
-    op = element_operator_16(name)
+    op = _product_operator((name,))
     np.testing.assert_array_equal(op.matrix, op.matrix.conj().T)
     np.testing.assert_array_equal(op.matrix, single_qubit_matrix(name))
     np.testing.assert_allclose(op.matrix @ op.matrix, np.eye(16), atol=ATOL)
 
 
 def test_observable_eigenkets():
-    z1 = element_operator_16("z1")
+    z1 = _product_operator(("z1",))
     huhu = StateVector(np.eye(16)[0])
     np.testing.assert_allclose(z1.matrix @ huhu.amps, huhu.amps, atol=ATOL)
 
     # |H> (x) (|u>+|d>)/sqrt2 (x) |H> (x) |u> is a +1 eigenket of x1'
     h, u, plus_path = [1, 0], [1, 0], np.array([1, 1]) / np.sqrt(2)
     state = StateVector(np.kron(np.kron(h, plus_path), np.kron(h, u)))
-    x1p = element_operator_16("x1'")
+    x1p = _product_operator(("x1'",))
     np.testing.assert_allclose(x1p.matrix @ state.amps, state.amps, atol=ATOL)
 
 
@@ -104,7 +104,7 @@ def test_commutation_structure_all_28_pairs():
     for a, b in itertools.combinations(names, 2):
         reference = single_qubit_matrix(a) @ single_qubit_matrix(b)
         reference = reference - single_qubit_matrix(b) @ single_qubit_matrix(a)
-        op_a, op_b = element_operator_16(a).matrix, element_operator_16(b).matrix
+        op_a, op_b = _product_operator((a,)).matrix, _product_operator((b,)).matrix
         norm = np.abs(op_a @ op_b - op_b @ op_a).max()
         assert norm == np.abs(reference).max()
         if slot(a) == slot(b):
@@ -129,17 +129,26 @@ def test_element_factors_and_photons():
         element_photon("y1")
 
 
+def factor_chain(names):
+    """Product, in order, of the named elements' factors, each a reference np.kron chain."""
+    built = np.eye(16, dtype=complex)
+    for name in names:
+        for factor in factors(name):
+            built = built @ single_qubit_matrix(factor)
+    return built
+
+
 def test_element_operator_consistency():
     # 16-dim element realizations equal the product of their factors, each a
     # reference np.kron chain independent of the Pauli table
     for name in ELEMENTS:
-        direct = element_operator_16(name).matrix
-        built = np.eye(16, dtype=complex)
-        for factor in factors(name):
-            built = built @ single_qubit_matrix(factor)
-        np.testing.assert_allclose(direct, built, atol=ATOL)
+        direct = _product_operator((name,)).matrix
+        np.testing.assert_allclose(direct, factor_chain((name,)), atol=ATOL)
         # elements are involutions too
         np.testing.assert_allclose(direct @ direct, np.eye(16), atol=ATOL)
+    # and each row's whole 16 x 16 operator is the chain of all its elements' factors
+    for row in CONSTRAINT_ROWS:
+        np.testing.assert_array_equal(row.operator().matrix, factor_chain(row.variables))
 
 
 def test_eigenequations_all_nine():

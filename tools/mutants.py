@@ -37,6 +37,7 @@ INPUTS = "src/hyperbell/inputs.py"
 EXPERIMENT = "src/hyperbell/experiment.py"
 OPTICS = "src/hyperbell/optics.py"
 HILBERT = "src/hyperbell/hilbert.py"
+OBSERVABLES = "src/hyperbell/observables.py"
 T = "tests/test_lhv.py::"
 E = "tests/test_experiment.py::"
 P = "tests/test_properties.py::"
@@ -44,6 +45,7 @@ C = "tests/test_cli.py::"
 O = "tests/test_optics.py::"
 G = "tests/test_golden.py::test_stdout_bytes_match_golden"
 A = "tests/test_acceptance.py::"
+B = "tests/test_observables.py::"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     (
@@ -432,6 +434,16 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             C + "test_simulate_prints_every_row_at_its_pair[row1]",
             O + "test_readout_table_consistency",
             G + "[simulate_1_4_v0.9.txt]",
+        ),
+    ),
+    (
+        OBSERVABLES,
+        "for name in names:",
+        "for name in names[1:]:",
+        (
+            B + "test_element_operator_consistency",
+            B + "test_eigenequations_all_nine",
+            G + "[verify.txt]",
         ),
     ),
     (
